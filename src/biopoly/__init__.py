@@ -8,11 +8,9 @@ naive normal-equations solver is included as a foil.
 """
 
 from .exact import (ExactPoly, ScaleMismatchError, ScaleTag, SpaceSpec,
-                    Weight, eval_float, inner_monomial, inner_poly,
-                    poly_add, poly_scale)
-from .families import (FamilyKind, FamilySpec, OpsCoeff, OpsPolynomial,
-                       OpsType, norm_sq, ops_coeff, ops_poly, rat_coeff,
-                       verify_orthonormal, xn_pm_inner)
+                    Weight, inner_monomial, inner_poly)
+from .families import (FamilyKind, FamilySpec, OpsPolynomial, OpsType,
+                       norm_sq, ops_poly, rat_coeff, verify_orthonormal)
 from .biorth import (BiorthSet, LastElementError, NotActiveError,
                      UpgradeAfterRemovalError, build, downgrade, project,
                      select_removal, upgrade)

@@ -10,37 +10,44 @@ V_k is then simply  P_k f = sum_n <f, beta_n> x^n : the monomial-basis
 coefficients of the fit come from inner products alone, with no linear
 system ever solved.
 
-Construction (both structural types collapse to one rule): the coefficient
-of p_j in beta_n equals the coefficient of x^n in p_j, summed over all
-degrees j >= n the family places x^n in - every j for a full-support
-family, every other j for a parity-support one.  Three operations then stay closed over exact rationals:
+Construction: the coefficient of p_j in beta_n is t_j[n], the rational
+part of the coefficient of x^n in p_j.  With d_j the family's ``norm_sq``
+of degree j, the monomial coefficients of the rows beta_n form one
+symmetric matrix
 
-* ``upgrade``  - extend a full set from order k to k+1 by adding one
-  multiple of p_{k+1} to each row (parity-support rows of the wrong parity are
-  untouched) plus one new row; no previously computed quantity is redone.
-* ``downgrade`` - remove one monomial exponent l from the active set via
+    G = sum_j d_j t_j t_j^T,
 
-      beta_n' = beta_n - beta_l * <beta_l, beta_n> / <beta_l, beta_l>,
+and G is also their Gram matrix: G[n][m] is both the coefficient of x^m
+in beta_n and <beta_n, beta_m>.  (G is the inverse of the monomial Gram
+matrix of V_k.)  A set stores only G, and three operations stay closed
+over exact rationals:
 
-  which re-biorthogonalises the remaining rows against the remaining
-  monomials in place.
-* ``project`` - dot each beta row with a moment vector.
+* ``upgrade``  - extend a full set from order k to k+1 by adding the one
+  rank-one term of degree k+1; no previously computed quantity is redone.
+* ``downgrade`` - remove one monomial exponent l from the active set by a
+  single Schur-complement step
 
-The Gram matrix of the betas is maintained alongside: built once via
-Parseval (the rows' spectral coefficients), then updated by a rank-one
-formula on every downgrade.  For Chebyshev sets all stored rationals carry
-the package-wide 1/pi convention, which cancels in every ratio the
-recursions use.
+      G'[n][m] = G[n][m] - G[l][n] * G[l][m] / G[l][l],
+
+  which is the rank-one update beta_n' = beta_n - beta_l * <beta_l, beta_n>
+  / <beta_l, beta_l>: it re-biorthogonalises the remaining rows against the
+  remaining monomials and updates their Gram entries in the same pass.
+* ``project`` - dot each active row of G with a moment vector.
+
+For parity-support families t_j[n] vanishes unless j - n is even, so G is
+zero between exponents of opposite parity.  For Chebyshev sets all stored
+rationals carry the package-wide 1/pi convention, which cancels in every
+ratio the recursions use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .exact import ExactPoly
-from .families import FamilySpec, OpsType, norm_sq, rat_coeff
+from .families import FamilySpec, norm_sq, rat_coeff
 
 if TYPE_CHECKING:  # pragma: no cover
     from .regress import FitModel, MomentVector
@@ -60,175 +67,102 @@ class LastElementError(ValueError):
 
 @dataclass(frozen=True)
 class BiorthSet:
-    """Rows beta_n^k for the active exponents n, plus cached Gram data.
+    """The rows beta_n of order k for the active exponents n.
 
-    Immutable; ``upgrade`` and ``downgrade`` return new sets.  ``spectral``
-    holds the coefficients of each row in the p_j basis and is only present
-    on full sets (it is what makes ``upgrade`` incremental); removal drops
-    it, after which only further removals and projections are meaningful.
+    ``g`` is the symmetric (k+1) x (k+1) exact matrix whose row n holds the
+    monomial coefficients of beta_n, which are also its Gram entries
+    <beta_n, beta_m>.  The rows and columns of removed exponents are zero.
+    Immutable; ``upgrade`` and ``downgrade`` return new sets.
     """
 
     family: FamilySpec
     k: int
     active: tuple[int, ...]
-    betas: Mapping[int, ExactPoly]
-    gram: Mapping[tuple[int, int], Fraction]
-    spectral: Mapping[int, dict[int, Fraction]] | None = field(default=None)
+    g: tuple[tuple[Fraction, ...], ...]
 
     @property
     def is_full(self) -> bool:
         return len(self.active) == self.k + 1
 
     def beta(self, n: int) -> ExactPoly:
-        if n not in self.betas:
+        if n not in self.active:
             raise NotActiveError(n)
-        return self.betas[n]
+        return ExactPoly(self.g[n], self.family.poly_scale)
 
     def gram_entry(self, n: int, m: int) -> Fraction:
         """Exact <beta_n, beta_m> (rational part; /pi implied for Chebyshev)."""
-        if n not in self.betas or m not in self.betas:
+        if n not in self.active or m not in self.active:
             raise NotActiveError((n, m))
-        if n > m:
-            n, m = m, n
-        return self.gram.get((n, m), Fraction(0))
+        return self.g[n][m]
 
 
-def _degree_step(fam: FamilySpec) -> int:
-    return 1 if fam.ops_type is OpsType.FULL_SUPPORT else 2
+def _add_degree(fam: FamilySpec, g: list[list[Fraction]], j: int) -> None:
+    """Add the rank-one term d_j t_j t_j^T of degree j to ``g`` in place."""
+    t = [rat_coeff(fam, j, e) for e in range(j + 1)]
+    d = norm_sq(fam, j)
+    for n, tn in enumerate(t):
+        if not tn:
+            continue
+        w = d * tn
+        row = g[n]
+        for m in range(n, j + 1):
+            if t[m]:
+                row[m] += w * t[m]
+                g[m][n] = row[m]
+
+
+def _full_set(fam: FamilySpec, g: list[list[Fraction]]) -> BiorthSet:
+    k = len(g) - 1
+    return BiorthSet(fam, k, tuple(range(k + 1)), tuple(map(tuple, g)))
 
 
 def build(fam: FamilySpec, k: int) -> BiorthSet:
     """Construct the full biorthogonal set of order k from scratch."""
     if k < 0:
         raise ValueError("order k must be nonnegative")
-    step = _degree_step(fam)
-    # column j of the family's coefficient table, indexed by exponent
-    cols = [[rat_coeff(fam, j, e) for e in range(j + 1)] for j in range(k + 1)]
-    norms = [norm_sq(fam, j) for j in range(k + 1)]
-
-    spectral: dict[int, dict[int, Fraction]] = {}
-    betas: dict[int, ExactPoly] = {}
-    for n in range(k + 1):
-        spec = {j: cols[j][n] for j in range(n, k + 1, step)}
-        spectral[n] = spec
-        coeffs = [Fraction(0)] * (k + 1)
-        for j, a in spec.items():
-            if not a:
-                continue
-            w = a * norms[j]
-            col = cols[j]
-            for e in range(n % 2 if step == 2 else 0, j + 1, step):
-                if col[e]:
-                    coeffs[e] += w * col[e]
-        betas[n] = ExactPoly(tuple(coeffs), fam.poly_scale)
-
-    gram: dict[tuple[int, int], Fraction] = {}
-    for n in range(k + 1):
-        for m in range(n, k + 1, step):
-            total = Fraction(0)
-            lo = max(n, m)
-            for j in range(lo, k + 1, step):
-                a, b = spectral[n].get(j), spectral[m].get(j)
-                if a and b:
-                    total += a * b * norms[j]
-            gram[(n, m)] = total
-        if step == 2:
-            for m in range(n + 1, k + 1, step):
-                gram[(n, m)] = Fraction(0)  # opposite parity: no shared p_j
-    return BiorthSet(fam, k, tuple(range(k + 1)), betas, gram, spectral)
+    g = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+    for j in range(k + 1):
+        _add_degree(fam, g, j)
+    return _full_set(fam, g)
 
 
 def upgrade(s: BiorthSet) -> BiorthSet:
     """Extend a full set from order k to order k+1 incrementally.
 
-    Each existing row gains (coefficient of x^n in p_{k+1}) * p_{k+1};
-    for parity-support families that coefficient is zero when k+1-n is odd and the
-    row passes through unchanged.  The new row n = k+1 is a single multiple
-    of p_{k+1}.  Gram entries update by the matching products.
+    Every row n gains t_{k+1}[n] * p_{k+1}, and the new row k+1 is a single
+    multiple of p_{k+1}: both are the rank-one term of degree k+1, added
+    to the padded matrix.
     """
-    if not s.is_full or s.spectral is None:
+    if not s.is_full:
         raise UpgradeAfterRemovalError(
             "cannot upgrade a set after removals; rebuild at the new order")
-    fam = s.family
-    k1 = s.k + 1
-    nrm = norm_sq(fam, k1)
-    new_col = [rat_coeff(fam, k1, e) for e in range(k1 + 1)]
-    scale = fam.poly_scale
-
-    betas = {}
-    spectral = {}
-    gram = dict(s.gram)
-    adds = {}  # n -> spectral coefficient on p_{k1}
-    for n in s.active:
-        a = new_col[n]
-        adds[n] = a
-        spec = dict(s.spectral[n])
-        old = list(s.betas[n].coeffs) + [Fraction(0)]
-        if a:
-            spec[k1] = a
-            w = a * nrm
-            for e in range(k1 + 1):
-                if new_col[e]:
-                    old[e] += w * new_col[e]
-        spectral[n] = spec
-        betas[n] = ExactPoly(tuple(old), scale)
-    # the new top row
-    a_top = new_col[k1]
-    adds[k1] = a_top
-    spectral[k1] = {k1: a_top}
-    top = [Fraction(0)] * (k1 + 1)
-    w = a_top * nrm
-    for e in range(k1 + 1):
-        if new_col[e]:
-            top[e] = w * new_col[e]
-    betas[k1] = ExactPoly(tuple(top), scale)
-
-    for n in range(k1 + 1):
-        for m in range(n, k1 + 1):
-            if adds[n] and adds[m]:
-                key = (n, m)
-                gram[key] = gram.get(key, Fraction(0)) + adds[n] * adds[m] * nrm
-            elif m == k1 and (n, m) not in gram:
-                gram[(n, m)] = Fraction(0)
-    return BiorthSet(fam, k1, tuple(range(k1 + 1)), betas, gram, spectral)
+    g = [list(row) + [Fraction(0)] for row in s.g]
+    g.append([Fraction(0)] * (s.k + 2))
+    _add_degree(s.family, g, s.k + 1)
+    return _full_set(s.family, g)
 
 
 def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
     """Remove exponent ``ell`` from the active set.
 
-    The remaining rows are corrected by the projection formula so they stay
-    biorthogonal to the remaining monomials; the Gram cache gets the
-    corresponding rank-one update.  All arithmetic is rational: the 1/pi
-    factors (Chebyshev) cancel in the correction ratio.
+    One Schur-complement step on the matrix: row n loses G[ell][n] / G[ell][ell]
+    times row ell, which keeps the remaining rows biorthogonal to the
+    remaining monomials and is the rank-one update of their Gram entries.
+    Row and column ``ell`` become zero.  All arithmetic is rational: the
+    1/pi factors (Chebyshev) cancel in the correction ratio.
     """
-    if ell not in s.betas:
+    if ell not in s.active:
         raise NotActiveError(ell)
     if len(s.active) == 1:
         raise LastElementError("cannot remove the only active exponent")
-    g_ll = s.gram_entry(ell, ell)
-    beta_l = s.betas[ell]
-
-    betas = {}
-    ratios = {}
-    for n in s.active:
-        if n == ell:
-            continue
-        r = s.gram_entry(ell, n) / g_ll
-        ratios[n] = r
-        if r:
-            coeffs = tuple(c - r * cl for c, cl in
-                           zip(s.betas[n].coeffs, beta_l.coeffs))
-            betas[n] = ExactPoly(coeffs, beta_l.scale)
-        else:
-            betas[n] = s.betas[n]
-
-    gram = {}
-    for (n, m), g in s.gram.items():
-        if ell in (n, m):
-            continue
-        gram[(n, m)] = g - s.gram_entry(ell, n) * s.gram_entry(ell, m) / g_ll
+    row_l = s.g[ell]
+    g_ll = row_l[ell]
+    g = []
+    for row, g_ln in zip(s.g, row_l):
+        r = g_ln / g_ll
+        g.append(tuple(x - r * y for x, y in zip(row, row_l)) if r else row)
     active = tuple(n for n in s.active if n != ell)
-    return BiorthSet(s.family, s.k, active, betas, gram, None)
+    return BiorthSet(s.family, s.k, active, tuple(g))
 
 
 def project(s: BiorthSet, moments: "MomentVector") -> "FitModel":
@@ -248,14 +182,10 @@ def project(s: BiorthSet, moments: "MomentVector") -> "FitModel":
         raise MomentShortfallError(
             f"moment vector of length {len(mu)} too short for exponents "
             f"up to {need - 1}")
-    exact = []
-    for n in s.active:
-        c = Fraction(0)
-        for i, b in enumerate(s.betas[n].coeffs):
-            if b:
-                c += b * mu[i]
-        exact.append(c)
-    return FitModel.from_projection(s, tuple(exact))
+    # entries past the largest active exponent are zero, so zip may stop early
+    exact = tuple(sum((b * m for b, m in zip(s.g[n], mu) if b), Fraction(0))
+                  for n in s.active)
+    return FitModel.from_projection(s, exact)
 
 
 def select_removal(s: BiorthSet, moments: "MomentVector") -> int:

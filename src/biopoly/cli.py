@@ -52,23 +52,14 @@ class CliError(Exception):
 # ----------------------------------------------------------------------
 
 def _family_from_args(name: str, b: str | None) -> FamilySpec:
-    kind = FamilyKind(name)
-    if kind is FamilyKind.LEGENDRE_SHIFTED:
-        try:
-            bval = Fraction(b) if b is not None else Fraction(1)
-        except (ValueError, ZeroDivisionError):
-            raise CliError(EXIT_BAD_INPUT, f"--b must be a rational, got {b!r}")
-        if bval <= 0:
-            raise CliError(EXIT_BAD_INPUT, "--b must be positive")
-        return FamilySpec.legendre_shifted(bval)
-    if b is not None:
+    try:
+        kind = FamilyKind(name)
+        if b is None and kind is FamilyKind.LEGENDRE_SHIFTED:
+            b = "1"
+        return FamilySpec(kind, None if b is None else Fraction(b))
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(EXIT_BAD_INPUT,
-                       f"--b applies to legendre0b only, not {name}")
-    if kind is FamilyKind.LAGUERRE:
-        return FamilySpec.laguerre()
-    if kind is FamilyKind.LEGENDRE_SYM:
-        return FamilySpec.legendre_sym()
-    return FamilySpec.chebyshev()
+                       f"--family {name} --b {b}: {exc}") from None
 
 
 def _read_samples(path: Path) -> SampleSet:

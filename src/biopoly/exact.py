@@ -16,9 +16,9 @@ arithmetic; instead it is tracked symbolically by two conventions:
 ``inner_poly`` combines both bookkeeping rules and only returns a value when
 the pi factors cancel to a pure rational; otherwise it raises
 :class:`ScaleMismatchError`.  Floating point enters exclusively through the
-``eval_float`` / ``horner_many`` evaluators, which use compensated Horner
-summation so that even the wildly cancelling high-order coefficient vectors
-produced at degree ~36 evaluate to near full precision.
+``horner_many`` evaluator, which uses compensated Horner summation so that
+even the wildly cancelling high-order coefficient vectors produced at
+degree ~36 evaluate to near full precision.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -101,10 +101,9 @@ class SpaceSpec:
 class ExactPoly:
     """Dense polynomial with exact rational coefficients.
 
-    ``coeffs[i]`` multiplies x^i.  Trailing zeros are permitted; ``degree``
-    reports the highest index with a nonzero coefficient (-1 for the zero
-    polynomial).  ``scale`` tags an optional global 1/pi factor; arithmetic
-    between mismatched scales is refused rather than silently coerced.
+    ``coeffs[i]`` multiplies x^i; trailing zeros are permitted.  ``scale``
+    tags an optional global 1/pi factor, which ``inner_poly`` accounts for
+    rather than silently coercing.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -114,47 +113,6 @@ class ExactPoly:
     def from_coeffs(cls, coeffs: Sequence[RationalLike],
                     scale: ScaleTag = ScaleTag.ONE) -> "ExactPoly":
         return cls(tuple(Fraction(c) for c in coeffs), scale)
-
-    @property
-    def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return -1
-
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other: "ExactPoly") -> "ExactPoly":
-        return poly_add(self, other)
-
-    def __sub__(self, other: "ExactPoly") -> "ExactPoly":
-        return poly_add(self, poly_scale(other, Fraction(-1)))
-
-    def eval_exact(self, x: RationalLike) -> Fraction:
-        """Exact value of the stored coefficient polynomial at rational x.
-
-        The 1/pi scale factor, when present, is NOT applied (it is
-        irrational); callers that need the true value multiply by 1/pi
-        themselves at the float boundary.
-        """
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def poly_add(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    if a.scale is not b.scale:
-        raise ScaleMismatchError("cannot add polynomials with different scale tags")
-    n = max(len(a.coeffs), len(b.coeffs))
-    return ExactPoly(tuple(a.coeff(i) + b.coeff(i) for i in range(n)), a.scale)
-
-
-def poly_scale(a: ExactPoly, r: RationalLike) -> ExactPoly:
-    r = Fraction(r)
-    return ExactPoly(tuple(c * r for c in a.coeffs), a.scale)
 
 
 def inner_monomial(space: SpaceSpec, i: int, j: int) -> Fraction:
@@ -242,24 +200,3 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
         acc, e2 = _two_sum(p, float(c))
         comp = comp * xs + (e1 + e2)
     return acc + comp
-
-
-def eval_float(poly: ExactPoly, x: float) -> float:
-    """Evaluate ``poly`` at float x with compensated Horner.
-
-    Coefficients are rounded to float once; an INV_PI scale is applied as a
-    final multiplication by 1/pi.
-    """
-    if not poly.coeffs:
-        return 0.0
-    coeffs = [float(c) for c in poly.coeffs]
-    acc = coeffs[-1]
-    comp = 0.0
-    for c in reversed(coeffs[:-1]):
-        p, e1 = _two_prod(acc, x)
-        acc, e2 = _two_sum(p, c)
-        comp = comp * x + (e1 + e2)
-    val = acc + comp
-    if poly.scale is ScaleTag.INV_PI:
-        val *= INV_PI_FLOAT
-    return val

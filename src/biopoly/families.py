@@ -58,9 +58,10 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind is FamilyKind.LEGENDRE_SHIFTED:
             if self.b is None or self.b <= 0:
-                raise ValueError("shifted Legendre needs a rational b > 0")
+                raise ValueError("legendre0b needs a rational b > 0")
         elif self.b is not None:
-            raise ValueError(f"family {self.kind.value} takes no b parameter")
+            raise ValueError(f"family {self.kind.value} takes no b parameter; "
+                             "only legendre0b does")
 
     @classmethod
     def legendre_shifted(cls, b: RationalLike) -> "FamilySpec":
@@ -107,16 +108,6 @@ class FamilySpec:
         if self.kind is FamilyKind.LEGENDRE_SHIFTED:
             return f"legendre0b(b={self.b})"
         return self.kind.value
-
-
-@dataclass(frozen=True)
-class OpsCoeff:
-    """One split coefficient a = rat * sqrt(norm_sq) of a family polynomial."""
-
-    rat: Fraction
-    norm_sq: Fraction
-    degree: int
-    exponent: int
 
 
 def norm_sq(fam: FamilySpec, j: int) -> Fraction:
@@ -168,32 +159,6 @@ def rat_coeff(fam: FamilySpec, j: int, exponent: int) -> Fraction:
     return Fraction(num, 2 * math.factorial(l) * math.factorial(j - 2 * l))
 
 
-def leading_exponent(fam: FamilySpec, j: int) -> int:
-    """Exponent of the leading term of p_j (always j for both types)."""
-    return j
-
-
-def ops_coeff(fam: FamilySpec, j: int, i: int) -> OpsCoeff:
-    """The i-th split coefficient of p_j in the family's own indexing.
-
-    Full support: i is the monomial exponent, 0 <= i <= j.
-    Parity support: i counts down from the top in steps of two, 0 <= i <= j // 2,
-    and addresses the x^{j-2i} term.
-    """
-    if j < 0:
-        raise ValueError("degree must be nonnegative")
-    if fam.ops_type is OpsType.FULL_SUPPORT:
-        if not 0 <= i <= j:
-            raise IndexError(f"coefficient index {i} out of range for degree {j}")
-        e = i
-    else:
-        if not 0 <= i <= j // 2:
-            raise IndexError(f"parity coefficient index {i} out of range for degree {j}")
-        e = j - 2 * i
-    return OpsCoeff(rat=rat_coeff(fam, j, e), norm_sq=norm_sq(fam, j),
-                    degree=j, exponent=e)
-
-
 @dataclass(frozen=True)
 class OpsPolynomial:
     """p_j held in split form: p_j(x) = sqrt(norm_sq) * ratpoly(x)."""
@@ -208,26 +173,6 @@ def ops_poly(fam: FamilySpec, j: int) -> OpsPolynomial:
     """Assemble p_j as an exact rational polynomial plus its norm_sq."""
     coeffs = [rat_coeff(fam, j, e) for e in range(j + 1)]
     return OpsPolynomial(fam, j, ExactPoly.from_coeffs(coeffs), norm_sq(fam, j))
-
-
-def xn_pm_inner(fam: FamilySpec, n: int, m: int) -> Fraction:
-    """Rational part R of <x^n, p_m> in the family's space, for n <= m.
-
-    The true inner product is R * s_m (times pi for Chebyshev, which the
-    convention folds away).  Orthogonality of p_m to lower-degree monomials
-    makes R vanish for n < m; at n = m it equals
-    1 / (rat_top * norm_sq) where rat_top is the rational part of the
-    leading coefficient of p_m.
-    """
-    if not 0 <= n <= m:
-        raise ValueError("needs 0 <= n <= m")
-    space = fam.space
-    total = Fraction(0)
-    for e in range(m + 1):
-        r = rat_coeff(fam, m, e)
-        if r:
-            total += r * inner_monomial(space, e, n)
-    return total
 
 
 def verify_orthonormal(fam: FamilySpec, kmax: int) -> list[tuple[int, int, Fraction]]:

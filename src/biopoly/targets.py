@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["chirp", "exp_decay", "gamma_density", "damped_wiggle", "by_name"]
+__all__ = ["chirp", "exp_decay", "gamma_density", "damped_wiggle"]
 
 
 def chirp(x):
@@ -37,21 +37,3 @@ def damped_wiggle(x):
     """(1 - x^2) e^{-x} sin(8 pi x): eight full oscillations, zero at +-1."""
     x = np.asarray(x, dtype=float)
     return (1.0 - x * x) * np.exp(-x) * np.sin(8.0 * np.pi * x)
-
-
-_REGISTRY = {
-    "chirp": chirp,
-    "exp-decay": exp_decay,
-    "gamma-density": gamma_density,
-    "damped-wiggle": damped_wiggle,
-}
-
-
-def by_name(name: str):
-    """Look up a built-in target; raises KeyError listing the valid names."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown target {name!r}; built-ins: {', '.join(sorted(_REGISTRY))}"
-        ) from None

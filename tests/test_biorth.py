@@ -7,6 +7,7 @@ that shares nothing with the construction under test.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,27 @@ def test_gram_cache_matches_direct_inner_products(fam):
             assert s.gram_entry(n, m) == direct
 
 
+def _scaled_inverse_hilbert(b, k):
+    """Closed-form inverse of the monomial Gram matrix on [0, b] (Choi 1983)."""
+    n = k + 1
+    b = Fraction(b)
+    return tuple(tuple(
+        (-1) ** (i + j) * (i + j + 1) * comb(n + i, n - j - 1)
+        * comb(n + j, n - i - 1) * comb(i + j, i) ** 2 / b ** (i + j + 1)
+        for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("b", [1, 10, Fraction(1, 3)], ids=str)
+def test_shifted_legendre_matrix_matches_closed_form(b):
+    fam = FamilySpec.legendre_shifted(b)
+    for k in (5, 36):
+        assert build(fam, k).g == _scaled_inverse_hilbert(b, k), k
+    s = build(fam, 0)
+    for _ in range(36):
+        s = upgrade(s)
+    assert s.g == _scaled_inverse_hilbert(b, 36)
+
+
 def test_chebyshev_gram_scale_is_coherent():
     # <beta_0, beta_0> for chebyshev k=0: beta_0 = (1/pi) * 1, true norm
     # squared is 1/pi, and the stored rational part must be 1/pi's part
@@ -145,7 +167,7 @@ def test_upgrade_equals_rebuild(fam):
         assert s.active == fresh.active
         for n in s.active:
             assert s.beta(n).coeffs == fresh.beta(n).coeffs, (k + 1, n)
-        assert s.gram == fresh.gram
+        assert s.g == fresh.g
 
 
 def test_upgrade_after_removal_is_refused():

@@ -8,6 +8,7 @@ random rational polynomials.
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from biopoly.exact import (ExactPoly, ScaleMismatchError, ScaleTag, SpaceSpec,
-                           Weight, eval_float, horner_many, inner_monomial,
-                           inner_poly, poly_add, poly_scale)
+                           Weight, horner_many, inner_monomial, inner_poly)
 
 BOUNDED = SpaceSpec.bounded(-1, 1)
 SHIFTED = SpaceSpec.bounded(0, 10)
@@ -118,7 +118,8 @@ coeff_lists = st.lists(rational, min_size=1, max_size=6)
 @given(coeff_lists, coeff_lists, coeff_lists)
 def test_inner_poly_bilinear(a, b, c):
     pa, pb, pc = _poly(a), _poly(b), _poly(c)
-    left = inner_poly(SHIFTED, poly_add(pa, pb), pc)
+    summed = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    left = inner_poly(SHIFTED, _poly(summed), pc)
     assert left == inner_poly(SHIFTED, pa, pc) + inner_poly(SHIFTED, pb, pc)
 
 
@@ -127,29 +128,27 @@ def test_inner_poly_bilinear(a, b, c):
 def test_inner_poly_symmetric_and_homogeneous(a, b, lam):
     pa, pb = _poly(a), _poly(b)
     assert inner_poly(HALF, pa, pb) == inner_poly(HALF, pb, pa)
-    assert inner_poly(HALF, poly_scale(pa, lam), pb) == lam * inner_poly(HALF, pa, pb)
-
-
-def test_poly_add_requires_matching_scale():
-    with pytest.raises(ScaleMismatchError):
-        poly_add(_poly([1]), _poly([1], ScaleTag.INV_PI))
-
-
-def test_zero_poly_degree_is_minus_one():
-    assert _poly([0, 0]).degree == -1
-    assert _poly([0, 3]).degree == 1
+    scaled = _poly([lam * x for x in a])
+    assert inner_poly(HALF, scaled, pb) == lam * inner_poly(HALF, pa, pb)
 
 
 # ----------------------------------------------------------------------
 # evaluation: compensated float Horner vs exact rational arithmetic
 # ----------------------------------------------------------------------
 
+def _horner_exact(coeffs, x):
+    """Exact value of sum(coeffs[i] * x**i) at rational x."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 @settings(max_examples=40, deadline=None)
 @given(coeff_lists, st.fractions(min_value=-2, max_value=2, max_denominator=64))
 def test_eval_float_matches_exact_eval(coeffs, x):
-    poly = _poly(coeffs)
-    exact = poly.eval_exact(x)
-    got = eval_float(poly, float(x))
+    exact = _horner_exact(coeffs, x)
+    got = horner_many(coeffs, np.array([float(x)]))[0]
     assert got == pytest.approx(float(exact), rel=1e-14, abs=1e-14)
 
 
@@ -157,19 +156,16 @@ def test_eval_float_handles_huge_cancelling_coefficients():
     # alternating +-1e20 with a tiny remainder: plain Horner loses it,
     # the compensated loop keeps ~1 ulp
     big = Fraction(10) ** 20
-    poly = _poly([1, big, -big])
-    x = Fraction(1)
-    assert eval_float(poly, 1.0) == float(poly.eval_exact(x))
+    coeffs = [Fraction(1), big, -big]
+    got = horner_many(coeffs, np.array([1.0]))[0]
+    assert got == float(_horner_exact(coeffs, Fraction(1)))
 
 
 def test_horner_many_vectorised_matches_scalar():
-    coeffs = np.array([1.0, -3.5, 0.25, 7.0])
+    coeffs = [Fraction(1), Fraction(-7, 2), Fraction(1, 4), Fraction(7)]
     xs = np.linspace(-2, 2, 17)
-    expected = [eval_float(_poly([1, Fraction(-7, 2), Fraction(1, 4), 7]), x)
-                for x in xs]
-    assert np.allclose(horner_many(coeffs, xs), expected, rtol=1e-15, atol=0)
-
-
-def test_inv_pi_scale_applied_on_float_eval():
-    poly = _poly([2], ScaleTag.INV_PI)
-    assert eval_float(poly, 0.3) == pytest.approx(2.0 / math.pi, rel=1e-15)
+    got = horner_many(coeffs, xs)
+    scalar = [horner_many(coeffs, np.array([x]))[0] for x in xs]
+    assert list(got) == scalar
+    expected = [float(_horner_exact(coeffs, Fraction(x))) for x in xs]
+    assert np.allclose(got, expected, rtol=1e-15, atol=0)

@@ -12,8 +12,7 @@ import pytest
 
 from biopoly.exact import SpaceSpec, Weight, inner_monomial
 from biopoly.families import (FamilyKind, FamilySpec, OpsType, norm_sq,
-                              ops_coeff, ops_poly, rat_coeff,
-                              verify_orthonormal, xn_pm_inner)
+                              ops_poly, rat_coeff, verify_orthonormal)
 
 ALL_FAMILIES = [
     FamilySpec.legendre_shifted(1),
@@ -164,35 +163,6 @@ def test_support_structure(fam):
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.describe())
 def test_orthonormality_exact(fam):
     assert verify_orthonormal(fam, KMAX) == []
-
-
-@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.describe())
-def test_xn_pm_inner_triangularity(fam):
-    """<x^n, p_m> vanishes below the diagonal and equals the stated
-    closed form on it; this is what makes the construction triangular."""
-    for m in range(8):
-        for n in range(m):
-            assert xn_pm_inner(fam, n, m) == 0
-        diag = xn_pm_inner(fam, m, m)
-        assert diag == 1 / (rat_coeff(fam, m, m) * norm_sq(fam, m))
-
-
-def test_ops_coeff_indexing_type_a():
-    fam = FamilySpec.laguerre()
-    c = ops_coeff(fam, 4, 2)
-    assert c.degree == 4 and c.exponent == 2
-    assert c.rat == rat_coeff(fam, 4, 2)
-    with pytest.raises(IndexError):
-        ops_coeff(fam, 3, 4)
-
-
-def test_ops_coeff_indexing_type_b():
-    fam = FamilySpec.legendre_sym()
-    # for parity families index i counts the supported exponents j, j-2, ...
-    c = ops_coeff(fam, 5, 1)
-    assert c.exponent == 3
-    with pytest.raises(IndexError):
-        ops_coeff(fam, 4, 3)
 
 
 def test_ops_poly_evaluates_like_its_coeffs():

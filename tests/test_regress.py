@@ -283,3 +283,8 @@ def test_fit_model_dense_coeffs_and_call():
     assert dense.shape == (3,)
     xs = np.array([0.0, 0.5, 1.0])
     assert model(xs) == pytest.approx(xs, abs=1e-12)
+    # Chebyshev rows carry 1/pi, applied once when the float coeffs are made
+    cheb = FamilySpec.chebyshev()
+    model = fit(cheb, 4, moments_quadrature(lambda x: x * x, cheb.space, 4))
+    assert model.coeffs == pytest.approx(
+        [float(c) / math.pi for c in model.coeffs_exact], rel=1e-15, abs=0)
