@@ -42,8 +42,10 @@ ratio the recursions use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .exact import ExactPoly
@@ -168,11 +170,12 @@ def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
 def project(s: BiorthSet, moments: "MomentVector") -> "FitModel":
     """Least-squares coefficients <f, beta_n> for all active n.
 
-    The dot products run in exact rational arithmetic (float moments are
-    promoted to the rationals they already are), so the huge cancellations
-    inside high-order beta rows cost no precision; each coefficient is
-    rounded to float exactly once.  This is what lets order ~36 fits come
-    out clean where a solved normal-equations system loses everything.
+    The dot products are exact (float moments are promoted to the
+    rationals they already are) and fraction-free: integer numerators of
+    the row and of the moments, over one common denominator each, give one
+    ``Fraction`` per coefficient, rounded to float exactly once.  So the
+    huge cancellations inside high-order beta rows cost no precision: order
+    ~36 fits come out clean where solved normal equations lose everything.
     """
     from .regress import FitModel, MomentShortfallError
 
@@ -182,10 +185,19 @@ def project(s: BiorthSet, moments: "MomentVector") -> "FitModel":
         raise MomentShortfallError(
             f"moment vector of length {len(mu)} too short for exponents "
             f"up to {need - 1}")
-    # entries past the largest active exponent are zero, so zip may stop early
-    exact = tuple(sum((b * m for b, m in zip(s.g[n], mu) if b), Fraction(0))
-                  for n in s.active)
-    return FitModel.from_projection(s, exact)
+    # entries past the largest active exponent are zero, so rows stop at need
+    mu_num, mu_den = _common_denominator(mu[:need])
+    exact = []
+    for n in s.active:
+        row_num, den = _common_denominator(s.g[n][:need])
+        exact.append(Fraction(sum(map(mul, row_num, mu_num)), den * mu_den))
+    return FitModel.from_projection(s, tuple(exact))
+
+
+def _common_denominator(xs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integers N_i and one D > 0 with xs[i] == N_i / D exactly."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def select_removal(s: BiorthSet, moments: "MomentVector") -> int:

@@ -9,8 +9,9 @@ and the fitted coefficients are the dot products of the moment vector with
 the exact biorthogonal rows from :mod:`biopoly.biorth`.  Moments can come
 from three sources, recorded in the vector's provenance:
 
-* sampled data on a uniform grid (composite Simpson, carried out in exact
-  rational arithmetic over the binary values the floats already are);
+* sampled data on a uniform grid (composite Simpson, carried out exactly
+  over the binary values the floats already are: integer sums over one
+  power of two, and one division per moment);
 * closed forms for the built-in exponential-decay and gamma-density
   targets;
 * direct quadrature of a callable target.
@@ -28,7 +29,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from operator import mul
+from typing import Callable, Union
 
 import numpy as np
 
@@ -166,38 +168,42 @@ def moments_from_samples(samples: SampleSet, space: SpaceSpec, k: int,
 
     Only bounded intervals with unit weight make sense here (a finite grid
     cannot carry a half-line integral); anything else raises
-    :class:`UnsupportedSpaceError`.  The Simpson sum is evaluated in exact
-    rational arithmetic over the samples' binary float values, so repeated
-    runs are bit-identical and the only approximation is Simpson's own
-    O(h^4) truncation.
+    :class:`UnsupportedSpaceError`.  The Simpson sum is exact over the
+    samples' binary float values: x and y are integers over one power of
+    two each, so a moment is one integer sum, divided once.  Repeated runs
+    are bit-identical and the only approximation is Simpson's own O(h^4)
+    truncation.
     """
     if space.weight is not Weight.UNIT:
         raise UnsupportedSpaceError(
             "sampled moments need a bounded interval with unit weight")
-    n = len(samples)
-    if n % 2 == 0:
-        raise EvenPanelParityError(
-            f"composite Simpson needs an odd point count, got {n}")
-    xs = samples.xs
-    h = (xs[-1] - xs[0]) / (n - 1)
+    xs, h = _simpson_grid(samples)
+    n = len(xs)
     if not np.allclose(np.diff(xs), h, rtol=rel_tol, atol=abs(h) * rel_tol):
         raise NonUniformGridError("sample grid is not uniform")
 
-    hx = (Fraction(float(xs[-1])) - Fraction(float(xs[0]))) / (n - 1)
-    ws = [4 if m % 2 else 2 for m in range(n)]
-    ws[0] = ws[-1] = 1
-    wy = [w * Fraction(float(y)) for w, y in zip(ws, samples.ys)]
-    pows = [Fraction(1)] * n
-    xf = [Fraction(float(x)) for x in xs]
+    xi, ex = _dyadic(xs)
+    yi, ey = _dyadic(samples.ys)
+    wy = list(map(mul, _simpson_weights(n).astype(int).tolist(), yi))
+    span = xi[-1] - xi[0]                 # (b - a) * 2**ex
+    pows = [1] * n
     exact = []
-    third = hx / 3
     for i in range(k + 1):
         if i:
-            pows = [p * x for p, x in zip(pows, xf)]
-        exact.append(third * sum(p * w for p, w in zip(pows, wy)))
+            pows = list(map(mul, pows, xi))
+        # (h/3) * sum_j w_j y_j x_j^i, with h = span / ((n - 1) * 2**ex)
+        exact.append(Fraction(span * sum(map(mul, pows, wy)),
+                              (3 * (n - 1)) << (ey + (i + 1) * ex)))
     return MomentVector(mu=tuple(float(e) for e in exact), space=space,
                         provenance=f"simpson-samples(n={n})",
                         mu_exact=tuple(exact))
+
+
+def _dyadic(values: np.ndarray) -> tuple[list[int], int]:
+    """Integers N_j and one exponent e with values[j] == N_j / 2**e exactly."""
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    e = max(d.bit_length() for _, d in ratios) - 1
+    return [num << (e + 1 - d.bit_length()) for num, d in ratios], e
 
 
 def _expdecay_bounded_exact(alpha: Fraction, b: Fraction, i: int) -> Fraction:
@@ -263,30 +269,40 @@ def _simpson_weights(n_points: int) -> np.ndarray:
     return w
 
 
+def _simpson_grid(where: SpaceSpec | SampleSet,
+                  n_panels: int = DEFAULT_PANELS) -> tuple[np.ndarray, float]:
+    """Composite-Simpson nodes and step h: a sample set's own abscissae, or
+    ``n_panels`` equal panels over a bounded space (in theta, x = cos(theta),
+    for the Chebyshev weight, which removes both endpoint singularities)."""
+    if isinstance(where, SampleSet):
+        xs = where.xs
+        n_panels = len(xs) - 1
+        h = (xs[-1] - xs[0]) / n_panels
+    elif where.weight is Weight.UNIT:
+        xs = np.linspace(float(where.lo), float(where.hi), n_panels + 1)
+        h = (float(where.hi) - float(where.lo)) / n_panels
+    elif where.weight is Weight.CHEBYSHEV:
+        xs = np.cos(np.linspace(0.0, math.pi, n_panels + 1))
+        h = math.pi / n_panels
+    else:
+        raise UnsupportedSpaceError(
+            "composite Simpson covers bounded and Chebyshev spaces only")
+    if n_panels % 2:
+        raise EvenPanelParityError(
+            f"composite Simpson needs an odd point count, got {n_panels + 1}")
+    return xs, h
+
+
 def moments_quadrature(fn: Callable[[np.ndarray], np.ndarray],
                        space: SpaceSpec, k: int,
                        n_panels: int = DEFAULT_PANELS) -> MomentVector:
     """Composite-Simpson moments of a callable target.
 
-    Bounded unit-weight spaces integrate directly; the Chebyshev weight is
-    handled with the substitution x = cos(theta), which removes both
-    endpoint singularities.  Half-line moments have no sampled-quadrature
-    form here: the built-in half-line targets all have closed forms.
+    Bounded unit-weight and Chebyshev spaces only: the built-in half-line
+    targets all have closed forms.
     """
-    if n_panels % 2:
-        raise EvenPanelParityError("panel count must be even")
-    if space.weight is Weight.UNIT:
-        xs = np.linspace(float(space.lo), float(space.hi), n_panels + 1)
-        h = (float(space.hi) - float(space.lo)) / n_panels
-        base = fn(xs)
-    elif space.weight is Weight.CHEBYSHEV:
-        theta = np.linspace(0.0, math.pi, n_panels + 1)
-        xs = np.cos(theta)
-        h = math.pi / n_panels
-        base = fn(xs)
-    else:
-        raise UnsupportedSpaceError(
-            "function quadrature covers bounded and Chebyshev spaces only")
+    xs, h = _simpson_grid(space, n_panels)
+    base = fn(xs)
     w = _simpson_weights(n_panels + 1) * (h / 3.0)
     mu = []
     pw = np.ones_like(xs)
@@ -345,30 +361,20 @@ def l2_error(model: FitModel, reference: Reference,
     """
     space = model.family.space
     if isinstance(reference, SampleSet):
-        xs = reference.xs
-        n = len(xs)
-        if n % 2 == 0:
-            raise EvenPanelParityError("Simpson over samples needs odd point count")
-        h = (xs[-1] - xs[0]) / (n - 1)
-        resid2 = (reference.ys - model(xs)) ** 2
-        return math.sqrt(abs(np.dot(_simpson_weights(n), resid2) * h / 3.0))
-    if space.weight is Weight.UNIT:
-        xs = np.linspace(float(space.lo), float(space.hi), n_panels + 1)
-        h = (float(space.hi) - float(space.lo)) / n_panels
+        xs, h = _simpson_grid(reference)
+        ys = reference.ys
+    elif space.weight is Weight.EXP_NEG:
+        # half line: the weight is built into Gauss-Laguerre nodes, which
+        # integrate the polynomial part of the squared residual exactly (no
+        # truncation tail, which matters for the removal error identity)
+        xs, ws = np.polynomial.laguerre.laggauss(96)
         resid2 = (reference(xs) - model(xs)) ** 2
-        return math.sqrt(abs(np.dot(_simpson_weights(n_panels + 1), resid2) * h / 3.0))
-    if space.weight is Weight.CHEBYSHEV:
-        theta = np.linspace(0.0, math.pi, n_panels + 1)
-        xs = np.cos(theta)
-        h = math.pi / n_panels
-        resid2 = (reference(xs) - model(xs)) ** 2
-        return math.sqrt(abs(np.dot(_simpson_weights(n_panels + 1), resid2) * h / 3.0))
-    # half line: the weight is built into Gauss-Laguerre nodes, which
-    # integrate the polynomial part of the squared residual exactly (no
-    # truncation tail, which matters for the removal error identity)
-    xs, ws = np.polynomial.laguerre.laggauss(96)
-    resid2 = (reference(xs) - model(xs)) ** 2
-    return math.sqrt(abs(float(np.dot(ws, resid2))))
+        return math.sqrt(abs(float(np.dot(ws, resid2))))
+    else:
+        xs, h = _simpson_grid(space, n_panels)
+        ys = reference(xs)
+    resid2 = (ys - model(xs)) ** 2
+    return math.sqrt(abs(np.dot(_simpson_weights(len(xs)), resid2) * h / 3.0))
 
 
 def space_measure(space: SpaceSpec) -> float:

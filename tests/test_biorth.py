@@ -291,6 +291,27 @@ def test_projection_recovers_polynomial_in_span():
                      3: Fraction(2), 4: Fraction(0)}
 
 
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=IDS)
+@pytest.mark.parametrize("removed", [(), (12,), (3, 8), (12, 0, 5)], ids=str)
+def test_project_matches_fraction_dot_products(fam, removed):
+    """project's integer dot products equal the plain Fraction sums."""
+    k = 12
+    s = build(fam, k)
+    for ell in removed:
+        s = downgrade(s, ell)
+    # two spare moments, zeros, and denominators that share few factors
+    mixed = [Fraction(0) if i % 5 == 2 else
+             Fraction((-1) ** i * (i * i + 1), 3 ** (i % 4) * (7 + i))
+             for i in range(k + 3)]
+    floats = [0.0 if i % 4 == 1 else (-1.7) ** i / (i + 3) for i in range(k + 1)]
+    promoted = MomentVector(mu=tuple(floats), space=fam.space, provenance="test")
+    for mv in (exact_moments(fam, mixed), promoted):
+        mu = mv.exact_values()
+        expect = tuple(sum((s.g[n][m] * mu[m] for m in range(k + 1)), Fraction(0))
+                       for n in s.active)
+        assert project(s, mv).coeffs_exact == expect
+
+
 def test_project_requires_enough_moments():
     fam = FamilySpec.laguerre()
     s = build(fam, 5)

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from biopoly.exact import SpaceSpec
@@ -98,6 +100,38 @@ def test_quadrature_moments_exact_on_cubics():
     mom = moments_quadrature(lambda x: x * x - x, space, 1, n_panels=16)
     # <f, x^1> = int (x^3 - x^2) = -2/3
     assert mom.mu[1] == pytest.approx(-2.0 / 3.0, abs=1e-12)
+
+
+_SPECIAL_YS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
+
+
+@settings(max_examples=80, deadline=None)
+@given(half=st.integers(1, 30), k=st.integers(0, 12),
+       interval=st.sampled_from([(0.0, 1.0), (0.0, 10.0), (-1.0, 1.0),
+                                 (-0.3, 0.7)]),
+       data=st.data())
+def test_sample_moments_equal_per_term_fraction_sum(half, k, interval, data):
+    """The integer Simpson sums equal the per-term Fraction sum exactly."""
+    n = 2 * half + 1
+    lo, hi = interval
+    xs = np.linspace(lo, hi, n)
+    ys = data.draw(st.lists(
+        st.one_of(_SPECIAL_YS, st.floats(-1e6, 1e6)), min_size=n, max_size=n))
+    hx = (Fraction(float(xs[-1])) - Fraction(float(xs[0]))) / (n - 1)
+    ws = [4 if m % 2 else 2 for m in range(n)]
+    ws[0] = ws[-1] = 1
+    expect = tuple(hx / 3 * sum(w * Fraction(y) * Fraction(float(x)) ** i
+                                for w, x, y in zip(ws, xs, ys))
+                   for i in range(k + 1))
+    samples = SampleSet(xs, np.array(ys))
+    space = SpaceSpec.bounded(lo, hi)
+    try:
+        [float(e) for e in expect]
+    except OverflowError:  # a moment beyond the float range has no float mu
+        with pytest.raises(OverflowError):
+            moments_from_samples(samples, space, k)
+        return
+    assert moments_from_samples(samples, space, k).mu_exact == expect
 
 
 def test_sample_moment_input_validation():
@@ -288,3 +322,36 @@ def test_fit_model_dense_coeffs_and_call():
     model = fit(cheb, 4, moments_quadrature(lambda x: x * x, cheb.space, 4))
     assert model.coeffs == pytest.approx(
         [float(c) / math.pi for c in model.coeffs_exact], rel=1e-15, abs=0)
+
+
+def _simpson_oracle(xs, h, r2):
+    w = np.full(len(xs), 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return math.sqrt(abs(np.dot(w, r2) * h / 3.0))
+
+
+@pytest.mark.parametrize("branch", ["samples", "unit", "chebyshev"])
+def test_l2_error_simpson_branches_bit_identical(branch):
+    """Each Simpson branch of l2_error is exactly the written-out rule."""
+    n_panels = 200
+    if branch == "samples":
+        fam = FamilySpec.legendre_shifted(10)
+        xs = np.linspace(0.0, 10.0, 301)
+        ref = SampleSet(xs, np.sin(xs) + 0.1 * np.cos(7.0 * xs))
+        model = fit(fam, 6, moments_from_samples(ref, fam.space, 6))
+        h = (xs[-1] - xs[0]) / (len(xs) - 1)
+        r2 = (ref.ys - model(xs)) ** 2
+    else:
+        if branch == "unit":
+            fam = FamilySpec.legendre_sym()
+            xs = np.linspace(-1.0, 1.0, n_panels + 1)
+            h = (1.0 - -1.0) / n_panels
+        else:
+            fam = FamilySpec.chebyshev()
+            xs = np.cos(np.linspace(0.0, math.pi, n_panels + 1))
+            h = math.pi / n_panels
+        ref = damped_wiggle
+        model = fit(fam, 7, moments_quadrature(ref, fam.space, 7))
+        r2 = (ref(xs) - model(xs)) ** 2
+    assert l2_error(model, ref, n_panels) == _simpson_oracle(xs, h, r2)
