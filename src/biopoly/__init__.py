@@ -9,8 +9,8 @@ naive normal-equations solver is included as a foil.
 
 from .exact import (ExactPoly, ScaleMismatchError, ScaleTag, SpaceSpec,
                     Weight, inner_monomial, inner_poly)
-from .families import (FamilyKind, FamilySpec, OpsPolynomial, OpsType,
-                       norm_sq, ops_poly, rat_coeff, verify_orthonormal)
+from .families import (FamilyKind, FamilySpec, norm_sq, rat_coeff,
+                       verify_orthonormal)
 from .biorth import (BiorthSet, LastElementError, NotActiveError,
                      UpgradeAfterRemovalError, build, downgrade, project,
                      select_removal, upgrade)

@@ -8,9 +8,10 @@ Three verbs:
 * ``tables``:  print the exact rational coefficient rows of the
                biorthogonal polynomials, for inspection.
 
-Exit codes: 0 success, 2 unusable input (malformed CSV, bad flags),
-3 family/domain mismatch (samples outside the family's interval, or a
-family that cannot fit from sampled data at all).
+Exit codes: 0 success, 2 unusable input (malformed CSV, non-finite
+values, bad flags, values that overflow the float range), 3 family/domain
+mismatch (samples outside the family's interval, or a family that cannot
+fit from sampled data at all).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +28,7 @@ import numpy as np
 
 from .biorth import build
 from .demos import run_closed_form_decay, run_high_order_wiggle, run_noisy_chirp
-from .exact import ExactPoly, ScaleTag, Weight
+from .exact import ExactPoly, ScaleTag
 from .families import FamilyKind, FamilySpec
 from .regress import (EvenPanelParityError, FitModel, NonUniformGridError,
                       SampleSet, UnsupportedSpaceError, bic_score, fit,
@@ -98,13 +100,6 @@ def _read_samples(path: Path) -> SampleSet:
         raise CliError(EXIT_BAD_INPUT, f"{path}: {exc}")
 
 
-def _rational_string(value: Fraction, scale: ScaleTag) -> str:
-    body = str(value)
-    if scale is ScaleTag.INV_PI:
-        return f"({body})/pi"
-    return body
-
-
 def _model_to_json(model: FitModel) -> dict:
     params: dict[str, str] = {}
     if model.family.kind is FamilyKind.LEGENDRE_SHIFTED:
@@ -116,8 +111,7 @@ def _model_to_json(model: FitModel) -> dict:
         "k": model.k,
         "exponents": list(model.exponents),
         "coeffs": [f"{c:.17g}" for c in model.coeffs],
-        "coeffs_exact": ([_rational_string(c, model.scale) for c in exact]
-                         if exact is not None else None),
+        "coeffs_exact": [str(c) for c in exact] if exact is not None else None,
         "diagnostics": dict(model.diagnostics),
     }
 
@@ -135,7 +129,7 @@ def load_model(source: str | Path | dict) -> FitModel:
     coeffs = tuple(float(s) for s in source["coeffs"])
     return FitModel(family=fam, k=int(source["k"]),
                     exponents=tuple(int(e) for e in source["exponents"]),
-                    coeffs=coeffs, coeffs_exact=None, scale=fam.poly_scale,
+                    coeffs=coeffs, coeffs_exact=None,
                     diagnostics=dict(source.get("diagnostics", {})))
 
 
@@ -161,24 +155,34 @@ def _cmd_fit(args) -> int:
                        f"[{float(space.lo):g}, {hi_text}]")
     try:
         mom = moments_from_samples(samples, fam.space, args.k)
+        model = fit(fam, args.k, mom, removals=args.removals)
     except UnsupportedSpaceError as exc:
         raise CliError(EXIT_DOMAIN, f"family {fam.describe()}: {exc}")
     except (NonUniformGridError, EvenPanelParityError) as exc:
         raise CliError(EXIT_BAD_INPUT, f"{args.input}: {exc}")
-
-    model = fit(fam, args.k, mom, removals=args.removals)
-    fitted = model(samples.xs)
+    except OverflowError:
+        raise CliError(EXIT_BAD_INPUT, f"{args.input}: moments or coefficients "
+                       f"of order {args.k} overflow the float range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = model(samples.xs)
+        l2 = float(l2_error(model, samples))
+        max_abs = float(np.max(np.abs(samples.ys - fitted)))
+        bic = float(bic_score(model, samples))
+    if not (math.isfinite(l2) and math.isfinite(max_abs)):
+        raise CliError(EXIT_BAD_INPUT,
+                       f"{args.input}: residuals overflow the float range")
     model.diagnostics.update({
-        "l2_error": float(l2_error(model, samples)),
-        "max_abs_error": float(np.max(np.abs(samples.ys - fitted))),
-        "bic": float(bic_score(model, samples)),
+        "l2_error": l2,
+        "max_abs_error": max_abs,
+        "bic": bic if math.isfinite(bic) else None,  # -inf: zero residual
         "n_params": model.n_params,
     })
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "model.json").write_text(
-        json.dumps(_model_to_json(model), sort_keys=True, indent=2) + "\n",
+        json.dumps(_model_to_json(model), sort_keys=True, indent=2,
+                   allow_nan=False) + "\n",
         encoding="utf-8")
     with (out_dir / "residuals.csv").open("w", encoding="utf-8") as fh:
         fh.write("x,y,fit,abs_error\n")
@@ -188,8 +192,7 @@ def _cmd_fit(args) -> int:
     print(f"fit {fam.describe()} k={args.k}"
           + (f" removals={args.removals}" if args.removals else "")
           + f": n_params={model.n_params}"
-          f" l2_error={model.diagnostics['l2_error']:.6g}"
-          f" bic={model.diagnostics['bic']:.6g}")
+          f" l2_error={l2:.6g} bic={bic:.6g}")
     print(f"wrote {out_dir / 'model.json'} and {out_dir / 'residuals.csv'}")
     return 0
 

@@ -29,12 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactPoly, RationalLike, ScaleTag, SpaceSpec, inner_monomial
-
-
-class OpsType(enum.Enum):
-    FULL_SUPPORT = "full"
-    PARITY_SUPPORT = "parity"
+from .exact import ExactPoly, RationalLike, ScaleTag, SpaceSpec, inner_poly
 
 
 class FamilyKind(enum.Enum):
@@ -78,12 +73,6 @@ class FamilySpec:
     @classmethod
     def chebyshev(cls) -> "FamilySpec":
         return cls(FamilyKind.CHEBYSHEV)
-
-    @property
-    def ops_type(self) -> OpsType:
-        if self.kind in (FamilyKind.LEGENDRE_SHIFTED, FamilyKind.LAGUERRE):
-            return OpsType.FULL_SUPPORT
-        return OpsType.PARITY_SUPPORT
 
     @property
     def space(self) -> SpaceSpec:
@@ -159,44 +148,24 @@ def rat_coeff(fam: FamilySpec, j: int, exponent: int) -> Fraction:
     return Fraction(num, 2 * math.factorial(l) * math.factorial(j - 2 * l))
 
 
-@dataclass(frozen=True)
-class OpsPolynomial:
-    """p_j held in split form: p_j(x) = sqrt(norm_sq) * ratpoly(x)."""
-
-    family: FamilySpec
-    degree: int
-    ratpoly: ExactPoly
-    norm_sq: Fraction
-
-
-def ops_poly(fam: FamilySpec, j: int) -> OpsPolynomial:
-    """Assemble p_j as an exact rational polynomial plus its norm_sq."""
-    coeffs = [rat_coeff(fam, j, e) for e in range(j + 1)]
-    return OpsPolynomial(fam, j, ExactPoly.from_coeffs(coeffs), norm_sq(fam, j))
-
-
 def verify_orthonormal(fam: FamilySpec, kmax: int) -> list[tuple[int, int, Fraction]]:
     """Check <p_n, p_m> == delta_nm exactly for all n, m <= kmax.
 
     Returns a list of (n, m, rational defect) triples; an empty list means
     the family is exactly orthonormal through degree kmax.  The check works
-    entirely on rational parts: the weight's pi (Chebyshev) cancels the pi
-    in norm_sq by construction.
+    entirely on rational parts: one side carries the family's scale tag, so
+    the Chebyshev weight's pi cancels the pi in norm_sq.
     """
     space = fam.space
-    polys = [ops_poly(fam, j) for j in range(kmax + 1)]
+    rows = [[rat_coeff(fam, j, e) for e in range(j + 1)] for j in range(kmax + 1)]
+    plain = [ExactPoly.from_coeffs(r) for r in rows]
+    tagged = [ExactPoly.from_coeffs(r, fam.poly_scale) for r in rows]
     bad = []
     for n in range(kmax + 1):
         for m in range(n, kmax + 1):
-            total = Fraction(0)
-            for i, ci in enumerate(polys[n].ratpoly.coeffs):
-                if not ci:
-                    continue
-                for j, cj in enumerate(polys[m].ratpoly.coeffs):
-                    if cj:
-                        total += ci * cj * inner_monomial(space, i, j)
+            total = inner_poly(space, tagged[n], plain[m])
             if n == m:
-                value = total * polys[n].norm_sq
+                value = total * norm_sq(fam, n)
                 expect = Fraction(1)
             else:
                 # s_n * s_m is irrational; orthogonality must come from the

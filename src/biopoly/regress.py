@@ -40,6 +40,10 @@ from .families import FamilySpec
 
 #: default panel count for the composite Simpson quadratures
 DEFAULT_PANELS = 10_000
+#: relative tolerance on the sample spacing for a grid to count as uniform
+UNIFORM_GRID_RTOL = 1e-9
+#: grid size of max_abs_error against a callable reference
+MAX_ERROR_POINTS = 10_001
 
 
 class UnsupportedSpaceError(ValueError):
@@ -76,6 +80,8 @@ class SampleSet:
             raise ValueError("xs and ys must be 1-d arrays of equal length")
         if len(xs) < 3:
             raise ValueError("need at least 3 samples")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ValueError("sample values must be finite (no nan or inf)")
         if not np.all(np.diff(xs) > 0):
             raise ValueError("sample abscissae must be strictly increasing")
         xs.setflags(write=False)
@@ -119,10 +125,10 @@ class MomentVector:
 class FitModel:
     """A fitted polynomial sum(c_n x^n over active exponents n).
 
-    ``coeffs`` are floats ready for evaluation (any 1/pi scale already
-    applied); ``coeffs_exact`` are the rational parts behind them.
-    ``diagnostics`` is filled in by the reporting helpers (l2_error and
-    friends); n_params is always present.
+    ``coeffs`` are floats ready for evaluation (the family's 1/pi scale,
+    if any, already applied); ``coeffs_exact`` are the rational parts
+    behind them.  ``diagnostics`` starts empty; callers record the error
+    figures they compute there.
     """
 
     family: FamilySpec
@@ -130,7 +136,6 @@ class FitModel:
     exponents: tuple[int, ...]
     coeffs: tuple[float, ...]
     coeffs_exact: tuple[Fraction, ...] | None
-    scale: ScaleTag
     removed: tuple[int, ...] = ()
     diagnostics: dict = field(default_factory=dict)
 
@@ -138,10 +143,8 @@ class FitModel:
     def from_projection(cls, s: BiorthSet, exact: tuple[Fraction, ...]) -> "FitModel":
         factor = INV_PI_FLOAT if s.family.poly_scale is ScaleTag.INV_PI else 1.0
         coeffs = tuple(float(c) * factor for c in exact)
-        m = cls(family=s.family, k=s.k, exponents=tuple(s.active),
-                coeffs=coeffs, coeffs_exact=exact, scale=s.family.poly_scale)
-        m.diagnostics["n_params"] = len(m.exponents)
-        return m
+        return cls(family=s.family, k=s.k, exponents=tuple(s.active),
+                   coeffs=coeffs, coeffs_exact=exact)
 
     @property
     def n_params(self) -> int:
@@ -162,8 +165,8 @@ class FitModel:
 # moment sources
 # ----------------------------------------------------------------------
 
-def moments_from_samples(samples: SampleSet, space: SpaceSpec, k: int,
-                         rel_tol: float = 1e-9) -> MomentVector:
+def moments_from_samples(samples: SampleSet, space: SpaceSpec,
+                         k: int) -> MomentVector:
     """Composite-Simpson moments of sampled data on a uniform grid.
 
     Only bounded intervals with unit weight make sense here (a finite grid
@@ -179,7 +182,8 @@ def moments_from_samples(samples: SampleSet, space: SpaceSpec, k: int,
             "sampled moments need a bounded interval with unit weight")
     xs, h = _simpson_grid(samples)
     n = len(xs)
-    if not np.allclose(np.diff(xs), h, rtol=rel_tol, atol=abs(h) * rel_tol):
+    if not np.allclose(np.diff(xs), h, rtol=UNIFORM_GRID_RTOL,
+                       atol=abs(h) * UNIFORM_GRID_RTOL):
         raise NonUniformGridError("sample grid is not uniform")
 
     xi, ex = _dyadic(xs)
@@ -262,8 +266,8 @@ def moments_gamma(space: SpaceSpec, k: int) -> MomentVector:
                         mu_exact=exact)
 
 
-def _simpson_weights(n_points: int) -> np.ndarray:
-    w = np.full(n_points, 2.0)
+def _simpson_weights(n: int) -> np.ndarray:
+    w = np.full(n, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return w
@@ -386,8 +390,7 @@ def space_measure(space: SpaceSpec) -> float:
     return 1.0  # integral of e^{-x} over the half line
 
 
-def rms_error(model: FitModel, reference: Reference,
-              n_panels: int = DEFAULT_PANELS) -> float:
+def rms_error(model: FitModel, reference: Reference) -> float:
     """Measure-normalised (root-mean-square) form of :func:`l2_error`.
 
     Dividing the weighted L2 norm by the square root of the weight's
@@ -396,13 +399,12 @@ def rms_error(model: FitModel, reference: Reference,
     weight, the same number a discrete RMS over equidistributed points
     converges to.
     """
-    return l2_error(model, reference, n_panels) / math.sqrt(
+    return l2_error(model, reference) / math.sqrt(
         space_measure(model.family.space))
 
 
 def max_abs_error(model: FitModel, reference: Reference,
-                  lo: float | None = None, hi: float | None = None,
-                  n_points: int = 10_001) -> float:
+                  lo: float | None = None, hi: float | None = None) -> float:
     """Max |reference - model| on a dense grid over [lo, hi].
 
     Defaults to the model's interval; half-line models default to the
@@ -415,7 +417,7 @@ def max_abs_error(model: FitModel, reference: Reference,
         lo = float(space.lo)
     if hi is None:
         hi = 10.0 if space.hi is None else float(space.hi)
-    xs = np.linspace(lo, hi, n_points)
+    xs = np.linspace(lo, hi, MAX_ERROR_POINTS)
     return float(np.max(np.abs(reference(xs) - model(xs))))
 
 

@@ -163,6 +163,51 @@ def test_crooked_grid_is_bad_input(tmp_path, capsys):
     assert "uniform" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_value_is_bad_input(tmp_path, capsys, token):
+    lines = f"x,y\n-1,0\n-0.5,1\n0,{token}\n0.5,1\n1,0\n"
+    assert _fit_rc(tmp_path, lines) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("b, k, ys, message", [
+    # order-10 moments of y = 1e300 on [0, 10] leave the float range
+    (10, 10, np.full(101, 1e300), "overflow the float range"),
+    # finite moments, but an order-20 coefficient does not fit in a float
+    (1, 20, 1e300 * (-1.0) ** np.arange(101), "overflow the float range"),
+    # a finite order-3 fit, but its squared residuals overflow: without the
+    # check model.json would carry an "Infinity" token
+    (10, 3, np.full(101, 1e300), "residuals overflow"),
+], ids=["moments", "coefficients", "residuals"])
+def test_float_overflow_is_bad_input(tmp_path, capsys, b, k, ys, message):
+    path = tmp_path / "huge.csv"
+    _write_samples(path, np.linspace(0.0, b, 101), ys)
+    out = tmp_path / "out"
+    rc = main(["fit", "--family", "legendre0b", "--b", str(b), "--k", str(k),
+               "--input", str(path), "--out", str(out)])
+    assert rc == EXIT_BAD_INPUT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_residual_bic_is_null(tmp_path, capsys):
+    path = tmp_path / "const.csv"
+    _write_samples(path, np.linspace(0.0, 1.0, 11), np.full(11, 2.5))
+    out = tmp_path / "out"
+    rc = main(["fit", "--family", "legendre0b", "--k", "0",
+               "--input", str(path), "--out", str(out)])
+    assert rc == 0
+    assert "bic=-inf" in capsys.readouterr().out
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    doc = json.loads((out / "model.json").read_text(), parse_constant=reject)
+    assert doc["coeffs_exact"] == ["5/2"]
+    assert doc["diagnostics"]["l2_error"] == 0.0
+    assert doc["diagnostics"]["bic"] is None
+
+
 def test_out_of_domain_samples_exit_3(tmp_path, capsys):
     xs = np.linspace(0.0, 1.5, 101)
     lines = "x,y\n" + "".join(f"{x},{x}\n" for x in xs)

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from biopoly.exact import SpaceSpec, Weight, inner_monomial
-from biopoly.families import (FamilyKind, FamilySpec, OpsType, norm_sq,
-                              ops_poly, rat_coeff, verify_orthonormal)
+from biopoly.families import (FamilyKind, FamilySpec, norm_sq, rat_coeff,
+                              verify_orthonormal)
 
 ALL_FAMILIES = [
     FamilySpec.legendre_shifted(1),
@@ -139,13 +139,6 @@ def test_laguerre_coeffs_match_recurrence():
 # structural classification
 # ----------------------------------------------------------------------
 
-def test_ops_types():
-    assert FamilySpec.legendre_shifted(1).ops_type is OpsType.FULL_SUPPORT
-    assert FamilySpec.laguerre().ops_type is OpsType.FULL_SUPPORT
-    assert FamilySpec.legendre_sym().ops_type is OpsType.PARITY_SUPPORT
-    assert FamilySpec.chebyshev().ops_type is OpsType.PARITY_SUPPORT
-
-
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.describe())
 def test_support_structure(fam):
     """Full-support rows carry every exponent; parity rows only j, j-2, ..."""
@@ -154,7 +147,8 @@ def test_support_structure(fam):
         assert top != 0, f"leading coefficient must not vanish at j={j}"
         for e in range(j + 1):
             c = rat_coeff(fam, j, e)
-            if fam.ops_type is OpsType.PARITY_SUPPORT and (j - e) % 2:
+            if (fam.kind in (FamilyKind.LEGENDRE_SYM, FamilyKind.CHEBYSHEV)
+                    and (j - e) % 2):
                 assert c == 0, f"parity gap violated at (j={j}, e={e})"
     # exponents above the degree are always zero
     assert rat_coeff(fam, 3, 7) == 0
@@ -163,13 +157,6 @@ def test_support_structure(fam):
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.describe())
 def test_orthonormality_exact(fam):
     assert verify_orthonormal(fam, KMAX) == []
-
-
-def test_ops_poly_evaluates_like_its_coeffs():
-    fam = FamilySpec.legendre_shifted(1)
-    p = ops_poly(fam, 3)
-    assert p.degree == 3
-    assert p.ratpoly.coeffs[3] == rat_coeff(fam, 3, 3)
 
 
 def test_family_validation():

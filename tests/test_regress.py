@@ -152,6 +152,11 @@ def test_sample_set_validation():
         SampleSet(np.array([0.0, 1.0, 0.5]), np.zeros(3))
     with pytest.raises(ValueError):
         SampleSet(np.array([0.0, 1.0]), np.zeros(3))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet(np.array([0.0, 0.5, 1.0]), np.array([0.0, bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet(np.array([0.0, 0.5, bad]), np.zeros(3))
 
 
 # ----------------------------------------------------------------------
