@@ -84,16 +84,18 @@ def gram(space: SpaceSpec, k: int) -> HankelGram:
 
 
 def _lu_factor(a: np.ndarray):
-    """Doolittle LU with partial pivoting; returns (lu, perm).
+    """Doolittle LU with partial pivoting; returns (lu, perm, sign).
 
     ``lu`` packs L (unit diagonal, below) and U (on and above); ``perm``
-    is the row permutation applied.  Raises SingularToWorkingPrecision
-    when the best available pivot is below PIVOT_RTOL times the largest
-    entry of the original matrix.
+    is the row permutation applied and ``sign`` its parity, -1.0 per row
+    swap.  Raises SingularToWorkingPrecision when the best available
+    pivot is below PIVOT_RTOL times the largest entry of the original
+    matrix.
     """
     lu = np.array(a, dtype=float)
     n = lu.shape[0]
     perm = np.arange(n)
+    sign = 1.0
     floor = PIVOT_RTOL * float(np.max(np.abs(lu))) if lu.size else 0.0
     for col in range(n):
         pivot_row = col + int(np.argmax(np.abs(lu[col:, col])))
@@ -104,10 +106,11 @@ def _lu_factor(a: np.ndarray):
         if pivot_row != col:
             lu[[col, pivot_row]] = lu[[pivot_row, col]]
             perm[[col, pivot_row]] = perm[[pivot_row, col]]
+            sign = -sign
         below = lu[col + 1:, col] / lu[col, col]
         lu[col + 1:, col] = below
         lu[col + 1:, col + 1:] -= np.outer(below, lu[col, col + 1:])
-    return lu, perm
+    return lu, perm, sign
 
 
 def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray,
@@ -142,7 +145,7 @@ def solve_normal_equations(g: HankelGram, rhs) -> np.ndarray:
     b = np.asarray(rhs, dtype=float)
     if b.shape != (g.k + 1,):
         raise ValueError(f"rhs must have length {g.k + 1}")
-    lu, perm = _lu_factor(g.entries)
+    lu, perm, _ = _lu_factor(g.entries)
     return _lu_solve(lu, perm, b)
 
 
@@ -161,7 +164,7 @@ def condition_estimate(g: HankelGram) -> float:
     norm_a = float(np.max(np.abs(a).sum(axis=0)))
     if n == 1:
         return 1.0
-    lu, perm = _lu_factor(a)
+    lu, perm, _ = _lu_factor(a)
 
     x = np.full(n, 1.0 / n)
     est = 0.0
@@ -179,31 +182,17 @@ def condition_estimate(g: HankelGram) -> float:
 
 
 def determinant(g: HankelGram) -> float:
-    """Float determinant via the LU factors (sign-corrected pivot product).
+    """Float determinant via the LU factors: the pivot product, negated
+    once per row swap.
 
     For the order-36 Gram on [-1, 1] this underflows to zero or lands
     below 1e-300, which is the cheapest way to see why inverting the
     matrix is hopeless.
     """
     try:
-        lu, perm = _lu_factor(g.entries)
+        lu, _, sign = _lu_factor(g.entries)
     except SingularToWorkingPrecision:
         return 0.0
-    sign = 1.0
-    seen = np.arange(len(perm))
-    # parity of the permutation by cycle counting
-    visited = np.zeros(len(perm), dtype=bool)
-    for start in seen:
-        if visited[start]:
-            continue
-        length = 0
-        i = start
-        while not visited[i]:
-            visited[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
     det = sign
     for d in np.diag(lu):
         det *= d

@@ -8,8 +8,9 @@ Three verbs:
 * ``tables``:  print the exact rational coefficient rows of the
                biorthogonal polynomials, for inspection.
 
-Exit codes: 0 success, 2 unusable input (malformed CSV, non-finite
-values, bad flags, values that overflow the float range), 3 family/domain
+Exit codes: 0 success, 2 unusable input (malformed or non-UTF-8 CSV,
+non-finite values, bad flags, values that overflow the float range, an
+output directory that cannot be created or written), 3 family/domain
 mismatch (samples outside the family's interval, or a family that cannot
 fit from sampled data at all).
 """
@@ -21,6 +22,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,7 +92,7 @@ def _read_samples(path: Path) -> SampleSet:
                 except ValueError:
                     raise CliError(EXIT_BAD_INPUT,
                                    f"{path}:{lineno}: non-numeric value in {row!r}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CliError(EXIT_BAD_INPUT, f"{path}: {exc}")
     if not xs:
         raise CliError(EXIT_BAD_INPUT, f"{path}: no data rows")
@@ -98,6 +100,15 @@ def _read_samples(path: Path) -> SampleSet:
         return SampleSet(np.asarray(xs), np.asarray(ys))
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"{path}: {exc}")
+
+
+@contextmanager
+def _writing(out_dir: Path):
+    """Report a failure to create or write the output directory as exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(EXIT_BAD_INPUT, f"--out {out_dir}: {exc}") from None
 
 
 def _model_to_json(model: FitModel) -> dict:
@@ -179,15 +190,16 @@ def _cmd_fit(args) -> int:
     })
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "model.json").write_text(
-        json.dumps(_model_to_json(model), sort_keys=True, indent=2,
-                   allow_nan=False) + "\n",
-        encoding="utf-8")
-    with (out_dir / "residuals.csv").open("w", encoding="utf-8") as fh:
-        fh.write("x,y,fit,abs_error\n")
-        for x, y, f in zip(samples.xs, samples.ys, fitted):
-            fh.write(f"{x:.17g},{y:.17g},{f:.17g},{abs(y - f):.17g}\n")
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "model.json").write_text(
+            json.dumps(_model_to_json(model), sort_keys=True, indent=2,
+                       allow_nan=False) + "\n",
+            encoding="utf-8")
+        with (out_dir / "residuals.csv").open("w", encoding="utf-8") as fh:
+            fh.write("x,y,fit,abs_error\n")
+            for x, y, f in zip(samples.xs, samples.ys, fitted):
+                fh.write(f"{x:.17g},{y:.17g},{f:.17g},{abs(y - f):.17g}\n")
 
     print(f"fit {fam.describe()} k={args.k}"
           + (f" removals={args.removals}" if args.removals else "")
@@ -198,9 +210,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    if args.seed < 0:
+        raise CliError(EXIT_BAD_INPUT, f"--seed must be >= 0, got {args.seed}")
     out_dir = Path(args.out)
     if args.number == 1:
-        report = run_noisy_chirp(out_dir, seed=args.seed)
+        with _writing(out_dir):
+            report = run_noisy_chirp(out_dir, seed=args.seed)
         fits = report["fits"]
         print(f"noisy chirp (seed={report['seed']}): "
               f"err(k17)={fits['k17']['error_vs_truth']:.4e} "
@@ -211,12 +226,14 @@ def _cmd_example(args) -> int:
               f"< {fits['k14']['bic']:.2f} "
               f"(ordering {'holds' if report['bic_ordering_ok'] else 'violated'})")
     elif args.number == 2:
-        report = run_closed_form_decay(out_dir)
+        with _writing(out_dir):
+            report = run_closed_form_decay(out_dir)
         for row in report["fits"]:
             print(f"{row['target']:>13} {row['family']:>10} k={row['k']:>2}: "
                   f"max|err| on [0,10] = {row['max_abs_error_0_10']:.4e}")
     else:
-        report = run_high_order_wiggle(out_dir)
+        with _writing(out_dir):
+            report = run_high_order_wiggle(out_dir)
         for fam_name in ("legendre", "chebyshev"):
             e = report[fam_name]
             print(f"{fam_name:>9} k=36: rms_error={e['rms_error']:.4e} "
@@ -294,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="1 noisy chirp, 2 closed-form decay targets, "
                            "3 order-36 fits vs the naive solver")
     p_ex.add_argument("--seed", type=int, default=42,
-                      help="noise seed for scenario 1 (default 42; "
+                      help="noise seed for scenario 1, >= 0 (default 42; "
                            "ignored by 2 and 3)")
     p_ex.add_argument("--out", required=True, help="output directory")
     p_ex.set_defaults(func=_cmd_example)

@@ -127,7 +127,8 @@ def run_closed_form_decay(out_dir: str | Path) -> dict:
             "target": target_name,
             "family": fam.name,
             "k": k,
-            "max_abs_error_0_10": float(max_abs_error(model, target, 0.0, 10.0)),
+            # [0, 10] is the default window of both families
+            "max_abs_error_0_10": float(max_abs_error(model, target)),
             "l2_error": float(l2_error(model, target)),
         })
         fit_cols.append(model(xs))

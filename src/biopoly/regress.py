@@ -38,7 +38,7 @@ from .biorth import BiorthSet, build, downgrade, project, select_removal
 from .exact import INV_PI_FLOAT, RationalLike, ScaleTag, SpaceSpec, Weight, horner_many
 from .families import FamilySpec
 
-#: default panel count for the composite Simpson quadratures
+#: panel count of the composite Simpson rule over a bounded or Chebyshev space
 DEFAULT_PANELS = 10_000
 #: relative tolerance on the sample spacing for a grid to count as uniform
 UNIFORM_GRID_RTOL = 1e-9
@@ -180,7 +180,7 @@ def moments_from_samples(samples: SampleSet, space: SpaceSpec,
     if space.weight is not Weight.UNIT:
         raise UnsupportedSpaceError(
             "sampled moments need a bounded interval with unit weight")
-    xs, h = _simpson_grid(samples)
+    xs, w, h = _simpson(samples)
     n = len(xs)
     if not np.allclose(np.diff(xs), h, rtol=UNIFORM_GRID_RTOL,
                        atol=abs(h) * UNIFORM_GRID_RTOL):
@@ -188,7 +188,7 @@ def moments_from_samples(samples: SampleSet, space: SpaceSpec,
 
     xi, ex = _dyadic(xs)
     yi, ey = _dyadic(samples.ys)
-    wy = list(map(mul, _simpson_weights(n).astype(int).tolist(), yi))
+    wy = list(map(mul, w.astype(int).tolist(), yi))
     span = xi[-1] - xi[0]                 # (b - a) * 2**ex
     pows = [1] * n
     exact = []
@@ -210,14 +210,27 @@ def _dyadic(values: np.ndarray) -> tuple[list[int], int]:
     return [num << (e + 1 - d.bit_length()) for num, d in ratios], e
 
 
-def _expdecay_bounded_exact(alpha: Fraction, b: Fraction, i: int) -> Fraction:
-    """Exact integral of x^i e^{-alpha x} over [0, b], with e^{-alpha b}
-    promoted from its float value (the only non-rational ingredient)."""
-    eab = Fraction(math.exp(-float(alpha * b)))
-    fact = Fraction(math.factorial(i))
-    tail = sum(fact * b ** j / (math.factorial(j) * alpha ** (i - j + 1))
-               for j in range(i + 1))
-    return fact / alpha ** (i + 1) - eab * tail
+def _decay_ladder(space: SpaceSpec, alpha: Fraction, n: int) -> list[Fraction]:
+    """I_0..I_n, I_i = integral of x^i e^{-alpha x} under the space's weight,
+    by parts: I_0 = (1 - E)/a, I_i = (i I_{i-1} - b^i E)/a.
+
+    Half line (weight e^{-x}): a = alpha + 1 and E = 0, so I_i = i!/a^{i+1}.
+    Bounded [0, b] (unit weight): a = alpha and E = e^{-alpha b}, promoted
+    from its float value (the only non-rational ingredient).
+    """
+    if space.weight is Weight.EXP_NEG:
+        a, b, e = alpha + 1, 0, Fraction(0)
+    elif space.weight is Weight.UNIT and space.lo == 0:
+        a, b, e = alpha, space.hi, Fraction(math.exp(-float(alpha * space.hi)))
+    else:
+        raise UnsupportedSpaceError(
+            "decay moments exist for the half line and [0, b] only")
+    ladder: list[Fraction] = []
+    b_pow = 1
+    for i in range(n + 1):
+        ladder.append(((i * ladder[-1] if i else 1) - b_pow * e) / a)
+        b_pow *= b
+    return ladder
 
 
 def moments_expdecay(space: SpaceSpec, k: int,
@@ -225,20 +238,12 @@ def moments_expdecay(space: SpaceSpec, k: int,
     """Closed-form moments of f(x) = e^{-alpha x}.
 
     Half line (weight e^{-x}):  mu_i = i! / (alpha+1)^{i+1}, exactly.
-    Bounded [0, b] (unit weight): finite sum against e^{-alpha b}.
+    Bounded [0, b] (unit weight): the same ladder against e^{-alpha b}.
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if space.weight is Weight.EXP_NEG:
-        exact = tuple(Fraction(math.factorial(i)) / (alpha + 1) ** (i + 1)
-                      for i in range(k + 1))
-    elif space.weight is Weight.UNIT and space.lo == 0:
-        exact = tuple(_expdecay_bounded_exact(alpha, space.hi, i)
-                      for i in range(k + 1))
-    else:
-        raise UnsupportedSpaceError(
-            "exponential-decay moments exist for the half line and [0, b] only")
+    exact = tuple(_decay_ladder(space, alpha, k))
     return MomentVector(mu=tuple(float(e) for e in exact), space=space,
                         provenance=f"analytic-expdecay(alpha={alpha})",
                         mu_exact=exact)
@@ -247,67 +252,51 @@ def moments_expdecay(space: SpaceSpec, k: int,
 def moments_gamma(space: SpaceSpec, k: int) -> MomentVector:
     """Closed-form moments of the gamma-density target f(x) = x e^{-x}.
 
-    On the half line the weighted integrals collapse to
-    mu_i = (i+1)! / 2^{i+2}; on [0, b] they are the exponential-decay
-    moments shifted up one power.
+    These are the alpha = 1 decay moments shifted up one power; on the
+    half line they collapse to mu_i = (i+1)! / 2^{i+2}.
     """
-    if space.weight is Weight.EXP_NEG:
-        exact = tuple(Fraction(math.factorial(i + 1), 2 ** (i + 2))
-                      for i in range(k + 1))
-    elif space.weight is Weight.UNIT and space.lo == 0:
-        one = Fraction(1)
-        exact = tuple(_expdecay_bounded_exact(one, space.hi, i + 1)
-                      for i in range(k + 1))
-    else:
-        raise UnsupportedSpaceError(
-            "gamma moments exist for the half line and [0, b] only")
+    exact = tuple(_decay_ladder(space, Fraction(1), k + 1)[1:])
     return MomentVector(mu=tuple(float(e) for e in exact), space=space,
                         provenance="analytic-gamma",
                         mu_exact=exact)
 
 
-def _simpson_weights(n: int) -> np.ndarray:
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w
-
-
-def _simpson_grid(where: SpaceSpec | SampleSet,
-                  n_panels: int = DEFAULT_PANELS) -> tuple[np.ndarray, float]:
-    """Composite-Simpson nodes and step h: a sample set's own abscissae, or
-    ``n_panels`` equal panels over a bounded space (in theta, x = cos(theta),
-    for the Chebyshev weight, which removes both endpoint singularities)."""
+def _simpson(where: SpaceSpec | SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
+    """Composite-Simpson nodes, weights 1, 4, 2, ..., 4, 1 and step h: over
+    a sample set's own abscissae, or DEFAULT_PANELS equal panels over a
+    bounded space (in theta, x = cos(theta), for the Chebyshev weight, which
+    removes both endpoint singularities)."""
     if isinstance(where, SampleSet):
         xs = where.xs
-        n_panels = len(xs) - 1
-        h = (xs[-1] - xs[0]) / n_panels
+        h = (xs[-1] - xs[0]) / (len(xs) - 1)
     elif where.weight is Weight.UNIT:
-        xs = np.linspace(float(where.lo), float(where.hi), n_panels + 1)
-        h = (float(where.hi) - float(where.lo)) / n_panels
+        xs = np.linspace(float(where.lo), float(where.hi), DEFAULT_PANELS + 1)
+        h = (float(where.hi) - float(where.lo)) / DEFAULT_PANELS
     elif where.weight is Weight.CHEBYSHEV:
-        xs = np.cos(np.linspace(0.0, math.pi, n_panels + 1))
-        h = math.pi / n_panels
+        xs = np.cos(np.linspace(0.0, math.pi, DEFAULT_PANELS + 1))
+        h = math.pi / DEFAULT_PANELS
     else:
         raise UnsupportedSpaceError(
             "composite Simpson covers bounded and Chebyshev spaces only")
-    if n_panels % 2:
+    if len(xs) % 2 == 0:
         raise EvenPanelParityError(
-            f"composite Simpson needs an odd point count, got {n_panels + 1}")
-    return xs, h
+            f"composite Simpson needs an odd point count, got {len(xs)}")
+    w = np.full(len(xs), 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return xs, w, h
 
 
 def moments_quadrature(fn: Callable[[np.ndarray], np.ndarray],
-                       space: SpaceSpec, k: int,
-                       n_panels: int = DEFAULT_PANELS) -> MomentVector:
+                       space: SpaceSpec, k: int) -> MomentVector:
     """Composite-Simpson moments of a callable target.
 
     Bounded unit-weight and Chebyshev spaces only: the built-in half-line
     targets all have closed forms.
     """
-    xs, h = _simpson_grid(space, n_panels)
+    xs, w, h = _simpson(space)
     base = fn(xs)
-    w = _simpson_weights(n_panels + 1) * (h / 3.0)
+    w = w * (h / 3.0)
     mu = []
     pw = np.ones_like(xs)
     for i in range(k + 1):
@@ -315,7 +304,7 @@ def moments_quadrature(fn: Callable[[np.ndarray], np.ndarray],
             pw = pw * xs
         mu.append(float(np.dot(w, pw * base)))
     return MomentVector(mu=tuple(mu), space=space,
-                        provenance=f"simpson-function(panels={n_panels})")
+                        provenance=f"simpson-function(panels={DEFAULT_PANELS})")
 
 
 # ----------------------------------------------------------------------
@@ -353,8 +342,7 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
 Reference = Union[Callable[[np.ndarray], np.ndarray], SampleSet]
 
 
-def l2_error(model: FitModel, reference: Reference,
-             n_panels: int = DEFAULT_PANELS) -> float:
+def l2_error(model: FitModel, reference: Reference) -> float:
     """Weighted L2 norm of (reference - model) over the model's space.
 
     A callable reference is integrated over the whole space; bounded
@@ -365,7 +353,7 @@ def l2_error(model: FitModel, reference: Reference,
     """
     space = model.family.space
     if isinstance(reference, SampleSet):
-        xs, h = _simpson_grid(reference)
+        xs, w, h = _simpson(reference)
         ys = reference.ys
     elif space.weight is Weight.EXP_NEG:
         # half line: the weight is built into Gauss-Laguerre nodes, which
@@ -375,10 +363,10 @@ def l2_error(model: FitModel, reference: Reference,
         resid2 = (reference(xs) - model(xs)) ** 2
         return math.sqrt(abs(float(np.dot(ws, resid2))))
     else:
-        xs, h = _simpson_grid(space, n_panels)
+        xs, w, h = _simpson(space)
         ys = reference(xs)
     resid2 = (ys - model(xs)) ** 2
-    return math.sqrt(abs(np.dot(_simpson_weights(len(xs)), resid2) * h / 3.0))
+    return math.sqrt(abs(np.dot(w, resid2) * h / 3.0))
 
 
 def space_measure(space: SpaceSpec) -> float:
@@ -403,21 +391,15 @@ def rms_error(model: FitModel, reference: Reference) -> float:
         space_measure(model.family.space))
 
 
-def max_abs_error(model: FitModel, reference: Reference,
-                  lo: float | None = None, hi: float | None = None) -> float:
-    """Max |reference - model| on a dense grid over [lo, hi].
-
-    Defaults to the model's interval; half-line models default to the
-    [0, 10] reporting window.
+def max_abs_error(model: FitModel, reference: Reference) -> float:
+    """Max |reference - model| at the samples, or on a dense grid over the
+    model's interval (the [0, 10] reporting window for half-line models).
     """
     if isinstance(reference, SampleSet):
         return float(np.max(np.abs(reference.ys - model(reference.xs))))
     space = model.family.space
-    if lo is None:
-        lo = float(space.lo)
-    if hi is None:
-        hi = 10.0 if space.hi is None else float(space.hi)
-    xs = np.linspace(lo, hi, MAX_ERROR_POINTS)
+    hi = 10.0 if space.hi is None else float(space.hi)
+    xs = np.linspace(float(space.lo), hi, MAX_ERROR_POINTS)
     return float(np.max(np.abs(reference(xs) - model(xs))))
 
 

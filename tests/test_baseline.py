@@ -137,6 +137,17 @@ def test_determinant_small_case():
     assert determinant(gram(SYM, 1)) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("entries, expect", [
+    ([[0.1, 1.0], [1.0, 0.1]], -0.99),                       # one row swap
+    (np.roll(np.eye(3), 1, axis=0) + 0.1 * np.eye(3), 1.001),  # a 3-cycle
+], ids=["swap", "three-cycle"])
+def test_determinant_sign_follows_row_swaps(entries, expect):
+    entries = np.asarray(entries)
+    det = determinant(HankelGram(SYM, len(entries) - 1, entries))
+    assert det == pytest.approx(expect, rel=1e-12)
+    assert det == pytest.approx(np.linalg.det(entries), rel=1e-12)
+
+
 @pytest.mark.parametrize("space", [SYM, SpaceSpec.bounded(0, 1),
                                    SpaceSpec.bounded(0, 10)],
                          ids=["sym", "unit", "b10"])

@@ -192,6 +192,33 @@ def test_float_overflow_is_bad_input(tmp_path, capsys, b, k, ys, message):
     assert not out.exists()
 
 
+_GOOD_CSV = b"x,y\n-1,0\n-0.5,1\n0,1\n0.5,1\n1,0\n"
+
+
+@pytest.mark.parametrize("argv, csv_bytes, out_is_file", [
+    (["fit"], _GOOD_CSV.replace(b"0.5,1", b"0.5,\xff"), False),
+    (["fit"], _GOOD_CSV.replace(b"0.5,1", b"0.5," + b"1" * 200_000), False),
+    (["fit"], _GOOD_CSV, True),
+    (["example", "1"], _GOOD_CSV, True),
+    (["example", "1", "--seed", "-1"], _GOOD_CSV, False),
+], ids=["non-utf8-csv", "oversize-csv-field", "fit-out-is-a-file",
+        "example-out-is-a-file", "negative-seed"])
+def test_unusable_input_or_output_is_bad_input(tmp_path, capsys, argv,
+                                               csv_bytes, out_is_file):
+    csv = tmp_path / "in.csv"
+    csv.write_bytes(csv_bytes)
+    out = tmp_path / "out"
+    if out_is_file:
+        out.write_text("taken\n", encoding="utf-8")
+    if argv[0] == "fit":
+        argv = argv + ["--family", "legendre", "--k", "2", "--input", str(csv)]
+    assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("biopoly: ") and "Traceback" not in err
+    assert not (out / "model.json").exists()
+    assert not (out / "report.json").exists()
+
+
 def test_zero_residual_bic_is_null(tmp_path, capsys):
     path = tmp_path / "const.csv"
     _write_samples(path, np.linspace(0.0, 1.0, 11), np.full(11, 2.5))

@@ -49,6 +49,46 @@ def test_expdecay_moments_bounded_match_quadrature():
         assert mu == pytest.approx(oracle, rel=1e-10)
 
 
+def _expdecay_oracle(alpha, b, i):
+    """integral of x^i e^{-alpha x}: over the half line under e^{-x} when b
+    is None, else over [0, b] as the written-out finite sum against the
+    float-promoted e^{-alpha b}."""
+    fact = math.factorial(i)
+    if b is None:
+        return Fraction(fact) / (alpha + 1) ** (i + 1)
+    e = Fraction(math.exp(-float(alpha * b)))
+    tail = sum(fact * b ** j / (math.factorial(j) * alpha ** (i - j + 1))
+               for j in range(i + 1))
+    return fact / alpha ** (i + 1) - e * tail
+
+
+@pytest.mark.parametrize("alpha", [1, Fraction(1, 4), Fraction(9, 4)],
+                         ids=["alpha1", "alpha1_4", "alpha9_4"])
+@pytest.mark.parametrize("b", [None, 1, 10, Fraction(7, 3)],
+                         ids=["half-line", "b1", "b10", "b7_3"])
+def test_expdecay_moments_equal_finite_sum(b, alpha):
+    space = SpaceSpec.half_line() if b is None else SpaceSpec.bounded(0, b)
+    alpha, b = Fraction(alpha), None if b is None else Fraction(b)
+    for k in (0, 1, 17, 64):
+        mom = moments_expdecay(space, k, alpha)
+        expect = tuple(_expdecay_oracle(alpha, b, i) for i in range(k + 1))
+        assert mom.mu_exact == expect
+        assert mom.mu == tuple(float(e) for e in expect)
+
+
+@pytest.mark.parametrize("space", [SpaceSpec.half_line(),
+                                   SpaceSpec.bounded(0, 1),
+                                   SpaceSpec.bounded(0, 10),
+                                   SpaceSpec.bounded(0, Fraction(7, 3))],
+                         ids=["half-line", "b1", "b10", "b7_3"])
+def test_gamma_moments_are_shifted_unit_decay_moments(space):
+    for k in (0, 1, 17, 64):
+        assert (moments_gamma(space, k).mu_exact
+                == moments_expdecay(space, k + 1).mu_exact[1:])
+    assert moments_gamma(space, -1).mu == moments_expdecay(space, -1).mu == ()
+    assert moments_gamma(space, -2).mu == ()
+
+
 def test_gamma_moments_match_quadrature():
     half = moments_gamma(SpaceSpec.half_line(), 5)
     for i, mu in enumerate(half.mu):
@@ -95,9 +135,9 @@ def test_quadrature_moments_exact_on_cubics():
     # exactness applies to the whole integrand x^i f(x); keep its total
     # degree at three
     space = SpaceSpec.bounded(-1, 1)
-    mom = moments_quadrature(lambda x: x ** 3 - x, space, 0, n_panels=16)
+    mom = moments_quadrature(lambda x: x ** 3 - x, space, 0)
     assert mom.mu[0] == pytest.approx(0.0, abs=1e-12)
-    mom = moments_quadrature(lambda x: x * x - x, space, 1, n_panels=16)
+    mom = moments_quadrature(lambda x: x * x - x, space, 1)
     # <f, x^1> = int (x^3 - x^2) = -2/3
     assert mom.mu[1] == pytest.approx(-2.0 / 3.0, abs=1e-12)
 
@@ -281,12 +321,12 @@ def test_rms_error_is_l2_over_root_measure():
 
 
 def test_max_abs_error_default_windows():
-    fam = FamilySpec.laguerre()
-    mom = moments_expdecay(fam.space, 6)
-    model = fit(fam, 6, mom)
-    err_default = max_abs_error(model, exp_decay)
-    err_explicit = max_abs_error(model, exp_decay, 0.0, 10.0)
-    assert err_default == err_explicit
+    # half line: the [0, 10] reporting window; [0, b]: the interval itself
+    xs = np.linspace(0, 10, 10_001)
+    for fam in (FamilySpec.laguerre(), FamilySpec.legendre_shifted(10)):
+        model = fit(fam, 6, moments_expdecay(fam.space, 6))
+        expect = float(np.max(np.abs(exp_decay(xs) - model(xs))))
+        assert max_abs_error(model, exp_decay) == expect
 
 
 def test_bic_score_definition():
@@ -339,7 +379,7 @@ def _simpson_oracle(xs, h, r2):
 @pytest.mark.parametrize("branch", ["samples", "unit", "chebyshev"])
 def test_l2_error_simpson_branches_bit_identical(branch):
     """Each Simpson branch of l2_error is exactly the written-out rule."""
-    n_panels = 200
+    n_panels = 10_000
     if branch == "samples":
         fam = FamilySpec.legendre_shifted(10)
         xs = np.linspace(0.0, 10.0, 301)
@@ -359,4 +399,4 @@ def test_l2_error_simpson_branches_bit_identical(branch):
         ref = damped_wiggle
         model = fit(fam, 7, moments_quadrature(ref, fam.space, 7))
         r2 = (ref(xs) - model(xs)) ** 2
-    assert l2_error(model, ref, n_panels) == _simpson_oracle(xs, h, r2)
+    assert l2_error(model, ref) == _simpson_oracle(xs, h, r2)
