@@ -111,6 +111,21 @@ def _writing(out_dir: Path):
         raise CliError(EXIT_BAD_INPUT, f"--out {out_dir}: {exc}") from None
 
 
+def _write_all(out_dir: Path, texts: dict[str, str]) -> None:
+    """Write every named text into ``out_dir``, or none of them: when one
+    write fails, the files this call opened are removed again."""
+    opened = []
+    try:
+        for name, text in texts.items():
+            with (out_dir / name).open("w", encoding="utf-8") as fh:
+                opened.append(out_dir / name)
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _model_to_json(model: FitModel) -> dict:
     params: dict[str, str] = {}
     if model.family.kind is FamilyKind.LEGENDRE_SHIFTED:
@@ -192,14 +207,13 @@ def _cmd_fit(args) -> int:
     out_dir = Path(args.out)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "model.json").write_text(
-            json.dumps(_model_to_json(model), sort_keys=True, indent=2,
-                       allow_nan=False) + "\n",
-            encoding="utf-8")
-        with (out_dir / "residuals.csv").open("w", encoding="utf-8") as fh:
-            fh.write("x,y,fit,abs_error\n")
-            for x, y, f in zip(samples.xs, samples.ys, fitted):
-                fh.write(f"{x:.17g},{y:.17g},{f:.17g},{abs(y - f):.17g}\n")
+        _write_all(out_dir, {
+            "model.json": json.dumps(_model_to_json(model), sort_keys=True,
+                                     indent=2, allow_nan=False) + "\n",
+            "residuals.csv": "x,y,fit,abs_error\n" + "".join(
+                f"{x:.17g},{y:.17g},{f:.17g},{abs(y - f):.17g}\n"
+                for x, y, f in zip(samples.xs, samples.ys, fitted)),
+        })
 
     print(f"fit {fam.describe()} k={args.k}"
           + (f" removals={args.removals}" if args.removals else "")

@@ -34,7 +34,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .biorth import BiorthSet, build, downgrade, project, select_removal
+from .biorth import BiorthSet, build, cheapest_removal, downgrade, project
 from .exact import INV_PI_FLOAT, RationalLike, ScaleTag, SpaceSpec, Weight, horner_many
 from .families import FamilySpec
 
@@ -316,9 +316,11 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
     """Project onto order k, then greedily remove ``removals`` exponents.
 
     Each removal step picks the exponent whose deletion costs the least
-    squared error on the current (already pruned) set, drops it, and
-    re-projects; the selection is re-evaluated from scratch every round
-    because removals change the remaining rows.
+    squared error on the current (already pruned) set and drops it.  The
+    fit projects once: removing l updates every remaining coefficient by
+    the exact identity c_n <- c_n - (G[l][n] / G[l][l]) c_l, which equals
+    re-projecting onto the pruned set, so the selection still sees the
+    pruned set's own coefficients every round.
     """
     if moments.order < k:
         raise MomentShortfallError(
@@ -326,12 +328,16 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
     if not 0 <= removals <= k:
         raise ValueError("removals must leave at least one active exponent")
     s = build(fam, k)
+    model = project(s, moments)
     removed = []
     for _ in range(removals):
-        ell = select_removal(s, moments)
+        ell = cheapest_removal(s, model.coeffs)
+        r = model.coeffs_exact[s.active.index(ell)] / s.gram_entry(ell, ell)
+        exact = tuple(c - s.gram_entry(ell, n) * r
+                      for n, c in zip(s.active, model.coeffs_exact) if n != ell)
         s = downgrade(s, ell)
+        model = FitModel.from_projection(s, exact)
         removed.append(ell)
-    model = project(s, moments)
     return dataclasses.replace(model, removed=tuple(removed))
 
 

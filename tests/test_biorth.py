@@ -3,9 +3,13 @@
 The heavyweight oracle here is the Gram-matrix inverse: the coefficient
 rows of the biorthogonal set must equal the exact rational inverse of
 the monomial Gram matrix, computed below by Gauss-Jordan elimination
-that shares nothing with the construction under test.
+that shares nothing with the construction under test.  The integer
+kernel (G = D K D / q, fraction-free downgrade) is also checked against
+the plain ``Fraction`` rank-one sum and Schur-complement step.
 """
 
+import dataclasses
+import math
 from fractions import Fraction
 from math import comb
 
@@ -17,7 +21,7 @@ from biopoly.biorth import (BiorthSet, LastElementError, NotActiveError,
                             UpgradeAfterRemovalError, build, downgrade,
                             project, select_removal, upgrade)
 from biopoly.exact import ScaleTag, inner_monomial, inner_poly
-from biopoly.families import FamilySpec
+from biopoly.families import FamilySpec, norm_sq, rat_coeff
 from biopoly.regress import MomentShortfallError, MomentVector
 
 ALL_FAMILIES = [
@@ -152,6 +156,102 @@ def test_chebyshev_gram_scale_is_coherent():
 def test_build_rejects_negative_order():
     with pytest.raises(ValueError):
         build(FamilySpec.laguerre(), -1)
+
+
+# ----------------------------------------------------------------------
+# the integer kernel against the Fraction reference
+# ----------------------------------------------------------------------
+
+KERNEL_FAMILIES = ALL_FAMILIES + [FamilySpec.legendre_shifted(Fraction(7, 3))]
+
+
+def _ref_add_degree(fam, g, j):
+    """Add the rank-one term d_j t_j t_j^T of degree j to ``g``, in Fractions."""
+    t = [rat_coeff(fam, j, e) for e in range(j + 1)]
+    d = norm_sq(fam, j)
+    for n, tn in enumerate(t):
+        for m, tm in enumerate(t):
+            g[n][m] += d * tn * tm
+
+
+def _ref_build(fam, k):
+    g = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+    for j in range(k + 1):
+        _ref_add_degree(fam, g, j)
+    return g
+
+
+def _ref_upgrade(fam, g):
+    j = len(g)
+    g = [row + [Fraction(0)] for row in g] + [[Fraction(0)] * (j + 1)]
+    _ref_add_degree(fam, g, j)
+    return g
+
+
+def _ref_downgrade(g, ell):
+    """One Schur-complement step: G - G_l G_l^T / G_ll, in Fractions."""
+    row_l = g[ell]
+    return [[x - g_ln * y / row_l[ell] for x, y in zip(row, row_l)]
+            for row, g_ln in zip(g, row_l)]
+
+
+def _assert_matches_reference(s, g, active):
+    assert s.active == tuple(active)
+    assert s.g == tuple(map(tuple, g))
+    for n in active:
+        assert s.beta(n).coeffs == tuple(g[n])
+        for m in active:
+            assert s.gram_entry(n, m) == g[n][m]
+
+
+@settings(max_examples=30, deadline=None)
+@given(fam=st.sampled_from(KERNEL_FAMILIES), k=st.integers(0, 24),
+       data=st.data())
+def test_integer_kernel_matches_fraction_reference(fam, k, data):
+    start = data.draw(st.integers(0, k), label="built order")
+    s, g = build(fam, start), _ref_build(fam, start)
+    _assert_matches_reference(s, g, range(start + 1))
+    for j in range(start + 1, k + 1):
+        s, g = upgrade(s), _ref_upgrade(fam, g)
+        _assert_matches_reference(s, g, range(j + 1))
+    order = data.draw(st.permutations(range(k + 1)), label="removal order")
+    active = list(range(k + 1))
+    for ell in order[:data.draw(st.integers(0, k), label="removals")]:
+        s, g = downgrade(s, ell), _ref_downgrade(g, ell)
+        active.remove(ell)
+        _assert_matches_reference(s, g, active)
+        # K is divided by its content, so its entries do not grow per removal
+        assert math.gcd(*(x for row in s.kmat for x in row)) == 1
+
+
+# ----------------------------------------------------------------------
+# the build memo
+# ----------------------------------------------------------------------
+
+def test_build_is_memoised_per_family_and_order():
+    fam = FamilySpec.legendre_shifted(2)
+    assert build(fam, 7) is build(fam, 7)
+    # equal specs share one entry
+    assert build(FamilySpec.legendre_shifted(Fraction(4, 2)), 7) is build(fam, 7)
+    assert build(fam, 6) is not build(fam, 7)
+    assert build(FamilySpec.legendre_shifted(3), 7) is not build(fam, 7)
+    for _ in range(2):  # a refused order is not cached
+        with pytest.raises(ValueError):
+            build(fam, -1)
+
+
+@pytest.mark.parametrize("fam", KERNEL_FAMILIES,
+                         ids=[f.describe() for f in KERNEL_FAMILIES])
+def test_editing_a_cached_set_leaves_it_unchanged(fam):
+    s = build(fam, 6)
+    upgrade(s)
+    downgrade(downgrade(s, 3), 0)
+    assert build(fam, 6) is s
+    assert s.active == tuple(range(7))
+    expect = tuple(map(tuple, _ref_build(fam, 6)))
+    assert s.g == expect
+    # the cached view and a view recomputed from the stored integers agree
+    assert dataclasses.replace(s).g == expect
 
 
 # ----------------------------------------------------------------------

@@ -219,6 +219,19 @@ def test_unusable_input_or_output_is_bad_input(tmp_path, capsys, argv,
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("taken", ["model.json", "residuals.csv"])
+def test_fit_writes_both_files_or_neither(sym_csv, tmp_path, capsys, taken):
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    rc = main(["fit", "--family", "legendre", "--k", "8",
+               "--input", str(sym_csv), "--out", str(out)])
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("biopoly: ") and "Traceback" not in err
+    assert (out / taken).is_dir()
+    assert sorted(p.name for p in out.iterdir()) == [taken]
+
+
 def test_zero_residual_bic_is_null(tmp_path, capsys):
     path = tmp_path / "const.csv"
     _write_samples(path, np.linspace(0.0, 1.0, 11), np.full(11, 2.5))

@@ -15,10 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from biopoly.exact import SpaceSpec
+from biopoly import biorth, regress
+from biopoly.biorth import build, downgrade, project, select_removal
+from biopoly.exact import SpaceSpec, inner_monomial
 from biopoly.families import FamilySpec
 from biopoly.regress import (DEFAULT_PANELS, EvenPanelParityError, FitModel,
-                             MomentShortfallError, NonUniformGridError,
+                             MomentShortfallError, MomentVector,
+                             NonUniformGridError,
                              SampleSet, UnsupportedSpaceError, bic_score, fit,
                              l2_error, max_abs_error, moments_expdecay,
                              moments_from_samples, moments_gamma,
@@ -253,13 +256,75 @@ def test_downgrade_error_identity():
     pruned = fit(fam, k, mom, removals=1)
     ell = pruned.removed[0]
     # score of the removed exponent from the full model's exact pieces
-    from biopoly.biorth import build
     s = build(fam, k)
     c = dict(zip(full.exponents, full.coeffs))[ell]
     score = c * c / float(s.gram_entry(ell, ell))
     old = l2_error(full, exp_decay)
     new = l2_error(pruned, exp_decay)
     assert new ** 2 == pytest.approx(old ** 2 + score, rel=1e-8)
+
+
+def _rational_moments(fam, values):
+    exact = tuple(Fraction(v) for v in values)
+    return MomentVector(mu=tuple(float(v) for v in exact), space=fam.space,
+                        provenance="test", mu_exact=exact)
+
+
+def _mixed_moments(fam, k):
+    """Zeros and denominators that share few factors: no tied scores."""
+    return _rational_moments(fam, [
+        0 if i % 5 == 2 else Fraction((-1) ** i * (i * i + 1), 3 ** (i % 4) * (7 + i))
+        for i in range(k + 1)])
+
+
+def _tied_moments(fam, k):
+    """Moments of f = x^5 (rational parts): every coefficient but c_5 is
+    exactly zero, so all other scores tie at 0 in every round."""
+    return _rational_moments(fam, [inner_monomial(fam.space, 5, i)
+                                   for i in range(k + 1)])
+
+
+PRUNE_FAMILIES = [FamilySpec.legendre_shifted(1), FamilySpec.laguerre(),
+                  FamilySpec.legendre_sym(), FamilySpec.chebyshev()]
+
+
+@pytest.mark.parametrize("fam", PRUNE_FAMILIES, ids=lambda f: f.describe())
+@pytest.mark.parametrize("k", [12, 24])
+@pytest.mark.parametrize("r", ["1", "3", "k"])
+@pytest.mark.parametrize("moments_of", [_mixed_moments, _tied_moments],
+                         ids=["mixed", "tied"])
+def test_pruning_by_update_equals_reprojection(monkeypatch, fam, k, r,
+                                               moments_of):
+    r = k if r == "k" else int(r)
+    mom = moments_of(fam, k)
+    projects = []
+
+    def counting_project(s, moments):
+        projects.append(len(s.active))
+        return project(s, moments)
+
+    # biorth's own name too, so a projection inside select_removal counts
+    monkeypatch.setattr(regress, "project", counting_project)
+    monkeypatch.setattr(biorth, "project", counting_project)
+    model = fit(fam, k, mom, removals=r)
+    assert projects == [k + 1]
+    monkeypatch.undo()
+
+    # the explicit loop that fit replaces: select, downgrade, re-project
+    s = build(fam, k)
+    removed = []
+    for _ in range(r):
+        ell = select_removal(s, mom)
+        s = downgrade(s, ell)
+        removed.append(ell)
+    expect = project(s, mom)
+    assert model.removed == tuple(removed)
+    assert model.exponents == expect.exponents
+    assert model.coeffs_exact == expect.coeffs_exact
+    assert model.coeffs == expect.coeffs
+    if moments_of is _tied_moments:
+        # ties break to the smallest exponent, and x^5 itself survives
+        assert model.removed == tuple(n for n in range(k + 1) if n != 5)[:r]
 
 
 @pytest.mark.parametrize("fam,target,moments_of,kmax", [
