@@ -9,8 +9,9 @@ Three verbs:
                biorthogonal polynomials, for inspection.
 
 Exit codes: 0 success, 2 unusable input (malformed or non-UTF-8 CSV,
-non-finite values, bad flags, values that overflow the float range, an
-output directory that cannot be created or written), 3 family/domain
+non-finite values, bad flags, values that overflow the float range, exact
+coefficients too long to print, an output directory that cannot be
+created or written), 3 family/domain
 mismatch (samples outside the family's interval, or a family that cannot
 fit from sampled data at all).
 """
@@ -100,6 +101,20 @@ def _read_samples(path: Path) -> SampleSet:
         return SampleSet(np.asarray(xs), np.asarray(ys))
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"{path}: {exc}")
+
+
+def _digit_limit_error(args) -> CliError:
+    """Exit 2 for exact rationals too long to print.
+
+    ``str`` of an int past the interpreter's int-to-str digit limit (4300
+    digits by default) raises ValueError; a large ``--b`` at a high order
+    gets there.  The limit guards against quadratic-time conversion, so it
+    is reported here, not lifted.
+    """
+    return CliError(EXIT_BAD_INPUT,
+                    f"--b {args.b} --k {args.k}: the exact rationals have more "
+                    "digits than the interpreter converts to text; use a "
+                    "smaller --b or --k")
 
 
 @contextmanager
@@ -204,16 +219,21 @@ def _cmd_fit(args) -> int:
         "n_params": model.n_params,
     })
 
+    try:
+        model_json = _model_to_json(model)
+    except ValueError:
+        raise _digit_limit_error(args) from None
+    texts = {
+        "model.json": json.dumps(model_json, sort_keys=True, indent=2,
+                                 allow_nan=False) + "\n",
+        "residuals.csv": "x,y,fit,abs_error\n" + "".join(
+            f"{x:.17g},{y:.17g},{f:.17g},{abs(y - f):.17g}\n"
+            for x, y, f in zip(samples.xs, samples.ys, fitted)),
+    }
     out_dir = Path(args.out)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_all(out_dir, {
-            "model.json": json.dumps(_model_to_json(model), sort_keys=True,
-                                     indent=2, allow_nan=False) + "\n",
-            "residuals.csv": "x,y,fit,abs_error\n" + "".join(
-                f"{x:.17g},{y:.17g},{f:.17g},{abs(y - f):.17g}\n"
-                for x, y, f in zip(samples.xs, samples.ys, fitted)),
-        })
+        _write_all(out_dir, texts)
 
     print(f"fit {fam.describe()} k={args.k}"
           + (f" removals={args.removals}" if args.removals else "")
@@ -287,10 +307,13 @@ def _cmd_tables(args) -> int:
         raise CliError(EXIT_BAD_INPUT,
                        f"--k must be in 0..{MAX_TABLE_ORDER} for exact tables")
     s = build(fam, args.k)
-    print(f"{fam.describe()}, order {args.k}: monomial coefficients of each "
-          "biorthogonal row")
-    for n in s.active:
-        print(format_beta_row(n, s.beta(n)))
+    try:
+        lines = [f"{fam.describe()}, order {args.k}: monomial coefficients "
+                 "of each biorthogonal row"]
+        lines += [format_beta_row(n, s.beta(n)) for n in s.active]
+    except ValueError:
+        raise _digit_limit_error(args) from None
+    print("\n".join(lines))
     return 0
 
 

@@ -192,6 +192,29 @@ def test_float_overflow_is_bad_input(tmp_path, capsys, b, k, ys, message):
     assert not out.exists()
 
 
+def test_fit_too_many_digits_is_bad_input(tmp_path, capsys):
+    # at b = 1e60 the order-64 exact coefficients run past the
+    # interpreter's int-to-str digit limit
+    path = tmp_path / "unit.csv"
+    xs = np.linspace(0.0, 1.0, 101)
+    _write_samples(path, xs, np.cos(3.0 * xs))
+    out = tmp_path / "out"
+    rc = main(["fit", "--family", "legendre0b", "--b", "1e60", "--k", "64",
+               "--input", str(path), "--out", str(out)])
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("biopoly: ") and "more digits" in err
+    assert not out.exists()
+
+
+def test_tables_too_many_digits_is_bad_input(capsys):
+    rc = main(["tables", "--family", "legendre0b", "--b", "1e400", "--k", "20"])
+    assert rc == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("biopoly: ") and "more digits" in captured.err
+
+
 _GOOD_CSV = b"x,y\n-1,0\n-0.5,1\n0,1\n0.5,1\n1,0\n"
 
 

@@ -3,7 +3,8 @@
 The closed-form monomial integrals are checked against adaptive
 quadrature, which shares no code with the formulas under test, and the
 algebraic laws of the inner product are exercised with hypothesis over
-random rational polynomials.
+random rational polynomials.  The blocked, in-place ``horner_many`` is
+checked bit for bit against the plain vectorised loop it replaced.
 """
 
 import math
@@ -16,8 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from biopoly.exact import (ExactPoly, ScaleMismatchError, ScaleTag, SpaceSpec,
-                           Weight, horner_many, inner_monomial, inner_poly)
+from biopoly.exact import (_BLOCK, _SPLITTER, ExactPoly, ScaleMismatchError,
+                           ScaleTag, SpaceSpec, Weight, horner_many,
+                           inner_monomial, inner_poly)
+from biopoly.families import FamilySpec
+from biopoly.regress import (fit, moments_expdecay, moments_gamma,
+                             moments_quadrature)
+from biopoly.targets import chirp, damped_wiggle
 
 BOUNDED = SpaceSpec.bounded(-1, 1)
 SHIFTED = SpaceSpec.bounded(0, 10)
@@ -169,3 +175,118 @@ def test_horner_many_vectorised_matches_scalar():
     assert list(got) == scalar
     expected = [float(_horner_exact(coeffs, Fraction(x))) for x in xs]
     assert np.allclose(got, expected, rtol=1e-15, atol=0)
+
+
+# ----------------------------------------------------------------------
+# bit identity: blocked in-place horner_many vs the plain vectorised loop
+# ----------------------------------------------------------------------
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    err = (a - (s - bb)) + (b - bb)
+    return s, err
+
+
+def _two_prod(a, b):
+    p = a * b
+    ah = a * _SPLITTER
+    ah = ah - (ah - a)
+    al = a - ah
+    bh = b * _SPLITTER
+    bh = bh - (bh - b)
+    bl = b - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, err
+
+
+def _horner_reference(coeffs, xs):
+    """The unblocked loop: one fresh array per operation and term."""
+    xs = np.asarray(xs, dtype=float)
+    acc = np.full(xs.shape, float(coeffs[-1]))
+    comp = np.zeros(xs.shape)
+    for c in reversed(coeffs[:-1]):
+        p, e1 = _two_prod(acc, xs)
+        acc, e2 = _two_sum(p, float(c))
+        comp = comp * xs + (e1 + e2)
+    return acc + comp
+
+
+def _assert_same_bits(coeffs, xs):
+    before = np.array(xs, copy=True)
+    got = horner_many(coeffs, xs)
+    want = _horner_reference(coeffs, xs)
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape == np.shape(xs)
+    assert got.tobytes() == want.tobytes()
+    assert np.asarray(xs).tobytes() == before.tobytes()
+
+
+magnitudes = st.builds(lambda m, e, neg: (-m if neg else m) * 10.0 ** e,
+                       st.floats(1.0, 9.999), st.integers(-12, 19), st.booleans())
+SIZES = [0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+
+
+def _points(seed, n, half_width):
+    """n points in [-half_width, half_width], led by signed zeros and +-1."""
+    xs = np.random.default_rng(seed).uniform(-half_width, half_width, n)
+    special = [0.0, -0.0, 1.0, -1.0]
+    xs[:len(special)] = special[:n]
+    return xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(magnitudes, min_size=1, max_size=65),
+       form=st.sampled_from(["float", "fraction", "ndarray"]),
+       n=st.sampled_from(SIZES),
+       layout=st.sampled_from(["flat", "0-d", "2-d", "strided", "transposed"]),
+       read_only=st.booleans(),
+       half_width=st.sampled_from([1.0, 2.0, 10.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_horner_many_bit_identical_to_reference(coeffs, form, n, layout,
+                                                read_only, half_width, seed):
+    if form == "fraction":
+        coeffs = [Fraction(c) / 3 for c in coeffs]  # rounds in float()
+    elif form == "ndarray":
+        coeffs = np.array(coeffs)
+    if layout == "0-d":
+        xs = np.asarray(_points(seed, 1, half_width)[0])
+    elif layout == "2-d":
+        xs = _points(seed, 2 * n, half_width).reshape(n, 2)
+    elif layout == "strided":
+        xs = _points(seed, 3 * n, half_width)[::3]
+    elif layout == "transposed":
+        xs = _points(seed, 2 * n, half_width).reshape(2, n).T
+    else:
+        xs = _points(seed, n, half_width)
+    if read_only:
+        xs.setflags(write=False)
+    _assert_same_bits(coeffs, xs)
+
+
+API_GRIDS = {
+    "laguerre": (FamilySpec.laguerre(), (0.0, 10.0)),
+    "legendre0b": (FamilySpec.legendre_shifted(1), (0.0, 1.0)),
+    "legendre": (FamilySpec.legendre_sym(), (-1.0, 1.0)),
+    "chebyshev": (FamilySpec.chebyshev(), (-1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("k", [17, 36, 64])
+@pytest.mark.parametrize("family", sorted(API_GRIDS))
+def test_horner_many_bit_identical_on_real_fits(family, k):
+    fam, (lo, hi) = API_GRIDS[family]
+    if family in ("laguerre", "legendre0b"):
+        mom = (moments_gamma(fam.space, k) if k == 36 else
+               moments_expdecay(fam.space, k, alpha=Fraction(3, 4)))
+    else:
+        mom = moments_quadrature(
+            lambda x: damped_wiggle(x) + 0.5 * chirp(0.5 * (x + 1.0)),
+            fam.space, k)
+    xs = np.linspace(lo, hi, 100_000)
+    xs.setflags(write=False)
+    for r in (0, 3, 10):
+        coeffs = fit(fam, k, mom, removals=r).dense_coeffs()
+        _assert_same_bits(coeffs, xs)
+        _assert_same_bits(coeffs, xs[:201])
