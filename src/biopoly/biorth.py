@@ -53,14 +53,22 @@ Four operations stay in integers:
   by the previous pivot instead, which is exact too, but leaves each entry
   a minor of the full set's K that gains about K's bit size per removal;
   dividing out the whole content removes most of that growth.
-* ``project``  - c_n = (D_n / q) sum_m K[n][m] D_m mu_m: the numerators of
-  D mu are brought to one denominator once per call, and each coefficient
-  is then one integer dot product with a row of K.
+* ``project``  - c_n = D_n y_n / den with y_n = sum_m K[n][m] nu_m, where
+  nu / nu_den = D mu brings the moments to one denominator once per call
+  and den = q nu_den.  Each numerator y_n is one integer dot product with
+  a row of K; the model keeps these integers and their one denominator,
+  rounds c_n to float by one correctly rounded integer division, and
+  normalises the ``Fraction`` coefficients only when they are read.
 
 Removing l changes every remaining coefficient by the same exact identity,
-c_n <- c_n - (G[l][n] / G[l][l]) c_l, so a greedy pruning loop projects
-once and updates its coefficients (``regress.fit``).  ``select_removal``
-and that loop rank removals with one scoring helper, ``cheapest_removal``.
+c_n <- c_n - (G[l][n] / G[l][l]) c_l, which on the numerators is the
+fraction-free step of ``downgrade``:
+
+    y_n' = (K[l][l] y_n - K[l][n] y_l) / c,        den' = den K[l][l] / c,
+
+exact because y' = K' nu.  So a greedy pruning loop projects once and
+updates its integers (``regress.fit``).  ``select_removal`` and that loop
+rank removals with one scoring helper, ``cheapest_removal``.
 
 For parity-support families t_j[n] vanishes unless j - n is even, so G is
 zero between exponents of opposite parity.  For Chebyshev sets all stored
@@ -147,14 +155,15 @@ def _scales(fam: FamilySpec, k: int) -> tuple[Fraction, ...]:
     return (Fraction(1),) * (k + 1)
 
 
-def _integer_row(fam: FamilySpec, j: int) -> list[int]:
-    """c_j: the coefficients of x^0..x^j in p_j over D, integers."""
+@functools.cache
+def _integer_row(fam: FamilySpec, j: int) -> tuple[int, ...]:
+    """c_j: the coefficients of x^0..x^j in p_j over D, integers (memoised)."""
     row = [rat_coeff(fam, j, n) / dn for n, dn in enumerate(_scales(fam, j))]
     assert all(c.denominator == 1 for c in row), (fam, j)
-    return [c.numerator for c in row]
+    return tuple(c.numerator for c in row)
 
 
-def _add_term(kmat: list[list[int]], w: int, c: list[int]) -> None:
+def _add_term(kmat: list[list[int]], w: int, c: Sequence[int]) -> None:
     """Add the rank-one term w c c^T to ``kmat`` in place."""
     support = [(n, cn) for n, cn in enumerate(c) if cn]
     for i, (n, cn) in enumerate(support):
@@ -235,10 +244,12 @@ def project(s: BiorthSet, moments: "MomentVector") -> "FitModel":
     The dot products are exact (float moments are promoted to the
     rationals they already are) and fraction-free: the numerators of
     D mu over one common denominator, dotted with an integer row of K,
-    give one ``Fraction`` per coefficient, rounded to float exactly once.
-    So the huge cancellations inside high-order beta rows cost no
-    precision: order ~36 fits come out clean where solved normal
-    equations lose everything.
+    give one integer numerator per coefficient over one shared
+    denominator.  Each coefficient is rounded to float exactly once, and
+    the ``Fraction``s are built only if ``coeffs_exact`` is read.  So the
+    huge cancellations inside high-order beta rows cost no precision:
+    order ~36 fits come out clean where solved normal equations lose
+    everything.
     """
     from .regress import FitModel, MomentShortfallError
 
@@ -254,12 +265,9 @@ def project(s: BiorthSet, moments: "MomentVector") -> "FitModel":
     nu = [m * dm for m, dm in zip(mu[:need], d)]
     nu_den = math.lcm(*(x.denominator for x in nu))
     nu_num = [x.numerator * (nu_den // x.denominator) for x in nu]
-    # c_n = (K_n . nu_num) D_n / (q nu_den), built as one Fraction (one gcd)
-    qn, qd = s.q.numerator, s.q.denominator
-    exact = tuple(Fraction(sum(map(mul, s.kmat[n], nu_num)) * d[n].numerator * qd,
-                           d[n].denominator * qn * nu_den)
-                  for n in s.active)
-    return FitModel.from_projection(s, exact)
+    # c_n = D_n (K_n . nu_num) / (q nu_den)
+    numerators = tuple(sum(map(mul, s.kmat[n], nu_num)) for n in s.active)
+    return FitModel.from_projection(s, numerators, s.q * nu_den)
 
 
 def cheapest_removal(s: BiorthSet, coeffs: Sequence[float]) -> int:
@@ -270,11 +278,17 @@ def cheapest_removal(s: BiorthSet, coeffs: Sequence[float]) -> int:
     so the arg-min of that score is returned; ties break to the smallest
     exponent.  Scores are compared in float (they involve measured
     moments), which is far finer than any tie the data can produce.
+    ||beta_n||^2 = G[n][n] = K[n][n] D_n^2 / q is rounded by one correctly
+    rounded integer division, the same float as that of the ``Fraction``.
     """
+    d = _scales(s.family, s.k)
+    qn, qd = s.q.numerator, s.q.denominator
     best_l = None
     best_score = None
     for n, c in zip(s.active, coeffs):
-        score = c * c / float(s.gram_entry(n, n))
+        dn = d[n]
+        g_nn = (s.kmat[n][n] * dn.numerator ** 2 * qd) / (dn.denominator ** 2 * qn)
+        score = c * c / g_nn
         if best_score is None or score < best_score:
             best_l, best_score = n, score
     return best_l

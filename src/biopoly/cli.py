@@ -170,13 +170,27 @@ def load_model(source: str | Path | dict) -> FitModel:
     coeffs = tuple(float(s) for s in source["coeffs"])
     return FitModel(family=fam, k=int(source["k"]),
                     exponents=tuple(int(e) for e in source["exponents"]),
-                    coeffs=coeffs, coeffs_exact=None,
+                    coeffs=coeffs,
                     diagnostics=dict(source.get("diagnostics", {})))
 
 
 # ----------------------------------------------------------------------
 # verbs
 # ----------------------------------------------------------------------
+
+def _where(fam: FamilySpec, b: str | None) -> str:
+    """'legendre0b(b=2) lives on [0, 2]', for the domain-error message.
+
+    A ``--b`` past the float range or the int-to-str digit limit is
+    echoed as typed instead of converted.
+    """
+    space = fam.space
+    try:
+        hi = "inf" if space.hi is None else f"{float(space.hi):g}"
+        return f"{fam.describe()} lives on [{float(space.lo):g}, {hi}]"
+    except (OverflowError, ValueError):
+        return f"{fam.kind.value}(b={b}) lives on [0, {b}]"
+
 
 def _cmd_fit(args) -> int:
     fam = _family_from_args(args.family, args.b)
@@ -189,11 +203,9 @@ def _cmd_fit(args) -> int:
 
     space = fam.space
     if not (space.contains(samples.xs[0]) and space.contains(samples.xs[-1])):
-        hi_text = "inf" if space.hi is None else f"{float(space.hi):g}"
         raise CliError(EXIT_DOMAIN,
                        f"samples span [{samples.xs[0]:g}, {samples.xs[-1]:g}] but "
-                       f"family {fam.describe()} lives on "
-                       f"[{float(space.lo):g}, {hi_text}]")
+                       f"family {_where(fam, args.b)}")
     try:
         mom = moments_from_samples(samples, fam.space, args.k)
         model = fit(fam, args.k, mom, removals=args.removals)

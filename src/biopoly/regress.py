@@ -26,6 +26,7 @@ to the quantities reported here.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,7 +35,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .biorth import BiorthSet, build, cheapest_removal, downgrade, project
+from .biorth import BiorthSet, _scales, build, cheapest_removal, downgrade, project
 from .exact import INV_PI_FLOAT, RationalLike, ScaleTag, SpaceSpec, Weight, horner_many
 from .families import FamilySpec
 
@@ -126,25 +127,46 @@ class FitModel:
     """A fitted polynomial sum(c_n x^n over active exponents n).
 
     ``coeffs`` are floats ready for evaluation (the family's 1/pi scale,
-    if any, already applied); ``coeffs_exact`` are the rational parts
-    behind them.  ``diagnostics`` starts empty; callers record the error
-    figures they compute there.
+    if any, already applied).  The exact rational parts behind them are
+    kept as integer ``numerators`` y_n over one positive ``denominator``
+    den, c_n = D_n y_n / den with D_n the family's monomial scale; each
+    float is one correctly rounded integer division.  ``coeffs_exact``
+    normalises them to ``Fraction``s on first read (``None`` for a
+    float-only model such as ``cli.load_model`` returns).
+    ``diagnostics`` starts empty; callers record the error figures they
+    compute there.
     """
 
     family: FamilySpec
     k: int
     exponents: tuple[int, ...]
     coeffs: tuple[float, ...]
-    coeffs_exact: tuple[Fraction, ...] | None
     removed: tuple[int, ...] = ()
     diagnostics: dict = field(default_factory=dict)
+    numerators: tuple[int, ...] | None = field(default=None, repr=False)
+    denominator: Fraction | None = field(default=None, repr=False)
 
     @classmethod
-    def from_projection(cls, s: BiorthSet, exact: tuple[Fraction, ...]) -> "FitModel":
+    def from_projection(cls, s: BiorthSet, numerators: tuple[int, ...],
+                        denominator: Fraction) -> "FitModel":
         factor = INV_PI_FLOAT if s.family.poly_scale is ScaleTag.INV_PI else 1.0
-        coeffs = tuple(float(c) * factor for c in exact)
+        d = _scales(s.family, s.k)
+        den_n, den_d = denominator.numerator, denominator.denominator
+        # int / int is correctly rounded: the same float as float(c_n)
+        coeffs = tuple((y * d[n].numerator * den_d) / (d[n].denominator * den_n)
+                       * factor for n, y in zip(s.active, numerators))
         return cls(family=s.family, k=s.k, exponents=tuple(s.active),
-                   coeffs=coeffs, coeffs_exact=exact)
+                   coeffs=coeffs, numerators=numerators, denominator=denominator)
+
+    @functools.cached_property
+    def coeffs_exact(self) -> tuple[Fraction, ...] | None:
+        """c_n as normalised ``Fraction``s, built on first read."""
+        if self.numerators is None:
+            return None
+        d = _scales(self.family, self.k)
+        den_n, den_d = self.denominator.numerator, self.denominator.denominator
+        return tuple(Fraction(y * d[n].numerator * den_d, d[n].denominator * den_n)
+                     for n, y in zip(self.exponents, self.numerators))
 
     @property
     def n_params(self) -> int:
@@ -320,7 +342,10 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
     fit projects once: removing l updates every remaining coefficient by
     the exact identity c_n <- c_n - (G[l][n] / G[l][l]) c_l, which equals
     re-projecting onto the pruned set, so the selection still sees the
-    pruned set's own coefficients every round.
+    pruned set's own coefficients every round.  The update runs on the
+    integer numerators, y_n <- (K[l][l] y_n - K[l][n] y_l) / c and
+    den <- den K[l][l] / c, with c the content ``downgrade`` divides out
+    of K; the division is exact because y = K nu.
     """
     if moments.order < k:
         raise MomentShortfallError(
@@ -332,11 +357,16 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
     removed = []
     for _ in range(removals):
         ell = cheapest_removal(s, model.coeffs)
-        r = model.coeffs_exact[s.active.index(ell)] / s.gram_entry(ell, ell)
-        exact = tuple(c - s.gram_entry(ell, n) * r
-                      for n, c in zip(s.active, model.coeffs_exact) if n != ell)
-        s = downgrade(s, ell)
-        model = FitModel.from_projection(s, exact)
+        pruned = downgrade(s, ell)
+        row_l = s.kmat[ell]
+        a = row_l[ell]
+        c = (s.q * a / pruned.q).numerator   # the content downgrade divided out
+        y_l = model.numerators[s.active.index(ell)]
+        numerators = tuple((a * y - row_l[n] * y_l) // c
+                           for n, y in zip(s.active, model.numerators) if n != ell)
+        model = FitModel.from_projection(pruned, numerators,
+                                         model.denominator * a / c)
+        s = pruned
         removed.append(ell)
     return dataclasses.replace(model, removed=tuple(removed))
 

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biopoly.biorth import (BiorthSet, LastElementError, NotActiveError,
-                            UpgradeAfterRemovalError, build, downgrade,
-                            project, select_removal, upgrade)
+                            UpgradeAfterRemovalError, build, cheapest_removal,
+                            downgrade, project, select_removal, upgrade)
 from biopoly.exact import ScaleTag, inner_monomial, inner_poly
 from biopoly.families import FamilySpec, norm_sq, rat_coeff
 from biopoly.regress import MomentShortfallError, MomentVector
@@ -468,6 +468,29 @@ def test_select_removal_near_minimal_on_random_moments(mu):
     # the float scoring may not split exact ties, but it must never pick
     # a removal that costs measurably more than the best one
     assert float(losses[chosen] - min_loss) <= 1e-12 * (1 + float(min_loss))
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=IDS)
+def test_removal_scores_divide_by_float_of_gram_fraction(fam):
+    """Scores are c_n^2 / float(G_nn) to the bit, with G_nn the ``Fraction``:
+    near an exact float tie between neighbours n < m, every ulp step of c_n
+    is decided as that score decides it, ties going to n."""
+    s = downgrade(build(fam, 16), 5)
+    ties = 0
+    for i, (n, m) in enumerate(zip(s.active, s.active[1:])):
+        g_n, g_m = float(s.gram_entry(n, n)), float(s.gram_entry(m, m))
+        target = 1.0 / g_m                  # the score of c_m = 1
+        c_n = math.sqrt(target * g_n)
+        for _ in range(8):
+            c_n = math.nextafter(c_n, 0.0)
+        for _ in range(16):
+            coeffs = [math.inf] * len(s.active)
+            coeffs[i], coeffs[i + 1] = c_n, 1.0
+            score = c_n * c_n / g_n
+            ties += score == target
+            assert cheapest_removal(s, coeffs) == (n if score <= target else m)
+            c_n = math.nextafter(c_n, math.inf)
+    assert ties
 
 
 def test_select_removal_needs_two_elements():

@@ -278,6 +278,20 @@ def test_out_of_domain_samples_exit_3(tmp_path, capsys):
     assert "lives on" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("b", ["1e400", "1e5000"])
+def test_out_of_domain_with_huge_b_exit_3(tmp_path, capsys, b):
+    # past the float range, and past the int-to-str digit limit
+    path = tmp_path / "in.csv"
+    _write_samples(path, [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+    out = tmp_path / "out"
+    rc = main(["fit", "--family", "legendre0b", "--b", b, "--k", "2",
+               "--input", str(path), "--out", str(out)])
+    assert rc == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("biopoly: ") and f"lives on [0, {b}]" in err
+    assert not out.exists()
+
+
 def test_sampled_half_line_fit_exit_3(tmp_path, capsys):
     xs = np.linspace(0.0, 10.0, 101)
     lines = "x,y\n" + "".join(f"{x},{np.exp(-x)}\n" for x in xs)

@@ -8,6 +8,7 @@ path with an answer obtained independently of the package.
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from biopoly import biorth, regress
-from biopoly.biorth import build, downgrade, project, select_removal
-from biopoly.exact import SpaceSpec, inner_monomial
+from biopoly.biorth import _scales, build, downgrade, project, select_removal
+from biopoly.exact import INV_PI_FLOAT, ScaleTag, SpaceSpec, Weight, inner_monomial
 from biopoly.families import FamilySpec
 from biopoly.regress import (DEFAULT_PANELS, EvenPanelParityError, FitModel,
                              MomentShortfallError, MomentVector,
@@ -325,6 +326,120 @@ def test_pruning_by_update_equals_reprojection(monkeypatch, fam, k, r,
     if moments_of is _tied_moments:
         # ties break to the smallest exponent, and x^5 itself survives
         assert model.removed == tuple(n for n in range(k + 1) if n != 5)[:r]
+
+
+#: the acceptance families plus a b whose scales D_n = (3/7)^n are not integral
+ORACLE_FAMILIES = [FamilySpec.legendre_shifted(1), FamilySpec.legendre_shifted(10),
+                   FamilySpec.legendre_shifted(Fraction(7, 3)), FamilySpec.laguerre(),
+                   FamilySpec.legendre_sym(), FamilySpec.chebyshev()]
+
+
+def _fraction_project(s, mv):
+    """The reference: one normalised ``Fraction`` per coefficient,
+    c_n = (K_n . nu_num) D_n / (q nu_den), as ``project`` built them before
+    it kept integer numerators."""
+    mu = mv.exact_values()
+    need = max(s.active) + 1
+    d = _scales(s.family, s.k)
+    nu = [m * dm for m, dm in zip(mu[:need], d)]
+    nu_den = math.lcm(*(x.denominator for x in nu))
+    nu_num = [x.numerator * (nu_den // x.denominator) for x in nu]
+    qn, qd = s.q.numerator, s.q.denominator
+    return tuple(Fraction(sum(map(mul, s.kmat[n], nu_num)) * d[n].numerator * qd,
+                          d[n].denominator * qn * nu_den)
+                 for n in s.active)
+
+
+@st.composite
+def _oracle_moments(draw, fam, k):
+    """Sampled (dyadic), closed-form or float-only moments of order k."""
+    kind = draw(st.sampled_from(["sampled", "closed-form", "float-only"]))
+    space = fam.space
+    if kind == "sampled" and space.weight is Weight.UNIT:
+        n = 2 * draw(st.integers(1, 20)) + 1
+        ys = draw(st.lists(st.floats(-4, 4), min_size=n, max_size=n))
+        xs = np.linspace(float(space.lo), float(space.hi), n)
+        return moments_from_samples(SampleSet(xs, np.array(ys)), space, k)
+    if kind == "sampled":  # no sample grid on this weight: dyadic values alike
+        return _rational_moments(fam, [
+            Fraction(draw(st.integers(-2 ** 400, 2 ** 400)),
+                     3 * draw(st.integers(1, 50)) << draw(st.integers(300, 700)))
+            for _ in range(k + 1)])
+    if kind == "closed-form" and space.lo == 0:
+        return moments_expdecay(space, k, Fraction(draw(st.integers(1, 8)), 4))
+    if kind == "closed-form":  # a rational polynomial target
+        poly = draw(st.lists(st.fractions(-3, 3, max_denominator=9),
+                             min_size=1, max_size=6))
+        return _rational_moments(fam, [sum(a * inner_monomial(space, e, i)
+                                           for e, a in enumerate(poly))
+                                       for i in range(k + 1)])
+    mu = draw(st.lists(st.floats(-10, 10), min_size=k + 1, max_size=k + 1))
+    return MomentVector(mu=tuple(mu), space=space, provenance="test")
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_project_numerators_match_fraction_reference(data):
+    """The integer numerators give the old per-coefficient ``Fraction``s
+    and the same float bits, after any removal sequence."""
+    fam = data.draw(st.sampled_from(ORACLE_FAMILIES))
+    k = data.draw(st.integers(0, 24))
+    s = build(fam, k)
+    for _ in range(data.draw(st.integers(0, k))):
+        s = downgrade(s, data.draw(st.sampled_from(s.active)))
+    mv = data.draw(_oracle_moments(fam, k))
+    model = project(s, mv)
+    expect = _fraction_project(s, mv)
+    assert model.coeffs_exact == expect
+    factor = INV_PI_FLOAT if fam.poly_scale is ScaleTag.INV_PI else 1.0
+    assert [c.hex() for c in model.coeffs] == [(float(c) * factor).hex()
+                                               for c in expect]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_integer_pruning_matches_fraction_update(data):
+    """fit's integer pruning gives the removals, ``Fraction``s and float
+    bits of the loop it replaced: scores from float(G_nn) and the update
+    c_n <- c_n - G_ln c_l / G_ll on normalised ``Fraction``s."""
+    fam = data.draw(st.sampled_from(ORACLE_FAMILIES))
+    k = data.draw(st.integers(0, 24))
+    r = data.draw(st.integers(0, k))
+    mom = data.draw(_oracle_moments(fam, k))
+    model = fit(fam, k, mom, removals=r)
+
+    factor = INV_PI_FLOAT if fam.poly_scale is ScaleTag.INV_PI else 1.0
+    s = build(fam, k)
+    exact = project(s, mom).coeffs_exact
+    removed = []
+    for _ in range(r):
+        floats = [float(c) * factor for c in exact]
+        scores = [c * c / float(s.gram_entry(n, n))
+                  for n, c in zip(s.active, floats)]
+        ell = s.active[scores.index(min(scores))]
+        ratio = exact[s.active.index(ell)] / s.gram_entry(ell, ell)
+        exact = tuple(c - s.gram_entry(ell, n) * ratio
+                      for n, c in zip(s.active, exact) if n != ell)
+        s = downgrade(s, ell)
+        removed.append(ell)
+    assert model.removed == tuple(removed)
+    assert model.exponents == s.active
+    assert model.coeffs_exact == exact
+    assert [c.hex() for c in model.coeffs] == [(float(c) * factor).hex()
+                                               for c in exact]
+
+
+def test_coeffs_exact_built_on_first_read():
+    """project and fit leave the ``Fraction``s unbuilt until they are read."""
+    fam = FamilySpec.legendre_shifted(1)
+    mom = _mixed_moments(fam, 12)
+    for model in (project(build(fam, 12), mom), fit(fam, 12, mom, removals=3)):
+        assert "coeffs_exact" not in model.__dict__
+        exact = model.coeffs_exact
+        assert model.__dict__["coeffs_exact"] is exact
+        assert [float(c) for c in exact] == list(model.coeffs)
+    floats_only = FitModel(family=fam, k=0, exponents=(0,), coeffs=(2.5,))
+    assert floats_only.coeffs_exact is None
 
 
 @pytest.mark.parametrize("fam,target,moments_of,kmax", [
