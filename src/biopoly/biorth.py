@@ -21,25 +21,24 @@ and G is also their Gram matrix: G[n][m] is both the coefficient of x^m
 in beta_n and <beta_n, beta_m>.  (G is the inverse of the monomial Gram
 matrix of V_k.)
 
-Integer kernel: t_j[n] = D_n c_j[n] with c_j[n] an integer, and only the
-scale D_n depends on the family: b^-n for legendre0b, 1/n! for laguerre
-and 1 for legendre and chebyshev.  A set therefore stores G as
+Integer kernel: t_j[n] = D_n c_j[n] with c_j[n] = ``families.int_coeff``
+an integer, and D_n = ``families.coeff_scale`` a scale that depends only on
+the family and the exponent.  A set therefore stores G as
 
     G = D K D / q,        K = sum_j (q d_j) c_j c_j^T,
 
-one integer matrix K and one positive rational q (at build, the least
-common multiple of the denominators of the d_j, so that every weight
+one integer matrix K and one positive rational q (for a full set, the
+least common multiple of the denominators of the d_j, so that every weight
 q d_j is an integer).  ``BiorthSet.g`` is a derived view: G as
 ``Fraction`` entries, computed from K, D and q on first use and cached.
 Four operations stay in integers:
 
-* ``build``    - add the rank-one terms of degrees 0..k.  Sets are
-  immutable, so ``build`` is memoised per (family, k) and callers share
-  one set.
 * ``upgrade``  - extend a full set from order k to k+1 by adding the one
   integer rank-one term of degree k+1 (after rescaling K when q gains a
   factor, as it does by 4 per order for legendre); no previously
   computed quantity is redone.
+* ``build``    - k+1 upgrades of the empty set of order -1 (q = 1); sets
+  are immutable, so it is memoised per (family, k) and callers share one.
 * ``downgrade`` - remove one monomial exponent l from the active set by a
   single fraction-free elimination step
 
@@ -56,7 +55,7 @@ Four operations stay in integers:
 * ``project``  - c_n = D_n y_n / den with y_n = sum_m K[n][m] nu_m, where
   nu / nu_den = D mu brings the moments to one denominator once per call
   and den = q nu_den.  Each numerator y_n is one integer dot product with
-  a row of K; the model keeps these integers and their one denominator,
+  a row of K; the ``FitModel`` keeps them and their one denominator,
   rounds c_n to float by one correctly rounded integer division, and
   normalises the ``Fraction`` coefficients only when they are read.
 
@@ -66,9 +65,10 @@ fraction-free step of ``downgrade``:
 
     y_n' = (K[l][l] y_n - K[l][n] y_l) / c,        den' = den K[l][l] / c,
 
-exact because y' = K' nu.  So a greedy pruning loop projects once and
-updates its integers (``regress.fit``).  ``select_removal`` and that loop
-rank removals with one scoring helper, ``cheapest_removal``.
+exact because y' = K' nu.  So a greedy pruning loop (``regress.fit``)
+projects once and takes this step (``_prune``) per removal.
+``select_removal`` and that loop rank removals with one scoring helper,
+``cheapest_removal``.
 
 For parity-support families t_j[n] vanishes unless j - n is even, so G is
 zero between exponents of opposite parity.  For Chebyshev sets all stored
@@ -80,16 +80,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .exact import ExactPoly
-from .families import FamilyKind, FamilySpec, norm_sq, rat_coeff
+import numpy as np
+
+from .exact import INV_PI_FLOAT, ExactPoly, ScaleTag, horner_many
+from .families import FamilySpec, coeff_scale, int_coeff, norm_sq
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .regress import FitModel, MomentVector
+    from .regress import MomentVector
 
 
 class UpgradeAfterRemovalError(ValueError):
@@ -102,6 +104,10 @@ class NotActiveError(KeyError):
 
 class LastElementError(ValueError):
     """Refusing to downgrade a set with a single active element."""
+
+
+class MomentShortfallError(ValueError):
+    """Fewer moments supplied than the construction order needs."""
 
 
 @dataclass(frozen=True)
@@ -121,10 +127,6 @@ class BiorthSet:
     kmat: tuple[tuple[int, ...], ...]
     q: Fraction
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.active) == self.k + 1
-
     @functools.cached_property
     def g(self) -> tuple[tuple[Fraction, ...], ...]:
         """G as exact rationals: a view derived from K, D and q."""
@@ -141,26 +143,19 @@ class BiorthSet:
         """Exact <beta_n, beta_m> (rational part; /pi implied for Chebyshev)."""
         if n not in self.active or m not in self.active:
             raise NotActiveError((n, m))
-        d = _scales(self.family, self.k)
-        return self.kmat[n][m] * (d[n] * d[m]) / self.q
+        return self.g[n][m]
 
 
 @functools.cache
 def _scales(fam: FamilySpec, k: int) -> tuple[Fraction, ...]:
     """D_0..D_k: the family's factor of each monomial coefficient."""
-    if fam.kind is FamilyKind.LEGENDRE_SHIFTED:
-        return tuple(1 / fam.b ** n for n in range(k + 1))
-    if fam.kind is FamilyKind.LAGUERRE:
-        return tuple(Fraction(1, math.factorial(n)) for n in range(k + 1))
-    return (Fraction(1),) * (k + 1)
+    return tuple(coeff_scale(fam, n) for n in range(k + 1))
 
 
 @functools.cache
 def _integer_row(fam: FamilySpec, j: int) -> tuple[int, ...]:
-    """c_j: the coefficients of x^0..x^j in p_j over D, integers (memoised)."""
-    row = [rat_coeff(fam, j, n) / dn for n, dn in enumerate(_scales(fam, j))]
-    assert all(c.denominator == 1 for c in row), (fam, j)
-    return tuple(c.numerator for c in row)
+    """c_j: the integer coefficients of x^0..x^j in p_j over D (memoised)."""
+    return tuple(int_coeff(fam, j, n) for n in range(j + 1))
 
 
 def _add_term(kmat: list[list[int]], w: int, c: Sequence[int]) -> None:
@@ -174,23 +169,15 @@ def _add_term(kmat: list[list[int]], w: int, c: Sequence[int]) -> None:
             kmat[m][n] = row[m]
 
 
-def _full_set(fam: FamilySpec, kmat: list[list[int]], q: int) -> BiorthSet:
-    k = len(kmat) - 1
-    return BiorthSet(fam, k, tuple(range(k + 1)), tuple(map(tuple, kmat)),
-                     Fraction(q))
-
-
 @functools.cache
 def build(fam: FamilySpec, k: int) -> BiorthSet:
-    """Construct the full biorthogonal set of order k (memoised)."""
+    """The full set of order k: k+1 upgrades of the empty set (memoised)."""
     if k < 0:
         raise ValueError("order k must be nonnegative")
-    d = [norm_sq(fam, j) for j in range(k + 1)]
-    q = math.lcm(*(dj.denominator for dj in d))
-    kmat = [[0] * (k + 1) for _ in range(k + 1)]
-    for j, dj in enumerate(d):
-        _add_term(kmat, (q * dj).numerator, _integer_row(fam, j))
-    return _full_set(fam, kmat, q)
+    s = BiorthSet(fam, -1, (), (), Fraction(1))
+    for _ in range(k + 1):
+        s = upgrade(s)
+    return s
 
 
 def upgrade(s: BiorthSet) -> BiorthSet:
@@ -200,7 +187,7 @@ def upgrade(s: BiorthSet) -> BiorthSet:
     multiple of p_{k+1}: both are the rank-one term of degree k+1, added
     to the padded matrix.
     """
-    if not s.is_full:
+    if len(s.active) != s.k + 1:
         raise UpgradeAfterRemovalError(
             "cannot upgrade a set after removals; rebuild at the new order")
     j = s.k + 1
@@ -210,7 +197,8 @@ def upgrade(s: BiorthSet) -> BiorthSet:
     kmat = [[f * x for x in row] + [0] for row in s.kmat]
     kmat.append([0] * (j + 1))
     _add_term(kmat, (q * d).numerator, _integer_row(s.family, j))
-    return _full_set(s.family, kmat, q)
+    return BiorthSet(s.family, j, tuple(range(j + 1)), tuple(map(tuple, kmat)),
+                     Fraction(q))
 
 
 def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
@@ -238,21 +226,78 @@ def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
     return BiorthSet(s.family, s.k, active, kmat, s.q * a / c)
 
 
-def project(s: BiorthSet, moments: "MomentVector") -> "FitModel":
+@dataclass(frozen=True)
+class FitModel:
+    """A fitted polynomial sum(c_n x^n over active exponents n).
+
+    ``coeffs`` are floats ready for evaluation (the family's 1/pi scale,
+    if any, already applied).  The exact rational parts behind them are
+    kept as integer ``numerators`` y_n over one positive ``denominator``
+    den, c_n = D_n y_n / den with D_n the family's monomial scale; each
+    float is one correctly rounded integer division.  ``coeffs_exact``
+    normalises them to ``Fraction``s on first read (``None`` for a
+    float-only model such as ``cli.load_model`` returns).
+    ``diagnostics`` starts empty; callers record the error figures they
+    compute there.
+    """
+
+    family: FamilySpec
+    k: int
+    exponents: tuple[int, ...]
+    coeffs: tuple[float, ...]
+    removed: tuple[int, ...] = ()
+    diagnostics: dict = field(default_factory=dict)
+    numerators: tuple[int, ...] | None = field(default=None, repr=False)
+    denominator: Fraction | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_projection(cls, s: BiorthSet, numerators: tuple[int, ...],
+                        denominator: Fraction) -> "FitModel":
+        factor = INV_PI_FLOAT if s.family.poly_scale is ScaleTag.INV_PI else 1.0
+        d = _scales(s.family, s.k)
+        den_n, den_d = denominator.numerator, denominator.denominator
+        # int / int is correctly rounded: the same float as float(c_n)
+        coeffs = tuple((y * d[n].numerator * den_d) / (d[n].denominator * den_n)
+                       * factor for n, y in zip(s.active, numerators))
+        return cls(family=s.family, k=s.k, exponents=tuple(s.active),
+                   coeffs=coeffs, numerators=numerators, denominator=denominator)
+
+    @functools.cached_property
+    def coeffs_exact(self) -> tuple[Fraction, ...] | None:
+        """c_n as normalised ``Fraction``s, built on first read."""
+        if self.numerators is None:
+            return None
+        d = _scales(self.family, self.k)
+        den_n, den_d = self.denominator.numerator, self.denominator.denominator
+        return tuple(Fraction(y * d[n].numerator * den_d, d[n].denominator * den_n)
+                     for n, y in zip(self.exponents, self.numerators))
+
+    @property
+    def n_params(self) -> int:
+        return len(self.exponents)
+
+    def dense_coeffs(self) -> np.ndarray:
+        """Float coefficients on the full 0..k exponent range (zeros filled)."""
+        dense = np.zeros(self.k + 1)
+        for n, c in zip(self.exponents, self.coeffs):
+            dense[n] = c
+        return dense
+
+    def __call__(self, xs) -> np.ndarray:
+        return horner_many(self.dense_coeffs(), np.asarray(xs, dtype=float))
+
+
+def project(s: BiorthSet, moments: "MomentVector") -> FitModel:
     """Least-squares coefficients <f, beta_n> for all active n.
 
     The dot products are exact (float moments are promoted to the
     rationals they already are) and fraction-free: the numerators of
     D mu over one common denominator, dotted with an integer row of K,
-    give one integer numerator per coefficient over one shared
-    denominator.  Each coefficient is rounded to float exactly once, and
-    the ``Fraction``s are built only if ``coeffs_exact`` is read.  So the
-    huge cancellations inside high-order beta rows cost no precision:
+    give the model's integer numerators over one shared denominator.  So
+    the huge cancellations inside high-order beta rows cost no precision:
     order ~36 fits come out clean where solved normal equations lose
     everything.
     """
-    from .regress import FitModel, MomentShortfallError
-
     mu = moments.exact_values()
     need = max(s.active) + 1
     if len(mu) < need:
@@ -268,6 +313,21 @@ def project(s: BiorthSet, moments: "MomentVector") -> "FitModel":
     # c_n = D_n (K_n . nu_num) / (q nu_den)
     numerators = tuple(sum(map(mul, s.kmat[n], nu_num)) for n in s.active)
     return FitModel.from_projection(s, numerators, s.q * nu_den)
+
+
+def _prune(s: BiorthSet, model: FitModel,
+           ell: int) -> tuple[BiorthSet, FitModel]:
+    """``downgrade(s, ell)`` and the projection onto it, by the same step
+    on the numerators of ``model``, the projection onto ``s``."""
+    pruned = downgrade(s, ell)
+    row_l = s.kmat[ell]
+    a = row_l[ell]
+    c = (s.q * a / pruned.q).numerator   # the content downgrade divided out
+    y_l = model.numerators[s.active.index(ell)]
+    numerators = tuple((a * y - row_l[n] * y_l) // c
+                       for n, y in zip(s.active, model.numerators) if n != ell)
+    return pruned, FitModel.from_projection(pruned, numerators,
+                                            model.denominator * a / c)
 
 
 def cheapest_removal(s: BiorthSet, coeffs: Sequence[float]) -> int:

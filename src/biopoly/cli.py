@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 unusable input (malformed or non-UTF-8 CSV,
 non-finite values, bad flags, values that overflow the float range, exact
 coefficients too long to print, an output directory that cannot be
 created or written), 3 family/domain
-mismatch (samples outside the family's interval, or a family that cannot
-fit from sampled data at all).
+mismatch (samples outside the family's interval or not spanning all of it,
+or a family that cannot fit from sampled data at all).
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def _cmd_fit(args) -> int:
         mom = moments_from_samples(samples, fam.space, args.k)
         model = fit(fam, args.k, mom, removals=args.removals)
     except UnsupportedSpaceError as exc:
-        raise CliError(EXIT_DOMAIN, f"family {fam.describe()}: {exc}")
+        raise CliError(EXIT_DOMAIN, f"family {_where(fam, args.b)}: {exc}")
     except (NonUniformGridError, EvenPanelParityError) as exc:
         raise CliError(EXIT_BAD_INPUT, f"{args.input}: {exc}")
     except OverflowError:

@@ -15,13 +15,14 @@ arithmetic; instead it is tracked symbolically by two conventions:
 
 ``inner_poly`` combines both bookkeeping rules and only returns a value when
 the pi factors cancel to a pure rational; otherwise it raises
-:class:`ScaleMismatchError`.  Floating point enters exclusively through the
-``horner_many`` evaluator.  It uses compensated Horner summation, which is
-as accurate as Horner in twice the working precision: about 1 ulp while the
-condition number of p at x stays below about 2**53, and worse beyond.  The
-cancelling monomial coefficients of a high-order fit on [0, b] go past that,
-and there the limit is the rounding of the coefficients to double before
-evaluation, not the summation.
+:class:`ScaleMismatchError`.  Floats enter as quadrature moments, as the
+coefficients ``FitModel`` rounds to double once, and in the ``horner_many``
+evaluator.  It uses compensated Horner summation, as accurate as Horner in
+twice the working precision: about 1 ulp while the condition number of p
+at x stays below about 2**53, and worse beyond.  The cancelling monomial
+coefficients of a high-order fit on [0, b] go past that, and there the
+limit is the rounding of the coefficients to double before evaluation, not
+the summation.
 """
 
 from __future__ import annotations

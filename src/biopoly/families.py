@@ -9,9 +9,11 @@ Four families are supported, two per structural type:
     - Legendre on [-1, 1] with unit weight;
     - Chebyshev on [-1, 1] with weight 1/sqrt(1-x^2).
 
-Each coefficient a^j is stored split as ``rat * s_j`` where ``rat`` is an
-exact rational and ``s_j = sqrt(norm_sq_j)`` is a per-degree normalisation
-shared by the whole row.  Only ``norm_sq_j`` (rational) is ever stored; an
+Each coefficient a_e^j of x^e is stored split as ``c * D_e * s_j``: ``c``
+an integer (``int_coeff``), ``D_e`` an exact rational scale of the exponent
+alone (``coeff_scale``: b^-e, 1/e! or 1) and ``s_j = sqrt(norm_sq_j)`` a
+per-degree normalisation shared by the whole row; ``rat_coeff`` is the
+rational part c D_e.  Only ``norm_sq_j`` (rational) is ever stored; an
 isolated square root never appears, and every quantity the package derives
 downstream multiplies two coefficients of the same degree, so the result
 stays rational.  For Chebyshev, ``norm_sq_j`` follows the module-wide pi
@@ -116,36 +118,44 @@ def norm_sq(fam: FamilySpec, j: int) -> Fraction:
     return Fraction(1) if j == 0 else Fraction(2)
 
 
-def rat_coeff(fam: FamilySpec, j: int, exponent: int) -> Fraction:
-    """Rational part of the coefficient of x^exponent in p_j.
-
-    Zero when the exponent is out of range or of the wrong parity for a
-    parity-support family,
-    so callers can sum over support without case analysis.
-    """
+def int_coeff(fam: FamilySpec, j: int, e: int) -> int:
+    """c, the integer in the coefficient c D_e s_j of x^e in p_j; zero off
+    the row's support (e out of range or of the wrong parity)."""
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    e = exponent
     if e < 0 or e > j:
-        return Fraction(0)
+        return 0
     k = fam.kind
     if k is FamilyKind.LEGENDRE_SHIFTED:
         sign = -1 if (e + j) % 2 else 1
-        return Fraction(sign * math.comb(j, e) * math.comb(j + e, e)) / fam.b ** e
+        return sign * math.comb(j, e) * math.comb(j + e, e)
     if k is FamilyKind.LAGUERRE:
-        sign = -1 if e % 2 else 1
-        return Fraction(sign * math.comb(j, e), math.factorial(e))
+        return -math.comb(j, e) if e % 2 else math.comb(j, e)
     if (j - e) % 2:
-        return Fraction(0)
+        return 0
     l = (j - e) // 2
-    if k is FamilyKind.LEGENDRE_SYM:
-        sign = -1 if l % 2 else 1
-        return Fraction(sign * math.comb(j, l) * math.comb(2 * j - 2 * l, j))
-    if j == 0:
-        return Fraction(1)
     sign = -1 if l % 2 else 1
-    num = sign * j * 2 ** (j - 2 * l) * math.factorial(j - l - 1)
-    return Fraction(num, 2 * math.factorial(l) * math.factorial(j - 2 * l))
+    if k is FamilyKind.LEGENDRE_SYM:
+        return sign * math.comb(j, l) * math.comb(2 * j - 2 * l, j)
+    if j == 0:
+        return 1
+    return sign * (j * 2 ** (j - 2 * l) * math.factorial(j - l - 1)
+                   // (2 * math.factorial(l) * math.factorial(j - 2 * l)))
+
+
+def coeff_scale(fam: FamilySpec, e: int) -> Fraction:
+    """D_e: the family's factor of every coefficient of x^e."""
+    if fam.kind is FamilyKind.LEGENDRE_SHIFTED:
+        return 1 / fam.b ** e
+    if fam.kind is FamilyKind.LAGUERRE:
+        return Fraction(1, math.factorial(e))
+    return Fraction(1)
+
+
+def rat_coeff(fam: FamilySpec, j: int, exponent: int) -> Fraction:
+    """Rational part of the coefficient of x^exponent in p_j."""
+    c = int_coeff(fam, j, exponent)
+    return c * coeff_scale(fam, exponent) if c else Fraction(0)
 
 
 def verify_orthonormal(fam: FamilySpec, kmax: int) -> list[tuple[int, int, Fraction]]:

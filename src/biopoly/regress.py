@@ -26,17 +26,17 @@ to the quantities reported here.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Union
 
 import numpy as np
 
-from .biorth import BiorthSet, _scales, build, cheapest_removal, downgrade, project
-from .exact import INV_PI_FLOAT, RationalLike, ScaleTag, SpaceSpec, Weight, horner_many
+from .biorth import (FitModel, MomentShortfallError, _prune, build,
+                     cheapest_removal, project)
+from .exact import RationalLike, SpaceSpec, Weight
 from .families import FamilySpec
 
 #: panel count of the composite Simpson rule over a bounded or Chebyshev space
@@ -57,10 +57,6 @@ class NonUniformGridError(ValueError):
 
 class EvenPanelParityError(ValueError):
     """Composite Simpson needs an odd number of points (even panel count)."""
-
-
-class MomentShortfallError(ValueError):
-    """Fewer moments supplied than the construction order needs."""
 
 
 # ----------------------------------------------------------------------
@@ -122,67 +118,6 @@ class MomentVector:
         return tuple(Fraction(m) for m in self.mu)
 
 
-@dataclass(frozen=True)
-class FitModel:
-    """A fitted polynomial sum(c_n x^n over active exponents n).
-
-    ``coeffs`` are floats ready for evaluation (the family's 1/pi scale,
-    if any, already applied).  The exact rational parts behind them are
-    kept as integer ``numerators`` y_n over one positive ``denominator``
-    den, c_n = D_n y_n / den with D_n the family's monomial scale; each
-    float is one correctly rounded integer division.  ``coeffs_exact``
-    normalises them to ``Fraction``s on first read (``None`` for a
-    float-only model such as ``cli.load_model`` returns).
-    ``diagnostics`` starts empty; callers record the error figures they
-    compute there.
-    """
-
-    family: FamilySpec
-    k: int
-    exponents: tuple[int, ...]
-    coeffs: tuple[float, ...]
-    removed: tuple[int, ...] = ()
-    diagnostics: dict = field(default_factory=dict)
-    numerators: tuple[int, ...] | None = field(default=None, repr=False)
-    denominator: Fraction | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_projection(cls, s: BiorthSet, numerators: tuple[int, ...],
-                        denominator: Fraction) -> "FitModel":
-        factor = INV_PI_FLOAT if s.family.poly_scale is ScaleTag.INV_PI else 1.0
-        d = _scales(s.family, s.k)
-        den_n, den_d = denominator.numerator, denominator.denominator
-        # int / int is correctly rounded: the same float as float(c_n)
-        coeffs = tuple((y * d[n].numerator * den_d) / (d[n].denominator * den_n)
-                       * factor for n, y in zip(s.active, numerators))
-        return cls(family=s.family, k=s.k, exponents=tuple(s.active),
-                   coeffs=coeffs, numerators=numerators, denominator=denominator)
-
-    @functools.cached_property
-    def coeffs_exact(self) -> tuple[Fraction, ...] | None:
-        """c_n as normalised ``Fraction``s, built on first read."""
-        if self.numerators is None:
-            return None
-        d = _scales(self.family, self.k)
-        den_n, den_d = self.denominator.numerator, self.denominator.denominator
-        return tuple(Fraction(y * d[n].numerator * den_d, d[n].denominator * den_n)
-                     for n, y in zip(self.exponents, self.numerators))
-
-    @property
-    def n_params(self) -> int:
-        return len(self.exponents)
-
-    def dense_coeffs(self) -> np.ndarray:
-        """Float coefficients on the full 0..k exponent range (zeros filled)."""
-        dense = np.zeros(self.k + 1)
-        for n, c in zip(self.exponents, self.coeffs):
-            dense[n] = c
-        return dense
-
-    def __call__(self, xs) -> np.ndarray:
-        return horner_many(self.dense_coeffs(), np.asarray(xs, dtype=float))
-
-
 # ----------------------------------------------------------------------
 # moment sources
 # ----------------------------------------------------------------------
@@ -192,7 +127,8 @@ def moments_from_samples(samples: SampleSet, space: SpaceSpec,
     """Composite-Simpson moments of sampled data on a uniform grid.
 
     Only bounded intervals with unit weight make sense here (a finite grid
-    cannot carry a half-line integral); anything else raises
+    cannot carry a half-line integral), and the grid must run from end to
+    end (to ``UNIFORM_GRID_RTOL`` of a step); anything else raises
     :class:`UnsupportedSpaceError`.  The Simpson sum is exact over the
     samples' binary float values: x and y are integers over one power of
     two each, so a moment is one integer sum, divided once.  Repeated runs
@@ -207,6 +143,11 @@ def moments_from_samples(samples: SampleSet, space: SpaceSpec,
     if not np.allclose(np.diff(xs), h, rtol=UNIFORM_GRID_RTOL,
                        atol=abs(h) * UNIFORM_GRID_RTOL):
         raise NonUniformGridError("sample grid is not uniform")
+    tol = abs(h) * UNIFORM_GRID_RTOL       # compared exactly, even for a huge b
+    if max(abs(Fraction(xs[0]) - space.lo), abs(Fraction(xs[-1]) - space.hi)) > tol:
+        raise UnsupportedSpaceError(
+            f"samples span [{xs[0]:g}, {xs[-1]:g}], not the whole interval; "
+            "their moments would fit the data extended by zero")
 
     xi, ex = _dyadic(xs)
     yi, ey = _dyadic(samples.ys)
@@ -339,13 +280,10 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
 
     Each removal step picks the exponent whose deletion costs the least
     squared error on the current (already pruned) set and drops it.  The
-    fit projects once: removing l updates every remaining coefficient by
-    the exact identity c_n <- c_n - (G[l][n] / G[l][l]) c_l, which equals
-    re-projecting onto the pruned set, so the selection still sees the
-    pruned set's own coefficients every round.  The update runs on the
-    integer numerators, y_n <- (K[l][l] y_n - K[l][n] y_l) / c and
-    den <- den K[l][l] / c, with c the content ``downgrade`` divides out
-    of K; the division is exact because y = K nu.
+    fit projects once: ``biorth._prune`` updates the remaining integer
+    numerators by an exact identity that equals re-projecting onto the
+    pruned set, so the selection still sees the pruned set's own
+    coefficients every round.
     """
     if moments.order < k:
         raise MomentShortfallError(
@@ -357,16 +295,7 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
     removed = []
     for _ in range(removals):
         ell = cheapest_removal(s, model.coeffs)
-        pruned = downgrade(s, ell)
-        row_l = s.kmat[ell]
-        a = row_l[ell]
-        c = (s.q * a / pruned.q).numerator   # the content downgrade divided out
-        y_l = model.numerators[s.active.index(ell)]
-        numerators = tuple((a * y - row_l[n] * y_l) // c
-                           for n, y in zip(s.active, model.numerators) if n != ell)
-        model = FitModel.from_projection(pruned, numerators,
-                                         model.denominator * a / c)
-        s = pruned
+        s, model = _prune(s, model, ell)
         removed.append(ell)
     return dataclasses.replace(model, removed=tuple(removed))
 

@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biopoly.biorth import (BiorthSet, LastElementError, NotActiveError,
-                            UpgradeAfterRemovalError, build, cheapest_removal,
-                            downgrade, project, select_removal, upgrade)
+                            UpgradeAfterRemovalError, _integer_row, build,
+                            cheapest_removal, downgrade, project,
+                            select_removal, upgrade)
 from biopoly.exact import ScaleTag, inner_monomial, inner_poly
 from biopoly.families import FamilySpec, norm_sq, rat_coeff
 from biopoly.regress import MomentShortfallError, MomentVector
@@ -163,6 +164,7 @@ def test_build_rejects_negative_order():
 # ----------------------------------------------------------------------
 
 KERNEL_FAMILIES = ALL_FAMILIES + [FamilySpec.legendre_shifted(Fraction(7, 3))]
+KERNEL_IDS = [f.describe() for f in KERNEL_FAMILIES]
 
 
 def _ref_add_degree(fam, g, j):
@@ -224,6 +226,37 @@ def test_integer_kernel_matches_fraction_reference(fam, k, data):
         assert math.gcd(*(x for row in s.kmat for x in row)) == 1
 
 
+def _direct_build(fam, k):
+    """K and q as one direct sum over the degrees 0..k, with q the lcm of
+    the denominators of d_0..d_k: a reference for ``build``, which reaches
+    the same set by k+1 upgrades."""
+    d = [norm_sq(fam, j) for j in range(k + 1)]
+    q = math.lcm(*(dj.denominator for dj in d))
+    kmat = [[0] * (k + 1) for _ in range(k + 1)]
+    for j, dj in enumerate(d):
+        w = (q * dj).numerator
+        c = _integer_row(fam, j)
+        for n, cn in enumerate(c):
+            for m, cm in enumerate(c):
+                kmat[n][m] += w * cn * cm
+    return tuple(map(tuple, kmat)), Fraction(q)
+
+
+@pytest.mark.parametrize("k", [0, 1, 17, 36, 64])
+@pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=KERNEL_IDS)
+def test_build_equals_direct_sum(fam, k):
+    s = build(fam, k)
+    assert (s.kmat, s.q) == _direct_build(fam, k)
+
+
+@pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=KERNEL_IDS)
+def test_integer_rows_are_ints(fam):
+    for j in range(65):
+        row = _integer_row(fam, j)
+        assert len(row) == j + 1
+        assert all(type(c) is int for c in row), j
+
+
 # ----------------------------------------------------------------------
 # the build memo
 # ----------------------------------------------------------------------
@@ -240,8 +273,7 @@ def test_build_is_memoised_per_family_and_order():
             build(fam, -1)
 
 
-@pytest.mark.parametrize("fam", KERNEL_FAMILIES,
-                         ids=[f.describe() for f in KERNEL_FAMILIES])
+@pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=KERNEL_IDS)
 def test_editing_a_cached_set_leaves_it_unchanged(fam):
     s = build(fam, 6)
     upgrade(s)

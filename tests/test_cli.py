@@ -193,13 +193,15 @@ def test_float_overflow_is_bad_input(tmp_path, capsys, b, k, ys, message):
 
 
 def test_fit_too_many_digits_is_bad_input(tmp_path, capsys):
-    # at b = 1e60 the order-64 exact coefficients run past the
-    # interpreter's int-to-str digit limit
+    # b = 1 + 10^-80 carries 81 digits above and below, so the order-64
+    # exact coefficients run past the interpreter's int-to-str digit limit;
+    # a grid over [0, 1] spans [0, b] to well within a step
     path = tmp_path / "unit.csv"
     xs = np.linspace(0.0, 1.0, 101)
     _write_samples(path, xs, np.cos(3.0 * xs))
     out = tmp_path / "out"
-    rc = main(["fit", "--family", "legendre0b", "--b", "1e60", "--k", "64",
+    b = f"{10 ** 80 + 1}/{10 ** 80}"
+    rc = main(["fit", "--family", "legendre0b", "--b", b, "--k", "64",
                "--input", str(path), "--out", str(out)])
     assert rc == EXIT_BAD_INPUT
     err = capsys.readouterr().err
@@ -289,6 +291,22 @@ def test_out_of_domain_with_huge_b_exit_3(tmp_path, capsys, b):
     assert rc == EXIT_DOMAIN
     err = capsys.readouterr().err
     assert err.startswith("biopoly: ") and f"lives on [0, {b}]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("b, lo, hi", [(None, 0.25, 0.75), ("1e5000", 0.0, 1.0)],
+                         ids=["middle-half", "huge-b"])
+def test_samples_not_spanning_the_interval_exit_3(tmp_path, capsys, b, lo, hi):
+    # their moments would fit y = 1 extended by zero over the rest of [0, b]
+    path = tmp_path / "in.csv"
+    xs = np.linspace(lo, hi, 201)
+    _write_samples(path, xs, np.ones_like(xs))
+    out = tmp_path / "out"
+    argv = ["fit", "--family", "legendre0b", "--k", "4",
+            "--input", str(path), "--out", str(out)]
+    assert main(argv + (["--b", b] if b else [])) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("biopoly: ") and "not the whole interval" in err
     assert not out.exists()
 
 

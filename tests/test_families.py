@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from biopoly.cli import MAX_ORDER
 from biopoly.exact import SpaceSpec, Weight, inner_monomial
 from biopoly.families import (FamilyKind, FamilySpec, norm_sq, rat_coeff,
                               verify_orthonormal)
@@ -91,13 +92,15 @@ def _pad(p, n):
 
 
 KMAX = 12
+#: the recurrence oracles run through the largest order the CLI fits
+ORACLE_KMAX = MAX_ORDER
 
 
 @pytest.mark.parametrize("b", [1, 10, Fraction(1, 2)])
 def test_shifted_legendre_coeffs_match_recurrence(b):
     fam = FamilySpec.legendre_shifted(b)
-    oracle = _shifted_legendre_polys(KMAX + 1, b)
-    for j in range(KMAX + 1):
+    oracle = _shifted_legendre_polys(ORACLE_KMAX + 1, b)
+    for j in range(ORACLE_KMAX + 1):
         p = _pad(oracle[j], j + 1)
         for e in range(j + 1):
             assert rat_coeff(fam, j, e) == p[e], (j, e)
@@ -106,8 +109,8 @@ def test_shifted_legendre_coeffs_match_recurrence(b):
 
 def test_symmetric_legendre_coeffs_match_recurrence():
     fam = FamilySpec.legendre_sym()
-    oracle = _legendre_polys(KMAX + 1)
-    for j in range(KMAX + 1):
+    oracle = _legendre_polys(ORACLE_KMAX + 1)
+    for j in range(ORACLE_KMAX + 1):
         p = _pad(oracle[j], j + 1)
         # split representation stores rat = 2^j [x^e] P_j
         for e in range(j + 1):
@@ -117,8 +120,8 @@ def test_symmetric_legendre_coeffs_match_recurrence():
 
 def test_chebyshev_coeffs_match_recurrence():
     fam = FamilySpec.chebyshev()
-    oracle = _chebyshev_polys(KMAX + 1)
-    for j in range(KMAX + 1):
+    oracle = _chebyshev_polys(ORACLE_KMAX + 1)
+    for j in range(ORACLE_KMAX + 1):
         p = _pad(oracle[j], j + 1)
         for e in range(j + 1):
             assert rat_coeff(fam, j, e) == p[e], (j, e)
@@ -127,8 +130,8 @@ def test_chebyshev_coeffs_match_recurrence():
 
 def test_laguerre_coeffs_match_recurrence():
     fam = FamilySpec.laguerre()
-    oracle = _laguerre_polys(KMAX + 1)
-    for j in range(KMAX + 1):
+    oracle = _laguerre_polys(ORACLE_KMAX + 1)
+    for j in range(ORACLE_KMAX + 1):
         p = _pad(oracle[j], j + 1)
         for e in range(j + 1):
             assert rat_coeff(fam, j, e) == p[e], (j, e)

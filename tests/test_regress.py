@@ -20,7 +20,8 @@ from biopoly import biorth, regress
 from biopoly.biorth import _scales, build, downgrade, project, select_removal
 from biopoly.exact import INV_PI_FLOAT, ScaleTag, SpaceSpec, Weight, inner_monomial
 from biopoly.families import FamilySpec
-from biopoly.regress import (DEFAULT_PANELS, EvenPanelParityError, FitModel,
+from biopoly.regress import (DEFAULT_PANELS, UNIFORM_GRID_RTOL,
+                             EvenPanelParityError, FitModel,
                              MomentShortfallError, MomentVector,
                              NonUniformGridError,
                              SampleSet, UnsupportedSpaceError, bic_score, fit,
@@ -189,6 +190,40 @@ def test_sample_moment_input_validation():
                              SpaceSpec.bounded(0, 1), 1)
     with pytest.raises(UnsupportedSpaceError):
         moments_from_samples(SampleSet(xs, xs), SpaceSpec.half_line(), 1)
+
+
+@pytest.mark.parametrize("fam, lo, hi", [
+    (FamilySpec.legendre_shifted(1), 0.25, 0.75),
+    (FamilySpec.legendre_shifted(1), 0.0, 0.75),
+    (FamilySpec.legendre_shifted(10), 0.0, 1.0),
+    (FamilySpec.legendre_sym(), -1.0, 0.5),
+    (FamilySpec.legendre_sym(), -2.0, 1.0),
+], ids=["inside-both-ends", "short-right", "b10-unit-grid", "sym-short-right",
+        "past-left"])
+def test_sample_grid_must_span_the_interval(fam, lo, hi):
+    """Moments over part of the interval would fit the data extended by zero."""
+    samples = SampleSet(np.linspace(lo, hi, 201), np.ones(201))
+    with pytest.raises(UnsupportedSpaceError, match="not the whole interval"):
+        moments_from_samples(samples, fam.space, 4)
+
+
+@pytest.mark.parametrize("gap, ok", [(0.5, True), (2.0, False)])
+def test_sample_grid_ends_within_a_fraction_of_a_step(gap, ok):
+    """The ends may miss lo and hi by UNIFORM_GRID_RTOL of a step, no more."""
+    h = 1.0 / 200
+    xs = np.linspace(gap * UNIFORM_GRID_RTOL * h, 1.0, 201)
+    samples = SampleSet(xs, np.ones(201))
+    if ok:
+        assert moments_from_samples(samples, SpaceSpec.bounded(0, 1), 2).order == 2
+    else:
+        with pytest.raises(UnsupportedSpaceError):
+            moments_from_samples(samples, SpaceSpec.bounded(0, 1), 2)
+
+
+def test_fit_format_lives_in_biorth():
+    """``regress`` re-exports the fit format that ``biorth.project`` builds."""
+    assert regress.FitModel is biorth.FitModel
+    assert regress.MomentShortfallError is biorth.MomentShortfallError
 
 
 def test_sample_set_validation():
