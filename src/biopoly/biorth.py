@@ -53,11 +53,23 @@ Four operations stay in integers:
   a minor of the full set's K that gains about K's bit size per removal;
   dividing out the whole content removes most of that growth.
 * ``project``  - c_n = D_n y_n / den with y_n = sum_m K[n][m] nu_m, where
-  nu / nu_den = D mu brings the moments to one denominator once per call
-  and den = q nu_den.  Each numerator y_n is one integer dot product with
-  a row of K; the ``FitModel`` keeps them and their one denominator,
+  nu / nu_den = D mu brings the moments to one denominator and
+  den = q nu_den.  Each numerator y_n is one integer dot product with a
+  row of K; the ``FitModel`` keeps them and their one denominator,
   rounds c_n to float by one correctly rounded integer division, and
   normalises the ``Fraction`` coefficients only when they are read.
+  The projection of a full set is carried across an ``upgrade`` to order
+  k+1: with f = q'/q and w c c^T the upgrade's rescale and new term (c the
+  integer row of degree k+1), and g = nu_den'/nu_den the growth of the
+  prefix lcm of the denominators of D mu,
+
+      y_n' = f g y_n + w c_n z  (n <= k),   y_{k+1}' = w c_{k+1} z,
+
+  with z = c . nu' one dot product instead of k+2; the integers are the
+  same.  One module-level slot holds what that needs: a weak reference
+  to the last moment vector projected, its D mu over one denominator with
+  the prefix lcms, and the last full-set projection of it.  Any other
+  set, a pruned one included, takes the product.
 
 Removing l changes every remaining coefficient by the same exact identity,
 c_n <- c_n - (G[l][n] / G[l][l]) c_l, which on the numerators is the
@@ -80,8 +92,10 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -287,6 +301,49 @@ class FitModel:
         return horner_many(self.dense_coeffs(), np.asarray(xs, dtype=float))
 
 
+def _require_moments(moments: "MomentVector", top: int) -> None:
+    """Raise ``MomentShortfallError`` unless ``moments`` reach exponent ``top``."""
+    if moments.order < top:
+        raise MomentShortfallError(
+            f"exponents up to {top} need moments up to {top}, "
+            f"got {moments.order}")
+
+
+def _scaled_moments(fam: FamilySpec, moments: "MomentVector"
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """D mu for the whole vector: integer numerators over the lcm L of
+    all its denominators, and the prefix lcms L_0..L_n (L_n = L)."""
+    nu = list(map(mul, moments.exact_values(), _scales(fam, moments.order)))
+    lcms = tuple(accumulate((x.denominator for x in nu), math.lcm))
+    return tuple(x.numerator * (lcms[-1] // x.denominator) for x in nu), lcms
+
+
+#: one slot: (weak reference to a moment vector, family, ``_scaled_moments``
+#: of the two, and (k, q, numerators) of the last full set projected or None)
+_slot = None
+
+
+def _carry(s: BiorthSet, nums: tuple[int, ...], lcms: tuple[int, ...],
+           last: tuple[int, int, tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The numerators of the full set ``s`` from ``last``, the projection
+    of the same moments onto the full set of order s.k - 1; None unless
+    ``s`` is that set's ``upgrade``."""
+    k_prev, q_prev, y = last
+    k = s.k
+    if k_prev != k - 1:
+        return None
+    d = norm_sq(s.family, k)
+    q = math.lcm(q_prev, d.denominator)
+    if s.q != q:
+        return None
+    # K' = f (K (+) 0) + w c c^T and nu' = g (nu (+) 0) + nu'_k e_k give
+    # y'_n = f g y_n + w c_n z with z = c . nu'
+    c = _integer_row(s.family, k)
+    fg = q // q_prev * (lcms[k] // lcms[k - 1])
+    wz = (q * d).numerator * (sum(map(mul, c, nums)) // (lcms[-1] // lcms[k]))
+    return tuple([fg * yn + wz * cn for yn, cn in zip(y, c)] + [wz * c[k]])
+
+
 def project(s: BiorthSet, moments: "MomentVector") -> FitModel:
     """Least-squares coefficients <f, beta_n> for all active n.
 
@@ -296,23 +353,29 @@ def project(s: BiorthSet, moments: "MomentVector") -> FitModel:
     give the model's integer numerators over one shared denominator.  So
     the huge cancellations inside high-order beta rows cost no precision:
     order ~36 fits come out clean where solved normal equations lose
-    everything.
+    everything.  A full set that is the ``upgrade`` of the last full set
+    projected onto the same moments takes its numerators from that
+    projection in one rank-one step (``_carry``); the integers are the
+    same.
     """
-    mu = moments.exact_values()
-    need = max(s.active) + 1
-    if len(mu) < need:
-        raise MomentShortfallError(
-            f"moment vector of length {len(mu)} too short for exponents "
-            f"up to {need - 1}")
-    d = _scales(s.family, s.k)
-    # entries past the largest active exponent are zero, so rows stop at need;
-    # nu_num / nu_den == D mu, over one common denominator
-    nu = [m * dm for m, dm in zip(mu[:need], d)]
-    nu_den = math.lcm(*(x.denominator for x in nu))
-    nu_num = [x.numerator * (nu_den // x.denominator) for x in nu]
-    # c_n = D_n (K_n . nu_num) / (q nu_den)
-    numerators = tuple(sum(map(mul, s.kmat[n], nu_num)) for n in s.active)
-    return FitModel.from_projection(s, numerators, s.q * nu_den)
+    global _slot
+    top = max(s.active)
+    _require_moments(moments, top)
+    slot = _slot
+    if slot is None or slot[0]() is not moments or slot[1] != s.family:
+        slot = (weakref.ref(moments), s.family,
+                *_scaled_moments(s.family, moments), None)
+    _, _, nums, lcms, last = slot
+    full = len(s.active) == s.k + 1
+    numerators = _carry(s, nums, lcms, last) if full and last else None
+    if numerators is None:
+        # entries past the largest active exponent are zero, so rows stop
+        # at top; nu / L_top == D mu, c_n = D_n (K_n . nu) / (q L_top)
+        r = lcms[-1] // lcms[top]
+        nu = nums[:top + 1] if r == 1 else [x // r for x in nums[:top + 1]]
+        numerators = tuple(sum(map(mul, s.kmat[n], nu)) for n in s.active)
+    _slot = slot[:4] + ((s.k, s.q.numerator, numerators),) if full else slot
+    return FitModel.from_projection(s, numerators, s.q * lcms[top])
 
 
 def _prune(s: BiorthSet, model: FitModel,

@@ -107,14 +107,15 @@ def _digit_limit_error(args) -> CliError:
     """Exit 2 for exact rationals too long to print.
 
     ``str`` of an int past the interpreter's int-to-str digit limit (4300
-    digits by default) raises ValueError; a large ``--b`` at a high order
-    gets there.  The limit guards against quadratic-time conversion, so it
-    is reported here, not lifted.
+    digits by default) raises ValueError; a ``--b`` of many digits at a
+    high order gets there, be it large or as close to 1 as
+    (10^80+1)/10^80.  The limit guards against quadratic-time conversion,
+    so it is reported here, not lifted.
     """
     return CliError(EXIT_BAD_INPUT,
                     f"--b {args.b} --k {args.k}: the exact rationals have more "
                     "digits than the interpreter converts to text; use a "
-                    "smaller --b or --k")
+                    "--b with fewer digits or a smaller --k")
 
 
 @contextmanager

@@ -34,8 +34,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .biorth import (FitModel, MomentShortfallError, _prune, build,
-                     cheapest_removal, project)
+from .biorth import (FitModel, MomentShortfallError, _prune, _require_moments,
+                     build, cheapest_removal, project)
 from .exact import RationalLike, SpaceSpec, Weight
 from .families import FamilySpec
 
@@ -285,9 +285,7 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
     pruned set, so the selection still sees the pruned set's own
     coefficients every round.
     """
-    if moments.order < k:
-        raise MomentShortfallError(
-            f"order {k} fit needs moments up to {k}, got {moments.order}")
+    _require_moments(moments, k)
     if not 0 <= removals <= k:
         raise ValueError("removals must leave at least one active exponent")
     s = build(fam, k)

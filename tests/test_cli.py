@@ -206,6 +206,8 @@ def test_fit_too_many_digits_is_bad_input(tmp_path, capsys):
     assert rc == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("biopoly: ") and "more digits" in err
+    # a smaller --b would not help here: b is already close to 1
+    assert "a --b with fewer digits or a smaller --k" in err
     assert not out.exists()
 
 

@@ -6,7 +6,10 @@ a hand-derived double sum, which exercises the entire moment-to-model
 path with an answer obtained independently of the package.
 """
 
+import dataclasses
+import gc
 import math
+import weakref
 from fractions import Fraction
 from operator import mul
 
@@ -17,7 +20,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from biopoly import biorth, regress
-from biopoly.biorth import _scales, build, downgrade, project, select_removal
+from biopoly.biorth import (_scales, build, downgrade, project, select_removal,
+                            upgrade)
 from biopoly.exact import INV_PI_FLOAT, ScaleTag, SpaceSpec, Weight, inner_monomial
 from biopoly.families import FamilySpec
 from biopoly.regress import (DEFAULT_PANELS, UNIFORM_GRID_RTOL,
@@ -369,20 +373,27 @@ ORACLE_FAMILIES = [FamilySpec.legendre_shifted(1), FamilySpec.legendre_shifted(1
                    FamilySpec.legendre_sym(), FamilySpec.chebyshev()]
 
 
-def _fraction_project(s, mv):
-    """The reference: one normalised ``Fraction`` per coefficient,
-    c_n = (K_n . nu_num) D_n / (q nu_den), as ``project`` built them before
-    it kept integer numerators."""
+def _kv_numerators(s, mv):
+    """y_n = K_n . nu_num over nu_den, with nu_num / nu_den = D mu: the
+    integer product that ``project`` takes when it carries nothing."""
     mu = mv.exact_values()
     need = max(s.active) + 1
     d = _scales(s.family, s.k)
     nu = [m * dm for m, dm in zip(mu[:need], d)]
     nu_den = math.lcm(*(x.denominator for x in nu))
     nu_num = [x.numerator * (nu_den // x.denominator) for x in nu]
+    return tuple(sum(map(mul, s.kmat[n], nu_num)) for n in s.active), nu_den
+
+
+def _fraction_project(s, mv):
+    """The reference: one normalised ``Fraction`` per coefficient,
+    c_n = (K_n . nu_num) D_n / (q nu_den), as ``project`` built them before
+    it kept integer numerators."""
+    y, nu_den = _kv_numerators(s, mv)
+    d = _scales(s.family, s.k)
     qn, qd = s.q.numerator, s.q.denominator
-    return tuple(Fraction(sum(map(mul, s.kmat[n], nu_num)) * d[n].numerator * qd,
-                          d[n].denominator * qn * nu_den)
-                 for n in s.active)
+    return tuple(Fraction(yn * d[n].numerator * qd, d[n].denominator * qn * nu_den)
+                 for n, yn in zip(s.active, y))
 
 
 @st.composite
@@ -475,6 +486,113 @@ def test_coeffs_exact_built_on_first_read():
         assert [float(c) for c in exact] == list(model.coeffs)
     floats_only = FitModel(family=fam, k=0, exponents=(0,), coeffs=(2.5,))
     assert floats_only.coeffs_exact is None
+
+
+def _assert_is_product(model, s, mv):
+    """``model`` is the K . nu projection of ``mv`` onto ``s``, integer
+    for integer, with the float bits of its ``Fraction``s."""
+    y, nu_den = _kv_numerators(s, mv)
+    assert model.numerators == y
+    assert model.denominator == s.q * nu_den
+    factor = INV_PI_FLOAT if s.family.poly_scale is ScaleTag.INV_PI else 1.0
+    assert [c.hex() for c in model.coeffs] == [(float(c) * factor).hex()
+                                               for c in _fraction_project(s, mv)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_carried_projection_is_the_product(data):
+    """Upgrade scans on two moment vectors of one family, interleaved in
+    runs, with builds at random orders, downgrades and float-only vectors
+    in between: every projection is the K . nu product, whether ``project``
+    carried the previous order's numerators or not."""
+    fam = data.draw(st.sampled_from(ORACLE_FAMILIES))
+    kmax = data.draw(st.integers(1, 48))
+    vectors = [data.draw(_oracle_moments(fam, kmax)) for _ in range(2)]
+    scans = [build(fam, data.draw(st.integers(0, kmax))) for _ in range(2)]
+    for _ in range(data.draw(st.integers(1, 8))):
+        i = data.draw(st.integers(0, 1))
+        for _ in range(data.draw(st.integers(1, 8))):
+            if scans[i].k < kmax:
+                scans[i] = upgrade(scans[i])
+            _assert_is_product(project(scans[i], vectors[i]), scans[i], vectors[i])
+        s = build(fam, data.draw(st.integers(0, kmax)))
+        for _ in range(data.draw(st.integers(0, min(s.k, 3)))):
+            s = downgrade(s, data.draw(st.sampled_from(s.active)))
+        mv = vectors[data.draw(st.integers(0, 1))]
+        _assert_is_product(project(s, mv), s, mv)
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=lambda f: f.describe())
+def test_upgrade_scan_carries_every_order(monkeypatch, fam):
+    """After the first order, each projection of an upgrade scan comes
+    from the one before it, reads the moments once for the whole scan,
+    and is still the K . nu product."""
+    carry, exact_values = biorth._carry, MomentVector.exact_values
+    carried, reads = [], []
+
+    def counting_carry(*args):
+        y = carry(*args)
+        carried.append(y is not None)
+        return y
+
+    def counting_exact_values(mv):
+        reads.append(mv)
+        return exact_values(mv)
+
+    monkeypatch.setattr(biorth, "_carry", counting_carry)
+    monkeypatch.setattr(MomentVector, "exact_values", counting_exact_values)
+    mv = _mixed_moments(fam, 30)
+    s = build(fam, 0)
+    models = [project(s, mv)]
+    for _ in range(30):
+        s = upgrade(s)
+        models.append(project(s, mv))
+    assert carried[-30:] == [True] * 30
+    assert len(reads) == 1
+    monkeypatch.undo()
+    for k, model in enumerate(models):
+        _assert_is_product(model, build(fam, k), mv)
+
+
+def test_carry_needs_the_upgraded_set():
+    """A full set of the next order whose q is not the upgrade's, here the
+    same G as 2K / 2q, is projected by its own product."""
+    fam = FamilySpec.legendre_shifted(1)
+    mv = _mixed_moments(fam, 12)
+    project(build(fam, 11), mv)
+    s = build(fam, 12)
+    doubled = dataclasses.replace(
+        s, kmat=tuple(tuple(2 * x for x in row) for row in s.kmat), q=2 * s.q)
+    model = project(doubled, mv)
+    _assert_is_product(model, doubled, mv)
+    assert model.coeffs == project(s, mv).coeffs
+
+
+def test_projection_keeps_no_moment_vector_alive():
+    fam = FamilySpec.legendre_sym()
+    mv = _mixed_moments(fam, 12)
+    project(build(fam, 11), mv)
+    ref = weakref.ref(mv)
+    del mv
+    gc.collect()
+    assert ref() is None
+    # a new vector, wherever it lands, is not taken for the dead one
+    mv = _rational_moments(fam, [Fraction(1, i + 2) for i in range(13)])
+    _assert_is_product(project(build(fam, 12), mv), build(fam, 12), mv)
+
+
+def test_moment_shortfall_has_one_message(monkeypatch):
+    """fit and project raise the same error, and fit before any build."""
+    fam = FamilySpec.laguerre()
+    mom = moments_expdecay(fam.space, 5)
+    with pytest.raises(MomentShortfallError) as from_project:
+        project(build(fam, 8), mom)
+    monkeypatch.setattr(regress, "build", None)
+    with pytest.raises(MomentShortfallError) as from_fit:
+        fit(fam, 8, mom)
+    assert str(from_fit.value) == str(from_project.value)
+    assert "up to 8" in str(from_fit.value)
 
 
 @pytest.mark.parametrize("fam,target,moments_of,kmax", [
