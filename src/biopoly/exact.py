@@ -22,13 +22,18 @@ twice the working precision: about 1 ulp while the condition number of p
 at x stays below about 2**53, and worse beyond.  The cancelling monomial
 coefficients of a high-order fit on [0, b] go past that, and there the
 limit is the rounding of the coefficients to double before evaluation, not
-the summation.
+the summation.  From two blocks of points on, ``horner_many`` shares its
+blocks out dynamically among one thread per CPU this process may run on.
+The result bits do not depend on the thread count, every thread runs under
+the caller's ``np.errstate``, and nothing sets the count but the CPUs.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -172,6 +177,11 @@ _SPLITTER = 134217729.0  # 2**27 + 1
 #: (128 KB each) stay in a 2 MB per-core L2 cache across all the terms.
 _BLOCK = 16384
 
+#: CPUs this process may run on: ``horner_many`` shares its blocks among
+#: at most this many threads, the caller's included.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
 
 def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     """Compensated Horner evaluation of sum(coeffs[i] * xs**i), vectorised.
@@ -195,9 +205,18 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     The points go through in blocks of ``_BLOCK``.  Per block the split of
     x is computed once, and each term is a fixed sequence of ufunc calls
     that write into the same work arrays, so no temporary is allocated per
-    term.  Every point sees the same float operations in the same order
-    whatever the block size, so the result does not depend on it.  The
-    result is a new float64 array of ``xs``'s shape; ``xs`` is not written.
+    term.  From two blocks on, the blocks are shared out dynamically among
+    one thread per CPU this process may run on (fewer if there are fewer
+    blocks), the calling thread included: each takes the next block start
+    as it finishes one, so a stalled CPU holds back one block, not a fixed
+    share of the points.  The ufuncs release the interpreter lock, so the
+    blocks run in parallel.  There is no setting for the thread count.
+    Every point sees the same float operations in the same order whatever
+    the block size or thread count, so the result bits depend on neither.
+    Each thread runs under the caller's numpy error state (``np.errstate``),
+    and an exception raised in any of them is raised here once all have
+    finished.  The result is a new float64 array of ``xs``'s shape; ``xs``
+    is not written.
     """
     xs = np.asarray(xs, dtype=float)
     # Two things keep a call cheap at one point, where the ufunc overhead
@@ -207,14 +226,54 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     # output of a one-element call first.
     top = float(coeffs[-1])
     rest = np.array([float(c) for c in reversed(coeffs[:-1])]).reshape(-1, 1)
-    split = np.array(_SPLITTER)
-    mul, sub, add = np.multiply, np.subtract, np.add
     flat = xs.reshape(-1)
     out = np.empty(xs.shape)
-    out_flat = out.reshape(-1)
-    width = min(flat.size, _BLOCK)
-    work = np.empty((9, width))
-    for lo in range(0, flat.size, _BLOCK):
+    # next() on a range iterator is one C call, atomic under the
+    # interpreter lock, so the threads can share it without a lock
+    task = (top, rest, flat, out.reshape(-1), iter(range(0, flat.size, _BLOCK)))
+    helpers = min(_WORKERS, flat.size // _BLOCK) - 1
+    if helpers < 1:
+        _horner_blocks(*task)
+    else:
+        _horner_shared(task, helpers)
+    return out if out.ndim else out[()]
+
+
+def _horner_shared(task: tuple, helpers: int) -> None:
+    """Run ``_horner_blocks(*task)`` on this thread and ``helpers`` more."""
+    errors = []
+    state = np.geterr()
+    call = np.geterrcall()
+
+    def helper():
+        try:
+            with np.errstate(call=call, **state):
+                _horner_blocks(*task)
+        except Exception as exc:  # raised in the caller once all are joined
+            errors.append(exc)
+
+    started = []
+    try:
+        for _ in range(helpers):
+            thread = threading.Thread(target=helper)
+            thread.start()
+            started.append(thread)
+        _horner_blocks(*task)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _horner_blocks(top: float, rest: np.ndarray, flat: np.ndarray,
+                   out_flat: np.ndarray, starts) -> None:
+    """Evaluate the blocks of ``flat`` whose starts this call takes from
+    ``starts`` into ``out_flat``, with a work array of its own."""
+    split = np.array(_SPLITTER)
+    mul, sub, add = np.multiply, np.subtract, np.add
+    work = np.empty((9, min(flat.size, _BLOCK)))
+    for lo in starts:
         x = flat[lo:lo + _BLOCK]
         m = x.size
         acc, comp, xh, xl, p, h, t, u, w = work[:, :m]
@@ -251,4 +310,3 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
             add(t, u, h)
             add(w, h, comp)
         add(acc, comp, out_flat[lo:lo + m])
-    return out if out.ndim else out[()]

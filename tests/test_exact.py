@@ -4,10 +4,15 @@ The closed-form monomial integrals are checked against adaptive
 quadrature, which shares no code with the formulas under test, and the
 algebraic laws of the inner product are exercised with hypothesis over
 random rational polynomials.  The blocked, in-place ``horner_many`` is
-checked bit for bit against the plain vectorised loop it replaced.
+checked bit for bit against the plain vectorised loop it replaced, at
+several forced thread counts, and so is what its threads do with blocks,
+numpy error states and exceptions.
 """
 
 import math
+import threading
+import time
+import warnings
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -17,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from biopoly import exact
 from biopoly.exact import (_BLOCK, _SPLITTER, ExactPoly, ScaleMismatchError,
                            ScaleTag, SpaceSpec, Weight, horner_many,
                            inner_monomial, inner_poly)
@@ -290,3 +296,154 @@ def test_horner_many_bit_identical_on_real_fits(family, k):
         coeffs = fit(fam, k, mom, removals=r).dense_coeffs()
         _assert_same_bits(coeffs, xs)
         _assert_same_bits(coeffs, xs[:201])
+
+
+# ----------------------------------------------------------------------
+# threads: the blocks are shared out, the bits and the error state are not
+# ----------------------------------------------------------------------
+
+# degree 16, alternating signs, magnitudes spread over 1e-11 to 1e11
+THREAD_COEFFS = [(-1) ** i * 10.0 ** ((7 * i) % 23 - 11) / (i + 3) for i in range(17)]
+
+
+@pytest.mark.parametrize("layout", ["flat", "2-d", "strided", "read-only"])
+@pytest.mark.parametrize("n", [2 * _BLOCK, 2 * _BLOCK + 3, 7 * _BLOCK - 1, 100_000])
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_horner_many_bit_identical_at_any_thread_count(monkeypatch, workers, n,
+                                                        layout):
+    monkeypatch.setattr(exact, "_WORKERS", workers)
+    if layout == "2-d":
+        xs = _points(n, 2 * n, 2.0).reshape(n, 2)
+    elif layout == "strided":
+        xs = _points(n, 3 * n, 2.0)[::3]
+    else:
+        xs = _points(n, n, 2.0)
+    if layout == "read-only":
+        xs.setflags(write=False)
+    _assert_same_bits(THREAD_COEFFS, xs)
+
+
+def test_horner_many_runs_blocks_on_more_than_one_thread(monkeypatch):
+    monkeypatch.setattr(exact, "_WORKERS", 2)
+    taken = []                   # (block start, thread) per block run
+    # each worker waits here with its first block until the other holds one
+    both = threading.Barrier(2, timeout=30)
+    real = exact._horner_blocks
+
+    def spy(top, rest, flat, out_flat, starts):
+        def recorded():
+            for i, lo in enumerate(starts):
+                taken.append((lo, threading.get_ident()))
+                if i == 0:
+                    both.wait()
+                yield lo
+        real(top, rest, flat, out_flat, recorded())
+
+    monkeypatch.setattr(exact, "_horner_blocks", spy)
+    n = 5 * _BLOCK + 7
+    _assert_same_bits(THREAD_COEFFS, _points(0, n, 2.0))
+    assert sorted(lo for lo, _ in taken) == list(range(0, n, _BLOCK))
+    assert len({ident for _, ident in taken}) == 2
+
+
+class _NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("horner_many started a thread")
+
+
+@pytest.mark.parametrize("workers,n", [(8, 0), (8, 1), (8, _BLOCK),
+                                       (8, 2 * _BLOCK - 1), (1, 100_000)])
+def test_horner_many_starts_no_thread_below_two_blocks_or_one_worker(
+        monkeypatch, workers, n):
+    monkeypatch.setattr(exact, "_WORKERS", workers)
+    monkeypatch.setattr(threading, "Thread", _NoThread)
+    _assert_same_bits(THREAD_COEFFS, _points(1, n, 2.0))
+
+
+def test_no_thread_patch_catches_a_thread(monkeypatch):
+    monkeypatch.setattr(exact, "_WORKERS", 2)
+    monkeypatch.setattr(threading, "Thread", _NoThread)
+    with pytest.raises(AssertionError, match="started a thread"):
+        horner_many(THREAD_COEFFS, _points(1, 2 * _BLOCK, 2.0))
+
+
+@pytest.fixture(params=[1, 2, 4])
+def helpers_only(request, monkeypatch):
+    """Worker count; above one the calling thread leaves every block to
+    the helpers, so a floating-point event can only happen in a helper."""
+    monkeypatch.setattr(exact, "_WORKERS", request.param)
+    if request.param > 1:
+        real = exact._horner_blocks
+        caller = threading.get_ident()
+
+        def skip_on_caller(*task):
+            if threading.get_ident() != caller:
+                real(*task)
+        monkeypatch.setattr(exact, "_horner_blocks", skip_on_caller)
+    return request.param
+
+
+def _overflow_in_last_of_six_blocks():
+    xs = np.ones(6 * _BLOCK)
+    xs[-1] = 1e200               # 1e200**2 overflows; every other point is 1
+    return xs
+
+
+def _assert_all_joined(before):
+    assert set(threading.enumerate()) <= before
+
+
+def test_horner_many_raises_a_helpers_overflow_under_errstate_raise(helpers_only):
+    before = set(threading.enumerate())
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        horner_many([1.0, 1.0, 1.0], _overflow_in_last_of_six_blocks())
+    _assert_all_joined(before)
+
+
+def test_horner_many_raises_a_helpers_warning_turned_error(helpers_only):
+    before = set(threading.enumerate())
+    with warnings.catch_warnings(), np.errstate(over="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            horner_many([1.0, 1.0, 1.0], _overflow_in_last_of_six_blocks())
+    _assert_all_joined(before)
+
+
+def test_horner_many_keeps_errstate_ignore_in_helpers_under_warnings_error(
+        helpers_only):
+    # cli's fit evaluates under over="ignore" and pytest runs with -W error
+    xs = _overflow_in_last_of_six_blocks()
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")
+        got = horner_many([1.0, 1.0, 1.0], xs)
+        want = _horner_reference([1.0, 1.0, 1.0], xs)
+    assert not np.isfinite(got[-1])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_horner_many_joins_every_helper_when_the_caller_raises(monkeypatch):
+    monkeypatch.setattr(exact, "_WORKERS", 4)
+    real = exact._horner_blocks
+    caller = threading.get_ident()
+
+    class CallerFailed(Exception):
+        pass
+
+    def spy(*task):
+        if threading.get_ident() == caller:
+            raise CallerFailed
+        time.sleep(0.2)          # still running when the caller fails
+        real(*task)
+
+    monkeypatch.setattr(exact, "_horner_blocks", spy)
+    before = set(threading.enumerate())
+    with pytest.raises(CallerFailed):
+        horner_many(THREAD_COEFFS, _points(2, 6 * _BLOCK, 2.0))
+    _assert_all_joined(before)
+
+
+def test_horner_many_calls_the_callers_error_callback(helpers_only):
+    seen = []
+    with np.errstate(all="call", call=lambda kind, flag: seen.append(kind)):
+        horner_many([1.0, 1.0, 1.0], _overflow_in_last_of_six_blocks())
+    assert "overflow" in seen
