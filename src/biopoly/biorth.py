@@ -33,12 +33,20 @@ q d_j is an integer).  ``BiorthSet.g`` is a derived view: G as
 ``Fraction`` entries, computed from K, D and q on first use and cached.
 Four operations stay in integers:
 
-* ``upgrade``  - extend a full set from order k to k+1 by adding the one
-  integer rank-one term of degree k+1 (after rescaling K when q gains a
-  factor, as it does by 4 per order for legendre); no previously
-  computed quantity is redone.
-* ``build``    - k+1 upgrades of the empty set of order -1 (q = 1); sets
-  are immutable, so it is memoised per (family, k) and callers share one.
+* ``upgrade``  - extend a full set from order k to k+1 in O(k): the new
+  set gets its q (the lcm of q and the denominator of d_{k+1}) and a link
+  to its predecessor, and nothing else.  Its K is the predecessor's,
+  rescaled by f = q'/q when q gains a factor (by 4 per order for
+  legendre; the rows are reused as they are when f is 1), plus the one
+  integer rank-one term of degree k+1.  That step is deferred to the
+  first read of ``kmat``, which takes it in a loop from the nearest
+  ancestor whose K is stored, stores K on each set of the chain and drops
+  their links.  An order scan that projects each upgrade (the carried
+  projection below needs only k, q and the family) builds no K at all.
+* ``build``    - k+1 upgrades of the empty set of order -1 (q = 1), each
+  read at once, so a built set stores its K and links to nothing: the one
+  place K is always stored.  Sets are immutable, so it is memoised per
+  (family, k) and callers share one.
 * ``downgrade`` - remove one monomial exponent l from the active set by a
   single fraction-free elimination step
 
@@ -92,6 +100,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -132,7 +141,10 @@ class BiorthSet:
     G = D K D / q, where D_n = ``_scales(family, k)[n]``.  Row n of G holds the
     monomial coefficients of beta_n, which are also its Gram entries
     <beta_n, beta_m>; the rows and columns of removed exponents are zero.
-    Immutable; ``upgrade`` and ``downgrade`` return new sets.
+    Immutable; ``upgrade`` and ``downgrade`` return new sets.  A set that
+    ``upgrade`` returns holds a link to its predecessor in place of K, and
+    builds K the first time ``kmat`` is read (``_fill_kmat``); it compares,
+    hashes, prints and ``dataclasses.replace``s like a set holding K.
     """
 
     family: FamilySpec
@@ -140,6 +152,13 @@ class BiorthSet:
     active: tuple[int, ...]
     kmat: tuple[tuple[int, ...], ...]
     q: Fraction
+
+    def __getattr__(self, name: str):
+        # called only for a missing attribute: ``kmat`` of an unread upgrade
+        if name != "kmat" or "_prev" not in vars(self):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        return _fill_kmat(self)
 
     @functools.cached_property
     def g(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -183,36 +202,83 @@ def _add_term(kmat: list[list[int]], w: int, c: Sequence[int]) -> None:
             kmat[m][n] = row[m]
 
 
+def _next_kmat(kmat: tuple[tuple[int, ...], ...], q_prev: int,
+               s: BiorthSet) -> tuple[tuple[int, ...], ...]:
+    """K of the full set ``s`` of order j from K and q of its predecessor:
+    f (K (+) 0) + w c_j c_j^T, with f = q / q_prev and w = q d_j."""
+    j = s.k
+    q = s.q.numerator                      # a full set's q is an integer
+    f = q // q_prev
+    rows = ([[*row, 0] for row in kmat] if f == 1
+            else [[f * x for x in row] + [0] for row in kmat])
+    rows.append([0] * (j + 1))
+    _add_term(rows, (q * norm_sq(s.family, j)).numerator,
+              _integer_row(s.family, j))
+    return tuple(map(tuple, rows))
+
+
+_fill_lock = threading.Lock()
+
+
+def _fill_kmat(s: BiorthSet) -> tuple[tuple[int, ...], ...]:
+    """Store K on ``s``, an ``upgrade`` result whose K was never read.
+
+    Walks the predecessor links back to the nearest set whose K is stored,
+    then takes one ``_next_kmat`` step per set on the way back, in a loop
+    (a chain of any length stays off the call stack).  Each set of the
+    chain stores its K and drops its link, so no chain outlives its first
+    read.
+    """
+    with _fill_lock:
+        chain = []
+        t = s
+        while "kmat" not in vars(t):
+            chain.append(t)
+            t = vars(t)["_prev"]
+        kmat, q_prev = t.kmat, t.q.numerator
+        for t in reversed(chain):
+            kmat = _next_kmat(kmat, q_prev, t)
+            vars(t)["kmat"] = kmat          # the instance dict: t is frozen
+            del vars(t)["_prev"]
+            q_prev = t.q.numerator
+    return kmat
+
+
 @functools.cache
 def build(fam: FamilySpec, k: int) -> BiorthSet:
-    """The full set of order k: k+1 upgrades of the empty set (memoised)."""
+    """The full set of order k: k+1 upgrades of the empty set (memoised).
+
+    Each upgrade's K is read at once, so the set stores its K and holds
+    no chain of predecessors.
+    """
     if k < 0:
         raise ValueError("order k must be nonnegative")
     s = BiorthSet(fam, -1, (), (), Fraction(1))
     for _ in range(k + 1):
         s = upgrade(s)
+        _fill_kmat(s)
     return s
 
 
 def upgrade(s: BiorthSet) -> BiorthSet:
-    """Extend a full set from order k to order k+1 incrementally.
+    """Extend a full set from order k to order k+1, in O(k).
 
     Every row n gains t_{k+1}[n] * p_{k+1}, and the new row k+1 is a single
     multiple of p_{k+1}: both are the rank-one term of degree k+1, added
-    to the padded matrix.
+    to the padded matrix.  The returned set has its order, active set and
+    q, and a link to ``s``; the K step waits for the first read of its
+    ``kmat`` (see ``BiorthSet``), with the same integers either way.
     """
     if len(s.active) != s.k + 1:
         raise UpgradeAfterRemovalError(
             "cannot upgrade a set after removals; rebuild at the new order")
     j = s.k + 1
-    d = norm_sq(s.family, j)
-    q = math.lcm(s.q.numerator, d.denominator)  # a full set's q is an integer
-    f = q // s.q.numerator
-    kmat = [[f * x for x in row] + [0] for row in s.kmat]
-    kmat.append([0] * (j + 1))
-    _add_term(kmat, (q * d).numerator, _integer_row(s.family, j))
-    return BiorthSet(s.family, j, tuple(range(j + 1)), tuple(map(tuple, kmat)),
-                     Fraction(q))
+    # a full set's q is an integer
+    q = math.lcm(s.q.numerator, norm_sq(s.family, j).denominator)
+    t = object.__new__(BiorthSet)
+    vars(t).update(family=s.family, k=j, active=tuple(range(j + 1)),
+                   q=Fraction(q), _prev=s)
+    return t
 
 
 def downgrade(s: BiorthSet, ell: int) -> BiorthSet:

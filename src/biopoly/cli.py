@@ -34,8 +34,8 @@ from .demos import run_closed_form_decay, run_high_order_wiggle, run_noisy_chirp
 from .exact import ExactPoly, ScaleTag
 from .families import FamilyKind, FamilySpec
 from .regress import (EvenPanelParityError, FitModel, NonUniformGridError,
-                      SampleSet, UnsupportedSpaceError, bic_score, fit,
-                      l2_error, moments_from_samples)
+                      SampleSet, UnsupportedSpaceError, _bic, _simpson,
+                      _simpson_l2, fit, moments_from_samples)
 
 __all__ = ["main", "load_model", "format_beta_row"]
 
@@ -218,10 +218,14 @@ def _cmd_fit(args) -> int:
         raise CliError(EXIT_BAD_INPUT, f"{args.input}: moments or coefficients "
                        f"of order {args.k} overflow the float range")
     with np.errstate(over="ignore", invalid="ignore"):
+        # one evaluation: l2_error and bic_score at the samples, from the
+        # residual they would each compute
         fitted = model(samples.xs)
-        l2 = float(l2_error(model, samples))
-        max_abs = float(np.max(np.abs(samples.ys - fitted)))
-        bic = float(bic_score(model, samples))
+        resid = samples.ys - fitted
+        _, w, h = _simpson(samples)
+        l2 = float(_simpson_l2(w, h, resid))
+        max_abs = float(np.max(np.abs(resid)))
+        bic = float(_bic(model.n_params, resid))
     if not (math.isfinite(l2) and math.isfinite(max_abs)):
         raise CliError(EXIT_BAD_INPUT,
                        f"{args.input}: residuals overflow the float range")

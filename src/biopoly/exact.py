@@ -219,13 +219,13 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     is not written.
     """
     xs = np.asarray(xs, dtype=float)
-    # Two things keep a call cheap at one point, where the ufunc overhead
-    # is all there is: scalars go in as 0-d and (1,) arrays, because a
-    # Python float is converted on every call; and no call writes into one
+    # Scalars go in as 0-d arrays: a Python float is converted on every
+    # call, and a (1,) array takes numpy's slower broadcasting path, whose
+    # cost shows on a few hundred points.  And no call writes into one
     # of its own inputs, because numpy copies an operand that aliases the
     # output of a one-element call first.
     top = float(coeffs[-1])
-    rest = np.array([float(c) for c in reversed(coeffs[:-1])]).reshape(-1, 1)
+    rest = [np.array(float(c)) for c in reversed(coeffs[:-1])]
     flat = xs.reshape(-1)
     out = np.empty(xs.shape)
     # next() on a range iterator is one C call, atomic under the
@@ -266,7 +266,7 @@ def _horner_shared(task: tuple, helpers: int) -> None:
         raise errors[0]
 
 
-def _horner_blocks(top: float, rest: np.ndarray, flat: np.ndarray,
+def _horner_blocks(top: float, rest: list[np.ndarray], flat: np.ndarray,
                    out_flat: np.ndarray, starts) -> None:
     """Evaluate the blocks of ``flat`` whose starts this call takes from
     ``starts`` into ``out_flat``, with a work array of its own."""

@@ -131,7 +131,9 @@ def moments_from_samples(samples: SampleSet, space: SpaceSpec,
     end (to ``UNIFORM_GRID_RTOL`` of a step); anything else raises
     :class:`UnsupportedSpaceError`.  The Simpson sum is exact over the
     samples' binary float values: x and y are integers over one power of
-    two each, so a moment is one integer sum, divided once.  Repeated runs
+    two each, so a moment is one integer sum, divided once.  One list of
+    the integer terms w_j y_j x_j^i is kept and multiplied by x_j once per
+    order, so each order costs one product per sample.  Repeated runs
     are bit-identical and the only approximation is Simpson's own O(h^4)
     truncation.
     """
@@ -151,15 +153,14 @@ def moments_from_samples(samples: SampleSet, space: SpaceSpec,
 
     xi, ex = _dyadic(xs)
     yi, ey = _dyadic(samples.ys)
-    wy = list(map(mul, w.astype(int).tolist(), yi))
+    terms = list(map(mul, w.astype(int).tolist(), yi))
     span = xi[-1] - xi[0]                 # (b - a) * 2**ex
-    pows = [1] * n
     exact = []
     for i in range(k + 1):
         if i:
-            pows = list(map(mul, pows, xi))
+            terms = list(map(mul, terms, xi))   # w_j y_j x_j^i
         # (h/3) * sum_j w_j y_j x_j^i, with h = span / ((n - 1) * 2**ex)
-        exact.append(Fraction(span * sum(map(mul, pows, wy)),
+        exact.append(Fraction(span * sum(terms),
                               (3 * (n - 1)) << (ey + (i + 1) * ex)))
     return MomentVector(mu=tuple(float(e) for e in exact), space=space,
                         provenance=f"simpson-samples(n={n})",
@@ -328,8 +329,13 @@ def l2_error(model: FitModel, reference: Reference) -> float:
     else:
         xs, w, h = _simpson(space)
         ys = reference(xs)
-    resid2 = (ys - model(xs)) ** 2
-    return math.sqrt(abs(np.dot(w, resid2) * h / 3.0))
+    return _simpson_l2(w, h, ys - model(xs))
+
+
+def _simpson_l2(w: np.ndarray, h: float, resid: np.ndarray) -> float:
+    """Composite-Simpson L2 norm of ``resid``, given at nodes with Simpson
+    weights ``w`` and step ``h``."""
+    return math.sqrt(abs(np.dot(w, resid ** 2) * h / 3.0))
 
 
 def space_measure(space: SpaceSpec) -> float:
@@ -373,9 +379,14 @@ def bic_score(model: FitModel, samples: SampleSet) -> float:
     with gamma the number of active parameters.  A perfect interpolation
     (zero residual) returns -inf.
     """
-    n = len(samples)
-    resid = samples.ys - model(samples.xs)
+    return _bic(model.n_params, samples.ys - model(samples.xs))
+
+
+def _bic(n_params: int, resid: np.ndarray) -> float:
+    """``bic_score`` of a model with ``n_params`` active exponents whose
+    residual at the samples is ``resid``."""
+    n = len(resid)
     mse = float(np.mean(resid * resid))
     if mse == 0.0:
         return float("-inf")
-    return model.n_params * math.log(n) + n * math.log(mse)
+    return n_params * math.log(n) + n * math.log(mse)

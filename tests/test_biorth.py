@@ -9,7 +9,12 @@ the plain ``Fraction`` rank-one sum and Schur-complement step.
 """
 
 import dataclasses
+import gc
+import inspect
 import math
+import sys
+import threading
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -17,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biopoly import biorth
 from biopoly.biorth import (BiorthSet, LastElementError, NotActiveError,
                             UpgradeAfterRemovalError, _integer_row, build,
                             cheapest_removal, downgrade, project,
@@ -300,6 +306,118 @@ def test_upgrade_equals_rebuild(fam):
         for n in s.active:
             assert s.beta(n).coeffs == fresh.beta(n).coeffs, (k + 1, n)
         assert s.g == fresh.g
+
+
+# ----------------------------------------------------------------------
+# deferred K: an upgrade builds K on first read
+# ----------------------------------------------------------------------
+
+def test_unread_chain_materialises_without_recursion():
+    fam = FamilySpec.laguerre()
+    s = build(fam, 0)
+    for _ in range(60):
+        s = upgrade(s)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        kmat = s.kmat
+    finally:
+        sys.setrecursionlimit(limit)
+    full = build(fam, 60)
+    assert (kmat, s.q) == (full.kmat, full.q)
+
+
+def test_reading_kmat_drops_the_predecessor():
+    fam = FamilySpec.legendre_sym()
+    prev = upgrade(build(fam, 5))
+    s = upgrade(prev)
+    ref = weakref.ref(prev)
+    del prev
+    gc.collect()
+    assert ref() is not None          # the unread set still needs it
+    assert s.kmat == build(fam, 7).kmat
+    gc.collect()
+    assert ref() is None
+
+
+def test_built_set_keeps_no_intermediate_alive(monkeypatch):
+    fam = FamilySpec.legendre_shifted(Fraction(13, 7))
+    made = []
+
+    def recording_upgrade(s):
+        t = upgrade(s)
+        made.append(weakref.ref(t))
+        return t
+
+    monkeypatch.setattr(biorth, "upgrade", recording_upgrade)
+    s = build.__wrapped__(fam, 9)       # past the memo, so the build runs
+    gc.collect()
+    assert len(made) == 10
+    assert made[-1]() is s
+    assert [r() for r in made[:-1]] == [None] * 9
+    assert "kmat" in vars(s)
+
+
+def test_concurrent_first_reads_agree():
+    """Threads that read K along one unread chain, in different orders,
+    all see ``build``'s integers and raise nothing."""
+    fam = FamilySpec.legendre_shifted(1)
+    orders = [range(24, 0, -1), range(1, 25), range(24, 0, -3), range(12, 25)] * 2
+    errors, seen = [], []
+
+    def reader(chain, order):
+        try:
+            seen.extend((chain[j].k, chain[j].kmat) for j in order)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            chain = [build(fam, 0)]
+            for _ in range(24):
+                chain.append(upgrade(chain[-1]))
+            threads = [threading.Thread(target=reader, args=(chain, o))
+                       for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(seen) == 4 * sum(map(len, orders))
+    assert all(kmat == build(fam, k).kmat for k, kmat in seen)
+
+
+@pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=KERNEL_IDS)
+def test_deferred_set_agrees_with_build(fam):
+    """Each reader of K, first on a fresh upgrade, sees ``build``'s set."""
+    k = 9
+    full = build(fam, k)
+
+    def deferred():
+        s = upgrade(build(fam, k - 1))
+        assert "kmat" not in vars(s)
+        return s
+
+    assert downgrade(deferred(), 4) == downgrade(full, 4)
+    mom = exact_moments(fam, [Fraction(1, i + 2) for i in range(k + 1)])
+    assert select_removal(deferred(), mom) == select_removal(full, mom)
+    s = deferred()
+    other = exact_moments(fam, [Fraction(1, i + 3) for i in range(k + 1)])
+    model = project(s, other)          # no earlier projection to carry
+    assert "kmat" in vars(s)
+    assert model.numerators == project(full, other).numerators
+    assert dataclasses.replace(deferred(), kmat=full.kmat, q=full.q) == full
+    assert dataclasses.replace(deferred()) == full
+    assert deferred() == full and full == deferred()
+    assert hash(deferred()) == hash(full)
+    assert repr(deferred()) == repr(full)
+    with pytest.raises(AttributeError, match="kmatt"):
+        deferred().kmatt
 
 
 def test_upgrade_after_removal_is_refused():

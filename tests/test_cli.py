@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from biopoly import biorth
 from biopoly.cli import EXIT_BAD_INPUT, EXIT_DOMAIN, load_model, main
+from biopoly.exact import horner_many
 
 
 def _write_samples(path: Path, xs, ys):
@@ -47,6 +49,20 @@ def test_fit_writes_model_and_residuals(sym_csv, tmp_path, capsys):
     assert len(doc["coeffs"]) == 9
     for key in ("l2_error", "max_abs_error", "bic", "n_params"):
         assert key in doc["diagnostics"]
+
+
+def test_fit_evaluates_the_model_once(sym_csv, tmp_path, monkeypatch):
+    """model.json's l2_error, max_abs_error and bic come from one residual."""
+    calls = []
+
+    def counting_horner(coeffs, xs):
+        calls.append(np.shape(xs))
+        return horner_many(coeffs, xs)
+
+    monkeypatch.setattr(biorth, "horner_many", counting_horner)
+    assert main(["fit", "--family", "legendre", "--k", "8", "--removals", "2",
+                 "--input", str(sym_csv), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(201,)]
 
 
 def test_saved_model_reproduces_fit_column(sym_csv, tmp_path):

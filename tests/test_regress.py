@@ -555,6 +555,31 @@ def test_upgrade_scan_carries_every_order(monkeypatch, fam):
         _assert_is_product(model, build(fam, k), mv)
 
 
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=lambda f: f.describe())
+def test_upgrade_scan_builds_no_kmat(monkeypatch, fam):
+    """An order scan to 48 that projects each upgrade takes no K step; the
+    last set's K, built on first read, is ``build``'s."""
+    next_kmat = biorth._next_kmat
+    steps = []
+
+    def counting_next_kmat(*args):
+        steps.append(args[-1].k)
+        return next_kmat(*args)
+
+    mv = _mixed_moments(fam, 48)
+    s = build(fam, 1)
+    project(s, mv)
+    monkeypatch.setattr(biorth, "_next_kmat", counting_next_kmat)
+    for _ in range(47):
+        s = upgrade(s)
+        project(s, mv)
+    assert steps == []
+    assert "kmat" not in vars(s)
+    monkeypatch.undo()
+    full = build(fam, 48)
+    assert (s.kmat, s.q) == (full.kmat, full.q)
+
+
 def test_carry_needs_the_upgraded_set():
     """A full set of the next order whose q is not the upgrade's, here the
     same G as 2K / 2q, is projected by its own product."""
