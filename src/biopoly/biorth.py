@@ -154,8 +154,10 @@ class BiorthSet:
     q: Fraction
 
     def __getattr__(self, name: str):
-        # called only for a missing attribute: ``kmat`` of an unread upgrade
-        if name != "kmat" or "_prev" not in vars(self):
+        # called only for a missing attribute: ``kmat`` of an unread upgrade,
+        # or of one whose K another thread stored after the lookup missed it
+        # (``_fill_kmat`` stores K before it drops the link)
+        if name != "kmat" or not {"kmat", "_prev"} & vars(self).keys():
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         return _fill_kmat(self)
@@ -289,7 +291,9 @@ def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
     c is the gcd of all entries of that numerator, and q absorbs
     K[ell][ell] / c.  On G this is the Schur-complement step that keeps
     the remaining rows biorthogonal to the remaining monomials.  Row and
-    column ``ell`` become zero.
+    column ``ell`` become zero.  The numerator is symmetric, like K, so
+    only its entries (n, m) with n <= m are formed and divided (their gcd
+    is c), and the other triangle is their mirror.
     """
     if ell not in s.active:
         raise NotActiveError(ell)
@@ -297,11 +301,13 @@ def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
         raise LastElementError("cannot remove the only active exponent")
     row_l = s.kmat[ell]
     a = row_l[ell]
-    rows = [[a * x - k_ln * y for x, y in zip(row, row_l)] if k_ln
-            else [a * x for x in row]
-            for row, k_ln in zip(s.kmat, row_l)]
-    c = math.gcd(*(x for row in rows for x in row))
-    kmat = tuple(tuple(x // c for x in row) for row in rows)
+    upper = [[a * x - k_ln * y for x, y in zip(row[n:], row_l[n:])] if k_ln
+             else [a * x for x in row[n:]]
+             for n, (row, k_ln) in enumerate(zip(s.kmat, row_l))]
+    c = math.gcd(*(x for row in upper for x in row))
+    upper = [[x // c for x in row] for row in upper]
+    kmat = tuple(tuple([upper[m][n - m] for m in range(n)] + row)
+                 for n, row in enumerate(upper))
     active = tuple(n for n in s.active if n != ell)
     return BiorthSet(s.family, s.k, active, kmat, s.q * a / c)
 

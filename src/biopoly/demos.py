@@ -167,8 +167,7 @@ def run_high_order_wiggle(out_dir: str | Path) -> dict:
     coeffs_base = solve_normal_equations(g, np.asarray(mom_leg.mu))
     base_vals = horner_many(coeffs_base, xs)
 
-    def entry(model: FitModel) -> dict:
-        vals = model(xs)
+    def entry(model: FitModel, vals: np.ndarray) -> dict:
         return {
             "k": k,
             "l2_error": float(l2_error(model, damped_wiggle)),
@@ -177,7 +176,8 @@ def run_high_order_wiggle(out_dir: str | Path) -> dict:
             "mean_abs_error": float(np.mean(np.abs(vals - truth))),
         }
 
-    leg_entry, cheb_entry = entry(fit_leg), entry(fit_cheb)
+    leg_vals, cheb_vals = fit_leg(xs), fit_cheb(xs)
+    leg_entry, cheb_entry = entry(fit_leg, leg_vals), entry(fit_cheb, cheb_vals)
     base_mean = float(np.mean(np.abs(base_vals - truth)))
     report = {
         "scenario": "high-order-wiggle",
@@ -196,7 +196,7 @@ def run_high_order_wiggle(out_dir: str | Path) -> dict:
     _write_csv(out_dir / "wiggle_fits.csv",
                ["x", "truth", "fit_legendre", "fit_chebyshev", "fit_baseline",
                 "abs_err_legendre", "abs_err_chebyshev", "abs_err_baseline"],
-               [xs, truth, fit_leg(xs), fit_cheb(xs), base_vals,
-                np.abs(fit_leg(xs) - truth), np.abs(fit_cheb(xs) - truth),
+               [xs, truth, leg_vals, cheb_vals, base_vals,
+                np.abs(leg_vals - truth), np.abs(cheb_vals - truth),
                 np.abs(base_vals - truth)])
     return report

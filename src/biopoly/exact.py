@@ -1,8 +1,10 @@
-"""Exact rational polynomials over weighted inner-product spaces.
+"""Exact rational polynomials over weighted inner-product spaces, and the
+float evaluator of fitted monomial sums.
 
-Everything in this module is built on ``fractions.Fraction`` so that the
-algebraic identities the rest of the package relies on (biorthogonality,
-recursion consistency, Gram updates) hold exactly, not merely to rounding.
+The inner products and polynomials here are built on ``fractions.Fraction``
+so that the algebraic identities the rest of the package relies on
+(biorthogonality, recursion consistency, Gram updates) hold exactly, not
+merely to rounding.  ``horner_many`` is the one float routine.
 
 The one irrational constant the library ever meets is pi, introduced by the
 Chebyshev weight 1/sqrt(1-x^2).  It is never materialised inside rational
@@ -23,9 +25,11 @@ at x stays below about 2**53, and worse beyond.  The cancelling monomial
 coefficients of a high-order fit on [0, b] go past that, and there the
 limit is the rounding of the coefficients to double before evaluation, not
 the summation.  From two blocks of points on, ``horner_many`` shares its
-blocks out dynamically among one thread per CPU this process may run on.
-The result bits do not depend on the thread count, every thread runs under
-the caller's ``np.errstate``, and nothing sets the count but the CPUs.
+blocks out dynamically among one thread per CPU this process may run on,
+the helpers on a ``concurrent.futures.ThreadPoolExecutor`` that lives for
+one call.  The result bits do not depend on the thread count, every thread
+runs under the caller's ``np.errstate``, and nothing sets the count but
+the CPUs.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -209,14 +212,17 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     one thread per CPU this process may run on (fewer if there are fewer
     blocks), the calling thread included: each takes the next block start
     as it finishes one, so a stalled CPU holds back one block, not a fixed
-    share of the points.  The ufuncs release the interpreter lock, so the
-    blocks run in parallel.  There is no setting for the thread count.
-    Every point sees the same float operations in the same order whatever
-    the block size or thread count, so the result bits depend on neither.
-    Each thread runs under the caller's numpy error state (``np.errstate``),
-    and an exception raised in any of them is raised here once all have
-    finished.  The result is a new float64 array of ``xs``'s shape; ``xs``
-    is not written.
+    share of the points.  The helpers run on a
+    ``concurrent.futures.ThreadPoolExecutor`` made for this call and shut
+    down before it returns; no pool outlives a call.  The ufuncs release
+    the interpreter lock, so the blocks run in parallel.  There is no
+    setting for the thread count.  Every point sees the same float
+    operations in the same order whatever the block size or thread count,
+    so the result bits depend on neither.  Each thread runs under the
+    caller's numpy error state (``np.errstate``), and once all have
+    finished, an exception raised in the caller, or else the first helper's
+    in submission order, is raised here.  The result is a new float64
+    array of ``xs``'s shape; ``xs`` is not written.
     """
     xs = np.asarray(xs, dtype=float)
     # Scalars go in as 0-d arrays: a Python float is converted on every
@@ -241,29 +247,19 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
 
 def _horner_shared(task: tuple, helpers: int) -> None:
     """Run ``_horner_blocks(*task)`` on this thread and ``helpers`` more."""
-    errors = []
-    state = np.geterr()
-    call = np.geterrcall()
+    # imported here: its ~6 ms would otherwise start every ``biopoly`` process
+    from concurrent.futures import ThreadPoolExecutor
+    state, call = np.geterr(), np.geterrcall()
 
     def helper():
-        try:
-            with np.errstate(call=call, **state):
-                _horner_blocks(*task)
-        except Exception as exc:  # raised in the caller once all are joined
-            errors.append(exc)
+        with np.errstate(call=call, **state):
+            _horner_blocks(*task)
 
-    started = []
-    try:
-        for _ in range(helpers):
-            thread = threading.Thread(target=helper)
-            thread.start()
-            started.append(thread)
+    with ThreadPoolExecutor(helpers) as pool:   # leaving it joins every helper
+        futures = [pool.submit(helper) for _ in range(helpers)]
         _horner_blocks(*task)
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
+    for future in futures:
+        future.result()          # a helper's exception is raised here
 
 
 def _horner_blocks(top: float, rest: list[np.ndarray], flat: np.ndarray,

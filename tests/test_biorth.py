@@ -392,6 +392,18 @@ def test_concurrent_first_reads_agree():
     assert all(kmat == build(fam, k).kmat for k, kmat in seen)
 
 
+def test_kmat_lookup_that_lost_the_race_returns_the_stored_k():
+    """A thread whose lookup of ``kmat`` missed, while another thread was
+    storing K and dropping the link, gets K, not ``AttributeError``."""
+    fam = FamilySpec.legendre_shifted(1)
+    s = upgrade(build(fam, 3))
+    stored = s.kmat                      # the other thread's read
+    assert "_prev" not in vars(s)
+    assert BiorthSet.__getattr__(s, "kmat") is stored
+    with pytest.raises(AttributeError):
+        BiorthSet.__getattr__(s, "kmatt")
+
+
 @pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=KERNEL_IDS)
 def test_deferred_set_agrees_with_build(fam):
     """Each reader of K, first on a fresh upgrade, sees ``build``'s set."""

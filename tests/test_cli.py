@@ -2,6 +2,8 @@
 round-tripping a saved model, and the exact coefficient tables."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -459,3 +461,32 @@ def test_example_3_reports_conditioning(tmp_path, capsys):
     assert report["legendre"]["rms_error"] <= 1e-4
     assert report["chebyshev"]["rms_error"] <= 1e-4
     assert "baseline" in capsys.readouterr().out
+
+
+def test_example_3_evaluates_each_model_once_on_its_grid(tmp_path, monkeypatch):
+    """The 2001-point grid's errors and CSV columns share one evaluation."""
+    shapes = []
+    real = biorth.FitModel.__call__
+
+    def counting_call(model, xs):
+        shapes.append(np.shape(xs))
+        return real(model, xs)
+
+    monkeypatch.setattr(biorth.FitModel, "__call__", counting_call)
+    assert main(["example", "3", "--out", str(tmp_path / "o")]) == 0
+    assert shapes.count((2001,)) == 2
+
+
+# ----------------------------------------------------------------------
+# start-up
+# ----------------------------------------------------------------------
+
+def test_import_leaves_the_thread_pool_unloaded():
+    """``import concurrent.futures`` waits for a threaded evaluation, so
+    the import every command pays does not include it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys; import biopoly, biopoly.cli; "
+             "print('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -727,6 +727,32 @@ def test_fit_model_dense_coeffs_and_call():
         [float(c) / math.pi for c in model.coeffs_exact], rel=1e-15, abs=0)
 
 
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP item 2: the float monomial coefficients "
+                          "of a k = 36 fit on [0, 1] lose the fit to "
+                          "cancellation; evaluating in the family's own "
+                          "basis (Clenshaw) is to pass this")
+def test_high_order_evaluation_matches_exact_coefficients():
+    """model(x) agrees with exact evaluation of coeffs_exact, relative to
+    max |exact|, for a k = 36 legendre0b fit (error 9.7e4 in compensated
+    Horner on the rounded coefficients)."""
+    fam = FamilySpec.legendre_shifted(1)
+    xs = np.linspace(0.0, 1.0, 1001)
+    samples = SampleSet(xs, np.cos(7.0 * np.pi * xs ** 2))
+    model = fit(fam, 36, moments_from_samples(samples, fam.space, 36))
+    dense = dict(zip(model.exponents, model.coeffs_exact))
+    pts = np.linspace(0.0, 1.0, 21)
+    exact = []
+    for x in map(Fraction, pts):
+        acc = Fraction(0)
+        for n in range(model.k, -1, -1):
+            acc = acc * x + dense.get(n, 0)
+        exact.append(float(acc))
+    exact = np.array(exact)
+    err = np.max(np.abs(model(pts) - exact)) / np.max(np.abs(exact))
+    assert err <= 1e-12
+
+
 def _simpson_oracle(xs, h, r2):
     w = np.full(len(xs), 2.0)
     w[1::2] = 4.0
