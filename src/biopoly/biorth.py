@@ -305,7 +305,8 @@ def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
              else [a * x for x in row[n:]]
              for n, (row, k_ln) in enumerate(zip(s.kmat, row_l))]
     c = math.gcd(*(x for row in upper for x in row))
-    upper = [[x // c for x in row] for row in upper]
+    if c != 1:                   # x // 1 still makes a new int
+        upper = [[x // c for x in row] for row in upper]
     kmat = tuple(tuple([upper[m][n - m] for m in range(n)] + row)
                  for n, row in enumerate(upper))
     active = tuple(n for n in s.active if n != ell)
@@ -322,9 +323,9 @@ class FitModel:
     den, c_n = D_n y_n / den with D_n the family's monomial scale; each
     float is one correctly rounded integer division.  ``coeffs_exact``
     normalises them to ``Fraction``s on first read (``None`` for a
-    float-only model such as ``cli.load_model`` returns).
-    ``diagnostics`` starts empty; callers record the error figures they
-    compute there.
+    float-only model such as ``cli.load_model`` returns).  A model is
+    immutable and hashable; error figures are computed from it, not kept
+    on it.
     """
 
     family: FamilySpec
@@ -332,7 +333,6 @@ class FitModel:
     exponents: tuple[int, ...]
     coeffs: tuple[float, ...]
     removed: tuple[int, ...] = ()
-    diagnostics: dict = field(default_factory=dict)
     numerators: tuple[int, ...] | None = field(default=None, repr=False)
     denominator: Fraction | None = field(default=None, repr=False)
 
@@ -459,8 +459,10 @@ def _prune(s: BiorthSet, model: FitModel,
     a = row_l[ell]
     c = (s.q * a / pruned.q).numerator   # the content downgrade divided out
     y_l = model.numerators[s.active.index(ell)]
-    numerators = tuple((a * y - row_l[n] * y_l) // c
+    numerators = tuple(a * y - row_l[n] * y_l
                        for n, y in zip(s.active, model.numerators) if n != ell)
+    if c != 1:
+        numerators = tuple(x // c for x in numerators)
     return pruned, FitModel.from_projection(pruned, numerators,
                                             model.denominator * a / c)
 

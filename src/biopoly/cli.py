@@ -4,16 +4,24 @@ Three verbs:
 
 * ``fit``:     regress a CSV of samples onto one family, writing
                ``model.json`` and ``residuals.csv``;
-* ``example``: run one of the three built-in demo scenarios;
+* ``example``: run one of the three built-in demo scenarios, writing
+               ``report.json`` and one CSV;
 * ``tables``:  print the exact rational coefficient rows of the
                biorthogonal polynomials, for inspection.
 
+``fit`` and ``example`` write all of their files or none, through the
+one writer in ``demos``, and create the output directory only then, after
+the computation.
+
 Exit codes: 0 success, 2 unusable input (malformed or non-UTF-8 CSV,
-non-finite values, bad flags, values that overflow the float range, exact
+non-finite values, bad flags, a sample grid that is not uniform or has
+an even point count, values that overflow the float range, exact
 coefficients too long to print, an output directory that cannot be
-created or written), 3 family/domain
-mismatch (samples outside the family's interval or not spanning all of it,
-or a family that cannot fit from sampled data at all).
+created or written), 3 family/domain mismatch (a sample grid whose ends
+are not the family's interval's ends, to ``UNIFORM_GRID_RTOL`` of a step,
+or a family that cannot fit from sampled data at all).  When a grid
+breaks more than one of these, the code is that of the check that fails
+first.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .biorth import build
-from .demos import run_closed_form_decay, run_high_order_wiggle, run_noisy_chirp
+from .demos import (_csv_text, _json_text, _write_all, run_closed_form_decay,
+                    run_high_order_wiggle, run_noisy_chirp)
 from .exact import ExactPoly, ScaleTag
 from .families import FamilyKind, FamilySpec
 from .regress import (EvenPanelParityError, FitModel, NonUniformGridError,
@@ -127,22 +136,7 @@ def _writing(out_dir: Path):
         raise CliError(EXIT_BAD_INPUT, f"--out {out_dir}: {exc}") from None
 
 
-def _write_all(out_dir: Path, texts: dict[str, str]) -> None:
-    """Write every named text into ``out_dir``, or none of them: when one
-    write fails, the files this call opened are removed again."""
-    opened = []
-    try:
-        for name, text in texts.items():
-            with (out_dir / name).open("w", encoding="utf-8") as fh:
-                opened.append(out_dir / name)
-                fh.write(text)
-    except OSError:
-        for path in opened:
-            path.unlink(missing_ok=True)
-        raise
-
-
-def _model_to_json(model: FitModel) -> dict:
+def _model_to_json(model: FitModel, figures: dict) -> dict:
     params: dict[str, str] = {}
     if model.family.kind is FamilyKind.LEGENDRE_SHIFTED:
         params["b"] = str(model.family.b)
@@ -154,7 +148,7 @@ def _model_to_json(model: FitModel) -> dict:
         "exponents": list(model.exponents),
         "coeffs": [f"{c:.17g}" for c in model.coeffs],
         "coeffs_exact": [str(c) for c in exact] if exact is not None else None,
-        "diagnostics": dict(model.diagnostics),
+        "diagnostics": figures,
     }
 
 
@@ -171,8 +165,7 @@ def load_model(source: str | Path | dict) -> FitModel:
     coeffs = tuple(float(s) for s in source["coeffs"])
     return FitModel(family=fam, k=int(source["k"]),
                     exponents=tuple(int(e) for e in source["exponents"]),
-                    coeffs=coeffs,
-                    diagnostics=dict(source.get("diagnostics", {})))
+                    coeffs=coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -201,12 +194,6 @@ def _cmd_fit(args) -> int:
         raise CliError(EXIT_BAD_INPUT,
                        "--removals must leave at least one active exponent")
     samples = _read_samples(Path(args.input))
-
-    space = fam.space
-    if not (space.contains(samples.xs[0]) and space.contains(samples.xs[-1])):
-        raise CliError(EXIT_DOMAIN,
-                       f"samples span [{samples.xs[0]:g}, {samples.xs[-1]:g}] but "
-                       f"family {_where(fam, args.b)}")
     try:
         mom = moments_from_samples(samples, fam.space, args.k)
         model = fit(fam, args.k, mom, removals=args.removals)
@@ -222,34 +209,32 @@ def _cmd_fit(args) -> int:
         # residual they would each compute
         fitted = model(samples.xs)
         resid = samples.ys - fitted
+        abs_err = np.abs(resid)
         _, w, h = _simpson(samples)
         l2 = float(_simpson_l2(w, h, resid))
-        max_abs = float(np.max(np.abs(resid)))
+        max_abs = float(np.max(abs_err))
         bic = float(_bic(model.n_params, resid))
     if not (math.isfinite(l2) and math.isfinite(max_abs)):
         raise CliError(EXIT_BAD_INPUT,
                        f"{args.input}: residuals overflow the float range")
-    model.diagnostics.update({
+    figures = {
         "l2_error": l2,
         "max_abs_error": max_abs,
         "bic": bic if math.isfinite(bic) else None,  # -inf: zero residual
         "n_params": model.n_params,
-    })
+    }
 
     try:
-        model_json = _model_to_json(model)
+        model_json = _model_to_json(model, figures)
     except ValueError:
         raise _digit_limit_error(args) from None
     texts = {
-        "model.json": json.dumps(model_json, sort_keys=True, indent=2,
-                                 allow_nan=False) + "\n",
-        "residuals.csv": "x,y,fit,abs_error\n" + "".join(
-            f"{x:.17g},{y:.17g},{f:.17g},{abs(y - f):.17g}\n"
-            for x, y, f in zip(samples.xs, samples.ys, fitted)),
+        "model.json": _json_text(model_json),
+        "residuals.csv": _csv_text(["x", "y", "fit", "abs_error"],
+                                   [samples.xs, samples.ys, fitted, abs_err]),
     }
     out_dir = Path(args.out)
     with _writing(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
         _write_all(out_dir, texts)
 
     print(f"fit {fam.describe()} k={args.k}"

@@ -1,11 +1,15 @@
 """End-to-end demo scenarios behind the command line's ``example`` verb.
 
 Each runner fits one of the built-in targets, writes a ``report.json``
-with every headline number plus one plot-ready CSV, and returns the
-report dictionary.  Reports are fully deterministic (seeded noise,
-exact moments, sorted keys), so running a scenario twice produces
-byte-identical files; wall-clock timings are deliberately left out of
-the reports for the same reason.
+with every headline number plus one plot-ready CSV, all or none, and
+returns the report dictionary.  The output directory is created when the
+files are written, after the computation.  Reports are fully
+deterministic (seeded noise, exact moments, sorted keys), so running a
+scenario twice produces byte-identical files; wall-clock timings are
+deliberately left out of the reports for the same reason.
+
+The private text and file helpers here write the command line's ``fit``
+outputs too, so every file the package writes takes one path.
 """
 
 from __future__ import annotations
@@ -26,17 +30,35 @@ from .targets import chirp, damped_wiggle, exp_decay, gamma_density
 __all__ = ["run_noisy_chirp", "run_closed_form_decay", "run_high_order_wiggle"]
 
 
-def _write_report(out_dir: Path, report: dict) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    (out_dir / "report.json").write_text(text, encoding="utf-8")
+def _json_text(doc: dict) -> str:
+    """Strict JSON (no NaN or infinity), sorted keys, two-space indent."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*columns)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
+    """A header line, then one row per index of the equal-length
+    ``columns``, each value in ``%.17g`` so it reads back bit for bit."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(header) + "\n" + "".join(
+        row % values for values in zip(*(c.tolist() for c in columns)))
+
+
+def _write_all(out_dir: str | Path, texts: dict[str, str]) -> None:
+    """Create ``out_dir`` and write every named text into it, or none of
+    them: when one write fails, the files this call opened are removed
+    again.  Every file ``biopoly`` writes goes through here."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    opened = []
+    try:
+        for name, text in texts.items():
+            with (out_dir / name).open("w", encoding="utf-8") as fh:
+                opened.append(out_dir / name)
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def run_noisy_chirp(out_dir: str | Path, seed: int = 42) -> dict:
@@ -48,9 +70,6 @@ def run_noisy_chirp(out_dir: str | Path, seed: int = 42) -> dict:
     error of each model against the noiseless target and the BIC each
     one earns on the noisy data.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     fam = FamilySpec.legendre_shifted(1)
     rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, 1.0, 501)
@@ -88,10 +107,12 @@ def run_noisy_chirp(out_dir: str | Path, seed: int = 42) -> dict:
             (e_pruned["error_vs_truth"] - e_full["error_vs_truth"])
             / e_full["error_vs_truth"],
     }
-    _write_report(out_dir, report)
-    _write_csv(out_dir / "chirp_fits.csv",
-               ["x", "y_noisy", "truth", "fit_k17", "fit_pruned", "fit_k14"],
-               [xs, ys, chirp(xs), full(xs), pruned(xs), short(xs)])
+    _write_all(out_dir, {
+        "report.json": _json_text(report),
+        "chirp_fits.csv": _csv_text(
+            ["x", "y_noisy", "truth", "fit_k17", "fit_pruned", "fit_k14"],
+            [xs, ys, chirp(xs), full(xs), pruned(xs), short(xs)]),
+    })
     return report
 
 
@@ -103,9 +124,6 @@ def run_closed_form_decay(out_dir: str | Path) -> dict:
     orders where each family first resolves the target to a few 1e-4 of
     maximum pointwise error on [0, 10].
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     laguerre = FamilySpec.laguerre()
     shifted = FamilySpec.legendre_shifted(10)
     cases = [
@@ -135,10 +153,12 @@ def run_closed_form_decay(out_dir: str | Path) -> dict:
         fit_names.append(f"fit_{target_name.replace('-', '')}_{fam.kind.value}_k{k}")
 
     report = {"scenario": "closed-form-decay", "fits": rows}
-    _write_report(out_dir, report)
-    _write_csv(out_dir / "decay_fits.csv",
-               ["x", "exp_decay", "gamma_density"] + fit_names,
-               [xs, exp_decay(xs), gamma_density(xs)] + fit_cols)
+    _write_all(out_dir, {
+        "report.json": _json_text(report),
+        "decay_fits.csv": _csv_text(
+            ["x", "exp_decay", "gamma_density"] + fit_names,
+            [xs, exp_decay(xs), gamma_density(xs)] + fit_cols),
+    })
     return report
 
 
@@ -149,9 +169,6 @@ def run_high_order_wiggle(out_dir: str | Path) -> dict:
     moments also feed the monomial-Gram solve, whose condition estimate
     and pointwise error document why that route collapses at this order.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     k = 36
     legendre = FamilySpec.legendre_sym()
     chebyshev = FamilySpec.chebyshev()
@@ -192,11 +209,13 @@ def run_high_order_wiggle(out_dir: str | Path) -> dict:
                 base_mean / leg_entry["mean_abs_error"],
         },
     }
-    _write_report(out_dir, report)
-    _write_csv(out_dir / "wiggle_fits.csv",
-               ["x", "truth", "fit_legendre", "fit_chebyshev", "fit_baseline",
-                "abs_err_legendre", "abs_err_chebyshev", "abs_err_baseline"],
-               [xs, truth, leg_vals, cheb_vals, base_vals,
-                np.abs(leg_vals - truth), np.abs(cheb_vals - truth),
-                np.abs(base_vals - truth)])
+    _write_all(out_dir, {
+        "report.json": _json_text(report),
+        "wiggle_fits.csv": _csv_text(
+            ["x", "truth", "fit_legendre", "fit_chebyshev", "fit_baseline",
+             "abs_err_legendre", "abs_err_chebyshev", "abs_err_baseline"],
+            [xs, truth, leg_vals, cheb_vals, base_vals,
+             np.abs(leg_vals - truth), np.abs(cheb_vals - truth),
+             np.abs(base_vals - truth)]),
+    })
     return report

@@ -34,6 +34,7 @@ the CPUs.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import os
@@ -102,11 +103,6 @@ class SpaceSpec:
     def pi_power(self) -> int:
         """Power of pi implicit in rational inner-product values here."""
         return 1 if self.weight is Weight.CHEBYSHEV else 0
-
-    def contains(self, x: float) -> bool:
-        if self.hi is None:
-            return x >= self.lo
-        return self.lo <= x <= self.hi
 
 
 @dataclass(frozen=True)
@@ -214,7 +210,9 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     as it finishes one, so a stalled CPU holds back one block, not a fixed
     share of the points.  The helpers run on a
     ``concurrent.futures.ThreadPoolExecutor`` made for this call and shut
-    down before it returns; no pool outlives a call.  The ufuncs release
+    down before it returns; no pool outlives a call.  Once the interpreter
+    has begun to exit, when no pool can be made or given work, the
+    calling thread takes every block.  The ufuncs release
     the interpreter lock, so the blocks run in parallel.  There is no
     setting for the thread count.  Every point sees the same float
     operations in the same order whatever the block size or thread count,
@@ -247,16 +245,26 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
 
 def _horner_shared(task: tuple, helpers: int) -> None:
     """Run ``_horner_blocks(*task)`` on this thread and ``helpers`` more."""
-    # imported here: its ~6 ms would otherwise start every ``biopoly`` process
-    from concurrent.futures import ThreadPoolExecutor
     state, call = np.geterr(), np.geterrcall()
 
     def helper():
         with np.errstate(call=call, **state):
             _horner_blocks(*task)
 
-    with ThreadPoolExecutor(helpers) as pool:   # leaving it joins every helper
-        futures = [pool.submit(helper) for _ in range(helpers)]
+    futures = []
+    with contextlib.ExitStack() as stack:    # leaving it joins every helper
+        try:
+            # imported here: its ~6 ms would otherwise start every
+            # ``biopoly`` process
+            from concurrent.futures import ThreadPoolExecutor
+            pool = stack.enter_context(ThreadPoolExecutor(helpers))
+            for _ in range(helpers):
+                futures.append(pool.submit(helper))
+        except RuntimeError:
+            # at interpreter exit (in an atexit handler) the import cannot
+            # register its own exit hook and a pool takes no new work; the
+            # blocks no helper takes are this thread's
+            pass
         _horner_blocks(*task)
     for future in futures:
         future.result()          # a helper's exception is raised here

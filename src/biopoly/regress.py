@@ -148,8 +148,9 @@ def moments_from_samples(samples: SampleSet, space: SpaceSpec,
     tol = abs(h) * UNIFORM_GRID_RTOL       # compared exactly, even for a huge b
     if max(abs(Fraction(xs[0]) - space.lo), abs(Fraction(xs[-1]) - space.hi)) > tol:
         raise UnsupportedSpaceError(
-            f"samples span [{xs[0]:g}, {xs[-1]:g}], not the whole interval; "
-            "their moments would fit the data extended by zero")
+            f"samples span [{xs[0]:g}, {xs[-1]:g}], not the whole interval "
+            "and no more; sampled moments need a grid that starts and ends "
+            "at its ends")
 
     xi, ex = _dyadic(xs)
     yi, ey = _dyadic(samples.ys)

@@ -8,10 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biopoly import biorth
 from biopoly.cli import EXIT_BAD_INPUT, EXIT_DOMAIN, load_model, main
+from biopoly.demos import _csv_text
 from biopoly.exact import horner_many
+from biopoly.regress import UNIFORM_GRID_RTOL
 
 
 def _write_samples(path: Path, xs, ys):
@@ -277,6 +281,20 @@ def test_fit_writes_both_files_or_neither(sym_csv, tmp_path, capsys, taken):
     assert sorted(p.name for p in out.iterdir()) == [taken]
 
 
+@pytest.mark.parametrize("number, csv_name", [("1", "chirp_fits.csv"),
+                                              ("2", "decay_fits.csv"),
+                                              ("3", "wiggle_fits.csv")])
+def test_example_writes_both_files_or_neither(tmp_path, capsys, number,
+                                              csv_name):
+    out = tmp_path / "out"
+    (out / csv_name).mkdir(parents=True)
+    assert main(["example", number, "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("biopoly: ") and "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == [csv_name]
+    assert not any((out / csv_name).iterdir())
+
+
 def test_zero_residual_bic_is_null(tmp_path, capsys):
     path = tmp_path / "const.csv"
     _write_samples(path, np.linspace(0.0, 1.0, 11), np.full(11, 2.5))
@@ -328,6 +346,28 @@ def test_samples_not_spanning_the_interval_exit_3(tmp_path, capsys, b, lo, hi):
     err = capsys.readouterr().err
     assert err.startswith("biopoly: ") and "not the whole interval" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+@pytest.mark.parametrize("steps, rc", [(0.5, 0), (2.0, EXIT_DOMAIN)])
+def test_grid_past_an_end_within_the_grid_tolerance_fits(tmp_path, capsys,
+                                                         end, steps, rc):
+    """A grid may run past an end of the interval by up to
+    UNIFORM_GRID_RTOL of a step, as it may fall short of it by as much."""
+    over = steps * UNIFORM_GRID_RTOL / 200       # a step is about 1/200
+    lo, hi = (-over, 1.0) if end == "lo" else (0.0, 1.0 + over)
+    path = tmp_path / "in.csv"
+    xs = np.linspace(lo, hi, 201)
+    _write_samples(path, xs, np.cos(3.0 * xs))
+    out = tmp_path / "out"
+    assert main(["fit", "--family", "legendre0b", "--k", "4",
+                 "--input", str(path), "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert "lives on [0, 1]" in err and "not the whole interval" in err
+        assert not out.exists()
+    else:
+        assert err == "" and (out / "model.json").exists()
 
 
 def test_sampled_half_line_fit_exit_3(tmp_path, capsys):
@@ -475,6 +515,34 @@ def test_example_3_evaluates_each_model_once_on_its_grid(tmp_path, monkeypatch):
     monkeypatch.setattr(biorth.FitModel, "__call__", counting_call)
     assert main(["example", "3", "--out", str(tmp_path / "o")]) == 0
     assert shapes.count((2001,)) == 2
+
+
+# ----------------------------------------------------------------------
+# the CSV text both verbs write
+# ----------------------------------------------------------------------
+
+def _csv_per_row(header, columns):
+    """The per-row formatter ``_csv_text`` replaced, kept as the reference."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns))
+
+
+_csv_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308,
+                     float("inf"), float("-inf"), float("nan")]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(1, 8), st.integers(0, 12)).flatmap(
+    lambda shape: st.lists(st.lists(_csv_values, min_size=shape[1],
+                                    max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0])))
+def test_csv_text_matches_the_per_row_formatter(columns):
+    columns = [np.array(c, dtype=float) for c in columns]
+    header = [f"c{i}" for i in range(len(columns))]
+    assert _csv_text(header, columns) == _csv_per_row(header, columns)
 
 
 # ----------------------------------------------------------------------

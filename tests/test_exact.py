@@ -10,11 +10,14 @@ numpy error states and exceptions.
 """
 
 import math
+import subprocess
+import sys
 import threading
 import time
 import warnings
 from fractions import Fraction
 from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,3 +450,33 @@ def test_horner_many_calls_the_callers_error_callback(helpers_only):
     with np.errstate(all="call", call=lambda kind, flag: seen.append(kind)):
         horner_many([1.0, 1.0, 1.0], _overflow_in_last_of_six_blocks())
     assert "overflow" in seen
+
+
+@pytest.mark.parametrize("preload", [False, True],
+                         ids=["futures-unloaded", "futures-loaded"])
+def test_horner_many_at_interpreter_exit_runs_on_the_caller(monkeypatch, preload):
+    """From an ``atexit`` handler no pool can be made (importing
+    ``concurrent.futures`` there fails) or given work (a pool refuses it
+    once shutdown began); the calling thread then takes every block, with
+    the bits of a one-worker evaluation."""
+    n = 3 * _BLOCK + 5
+    probe = "\n".join([
+        "import atexit, sys",
+        "from concurrent.futures import ThreadPoolExecutor" if preload else "",
+        "import numpy as np",
+        "from biopoly import exact",
+        "exact._WORKERS = 2",
+        f"xs = np.linspace(-2.0, 2.0, {n})",
+        "def at_exit():",
+        f"    out = exact.horner_many({THREAD_COEFFS!r}, xs)",
+        "    sys.stdout.buffer.write(out.tobytes())",
+        "    sys.stdout.flush()",
+        "atexit.register(at_exit)",
+    ])
+    src = Path(exact.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                          capture_output=True, check=True, timeout=120)
+    assert done.stderr == b""    # an exception in a handler is only printed
+    monkeypatch.setattr(exact, "_WORKERS", 1)
+    want = horner_many(THREAD_COEFFS, np.linspace(-2.0, 2.0, n))
+    assert done.stdout == want.tobytes()

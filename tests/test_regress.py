@@ -488,6 +488,18 @@ def test_coeffs_exact_built_on_first_read():
     assert floats_only.coeffs_exact is None
 
 
+@pytest.mark.parametrize("removals", [0, 3])
+def test_equal_fits_compare_and_hash_equal(removals):
+    """A model is a value: two fits of the same moments are equal, hash
+    equal, and can key a dict or sit in a set."""
+    fam = FamilySpec.legendre_shifted(1)
+    mom = _mixed_moments(fam, 12)
+    a, b = (fit(fam, 12, mom, removals=removals) for _ in range(2))
+    assert a is not b and a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def _assert_is_product(model, s, mv):
     """``model`` is the K . nu projection of ``mv`` onto ``s``, integer
     for integer, with the float bits of its ``Fraction``s."""
