@@ -31,22 +31,20 @@ one integer matrix K and one positive rational q (for a full set, the
 least common multiple of the denominators of the d_j, so that every weight
 q d_j is an integer).  ``BiorthSet.g`` is a derived view: G as
 ``Fraction`` entries, computed from K, D and q on first use and cached.
-Four operations stay in integers:
+A full set is just its family, order and q: its K is the closed-form sum
+above, which ``kmat`` forms on first read over the memoised integer rows
+c_j and caches.  Only ``downgrade`` stores a K, that of the pruned set it
+returns.  Four operations stay in integers:
 
 * ``upgrade``  - extend a full set from order k to k+1 in O(k): the new
-  set gets its q (the lcm of q and the denominator of d_{k+1}) and a link
-  to its predecessor, and nothing else.  Its K is the predecessor's,
-  rescaled by f = q'/q when q gains a factor (by 4 per order for
-  legendre; the rows are reused as they are when f is 1), plus the one
-  integer rank-one term of degree k+1.  That step is deferred to the
-  first read of ``kmat``, which takes it in a loop from the nearest
-  ancestor whose K is stored, stores K on each set of the chain and drops
-  their links.  An order scan that projects each upgrade (the carried
-  projection below needs only k, q and the family) builds no K at all.
-* ``build``    - k+1 upgrades of the empty set of order -1 (q = 1), each
-  read at once, so a built set stores its K and links to nothing: the one
-  place K is always stored.  Sets are immutable, so it is memoised per
-  (family, k) and callers share one.
+  set's q is the lcm of q and the denominator of d_{k+1}.  Its K, if it is
+  ever read, is the predecessor's rescaled by f = q'/q plus the one
+  integer rank-one term of degree k+1; an order scan that projects each
+  upgrade (the projection below needs only k, q and the family) forms no
+  K at all.
+* ``build``    - the full set of order k: q from d_0..d_k, nothing else.
+  Sets are immutable, so it is memoised per (family, k) and callers share
+  one, K included once it is read.
 * ``downgrade`` - remove one monomial exponent l from the active set by a
   single fraction-free elimination step
 
@@ -60,24 +58,27 @@ Four operations stay in integers:
   by the previous pivot instead, which is exact too, but leaves each entry
   a minor of the full set's K that gains about K's bit size per removal;
   dividing out the whole content removes most of that growth.
-* ``project``  - c_n = D_n y_n / den with y_n = sum_m K[n][m] nu_m, where
-  nu / nu_den = D mu brings the moments to one denominator and
-  den = q nu_den.  Each numerator y_n is one integer dot product with a
-  row of K; the ``FitModel`` keeps them and their one denominator,
-  rounds c_n to float by one correctly rounded integer division, and
-  normalises the ``Fraction`` coefficients only when they are read.
-  The projection of a full set is carried across an ``upgrade`` to order
-  k+1: with f = q'/q and w c c^T the upgrade's rescale and new term (c the
-  integer row of degree k+1), and g = nu_den'/nu_den the growth of the
-  prefix lcm of the denominators of D mu,
+* ``project``  - c_n = D_n y_n / den with y = K nu, where nu / nu_den = D mu
+  brings the moments to one denominator and den = q nu_den.  The
+  ``FitModel`` keeps the integer numerators y_n and their one
+  denominator, rounds c_n to float by one correctly rounded integer
+  division, and normalises the ``Fraction`` coefficients only when they
+  are read.  A full set never reads K: its y is folded forward by one
+  upgrade's rank-one step per order.  From order j-1 to j, with f = q'/q
+  and w c c^T the upgrade's rescale and new term (c the integer row of
+  degree j), and g = nu_den'/nu_den the growth of the prefix lcm of the
+  denominators of D mu,
 
-      y_n' = f g y_n + w c_n z  (n <= k),   y_{k+1}' = w c_{k+1} z,
+      y_n' = f g y_n + w c_n z  (n < j),   y_j' = w c_j z,
 
-  with z = c . nu' one dot product instead of k+2; the integers are the
-  same.  One module-level slot holds what that needs: a weak reference
-  to the last moment vector projected, its D mu over one denominator with
-  the prefix lcms, and the last full-set projection of it.  Any other
-  set, a pruned one included, takes the product.
+  with z = c . nu' one dot product.  The fold starts from the last
+  full-set projection of the same moments at an order no higher, or from
+  the empty set of order -1 when there is none; the integers are those of
+  K nu.  One module-level slot holds what that needs: a weak reference to
+  the last moment vector projected, its D mu over one denominator with
+  the prefix lcms, and the last full-set projection of it.  A pruned set
+  takes one integer dot product per row of the K that ``downgrade``
+  stored.
 
 Removing l changes every remaining coefficient by the same exact identity,
 c_n <- c_n - (G[l][n] / G[l][l]) c_l, which on the numerators is the
@@ -100,7 +101,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,6 +133,10 @@ class MomentShortfallError(ValueError):
     """Fewer moments supplied than the construction order needs."""
 
 
+class MomentSpaceError(ValueError):
+    """The moments were taken in another space than the family's."""
+
+
 @dataclass(frozen=True)
 class BiorthSet:
     """The rows beta_n of order k for the active exponents n.
@@ -141,26 +145,28 @@ class BiorthSet:
     G = D K D / q, where D_n = ``_scales(family, k)[n]``.  Row n of G holds the
     monomial coefficients of beta_n, which are also its Gram entries
     <beta_n, beta_m>; the rows and columns of removed exponents are zero.
-    Immutable; ``upgrade`` and ``downgrade`` return new sets.  A set that
-    ``upgrade`` returns holds a link to its predecessor in place of K, and
-    builds K the first time ``kmat`` is read (``_fill_kmat``); it compares,
-    hashes, prints and ``dataclasses.replace``s like a set holding K.
+    Immutable; ``upgrade`` and ``downgrade`` return new sets, which compare,
+    hash and print by (family, k, active, q): every removal order that
+    reaches one active set gives one q and one K.  A full set holds no K
+    until ``kmat`` is read; ``downgrade`` stores a pruned set's K.
     """
 
     family: FamilySpec
     k: int
     active: tuple[int, ...]
-    kmat: tuple[tuple[int, ...], ...]
     q: Fraction
 
-    def __getattr__(self, name: str):
-        # called only for a missing attribute: ``kmat`` of an unread upgrade,
-        # or of one whose K another thread stored after the lookup missed it
-        # (``_fill_kmat`` stores K before it drops the link)
-        if name != "kmat" or not {"kmat", "_prev"} & vars(self).keys():
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        return _fill_kmat(self)
+    @functools.cached_property
+    def kmat(self) -> tuple[tuple[int, ...], ...]:
+        """K of a full set: the sum of (q d_j) c_j c_j^T over j <= k."""
+        if len(self.active) != self.k + 1:
+            raise ValueError("a pruned set's K is the one downgrade stored, "
+                             "and this set holds none")
+        kmat = [[0] * (self.k + 1) for _ in range(self.k + 1)]
+        for j in range(self.k + 1):
+            _add_term(kmat, (self.q * norm_sq(self.family, j)).numerator,
+                      _integer_row(self.family, j))
+        return tuple(map(tuple, kmat))
 
     @functools.cached_property
     def g(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -204,72 +210,24 @@ def _add_term(kmat: list[list[int]], w: int, c: Sequence[int]) -> None:
             kmat[m][n] = row[m]
 
 
-def _next_kmat(kmat: tuple[tuple[int, ...], ...], q_prev: int,
-               s: BiorthSet) -> tuple[tuple[int, ...], ...]:
-    """K of the full set ``s`` of order j from K and q of its predecessor:
-    f (K (+) 0) + w c_j c_j^T, with f = q / q_prev and w = q d_j."""
-    j = s.k
-    q = s.q.numerator                      # a full set's q is an integer
-    f = q // q_prev
-    rows = ([[*row, 0] for row in kmat] if f == 1
-            else [[f * x for x in row] + [0] for row in kmat])
-    rows.append([0] * (j + 1))
-    _add_term(rows, (q * norm_sq(s.family, j)).numerator,
-              _integer_row(s.family, j))
-    return tuple(map(tuple, rows))
-
-
-_fill_lock = threading.Lock()
-
-
-def _fill_kmat(s: BiorthSet) -> tuple[tuple[int, ...], ...]:
-    """Store K on ``s``, an ``upgrade`` result whose K was never read.
-
-    Walks the predecessor links back to the nearest set whose K is stored,
-    then takes one ``_next_kmat`` step per set on the way back, in a loop
-    (a chain of any length stays off the call stack).  Each set of the
-    chain stores its K and drops its link, so no chain outlives its first
-    read.
-    """
-    with _fill_lock:
-        chain = []
-        t = s
-        while "kmat" not in vars(t):
-            chain.append(t)
-            t = vars(t)["_prev"]
-        kmat, q_prev = t.kmat, t.q.numerator
-        for t in reversed(chain):
-            kmat = _next_kmat(kmat, q_prev, t)
-            vars(t)["kmat"] = kmat          # the instance dict: t is frozen
-            del vars(t)["_prev"]
-            q_prev = t.q.numerator
-    return kmat
-
-
 @functools.cache
 def build(fam: FamilySpec, k: int) -> BiorthSet:
-    """The full set of order k: k+1 upgrades of the empty set (memoised).
-
-    Each upgrade's K is read at once, so the set stores its K and holds
-    no chain of predecessors.
-    """
+    """The full set of order k, with q the lcm of the denominators of
+    d_0..d_k (memoised); its K is formed on first read of ``kmat``."""
     if k < 0:
         raise ValueError("order k must be nonnegative")
-    s = BiorthSet(fam, -1, (), (), Fraction(1))
-    for _ in range(k + 1):
-        s = upgrade(s)
-        _fill_kmat(s)
-    return s
+    q = math.lcm(*(norm_sq(fam, j).denominator for j in range(k + 1)))
+    return BiorthSet(fam, k, tuple(range(k + 1)), Fraction(q))
 
 
 def upgrade(s: BiorthSet) -> BiorthSet:
     """Extend a full set from order k to order k+1, in O(k).
 
     Every row n gains t_{k+1}[n] * p_{k+1}, and the new row k+1 is a single
-    multiple of p_{k+1}: both are the rank-one term of degree k+1, added
-    to the padded matrix.  The returned set has its order, active set and
-    q, and a link to ``s``; the K step waits for the first read of its
-    ``kmat`` (see ``BiorthSet``), with the same integers either way.
+    multiple of p_{k+1}: both are the rank-one term of degree k+1.  The
+    returned set is the full set of order k+1, equal to ``build``'s: its q
+    is the lcm of q and the denominator of d_{k+1}, and its K, the
+    closed-form sum, waits for the first read of ``kmat``.
     """
     if len(s.active) != s.k + 1:
         raise UpgradeAfterRemovalError(
@@ -277,10 +235,7 @@ def upgrade(s: BiorthSet) -> BiorthSet:
     j = s.k + 1
     # a full set's q is an integer
     q = math.lcm(s.q.numerator, norm_sq(s.family, j).denominator)
-    t = object.__new__(BiorthSet)
-    vars(t).update(family=s.family, k=j, active=tuple(range(j + 1)),
-                   q=Fraction(q), _prev=s)
-    return t
+    return BiorthSet(s.family, j, tuple(range(j + 1)), Fraction(q))
 
 
 def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
@@ -309,8 +264,10 @@ def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
         upper = [[x // c for x in row] for row in upper]
     kmat = tuple(tuple([upper[m][n - m] for m in range(n)] + row)
                  for n, row in enumerate(upper))
-    active = tuple(n for n in s.active if n != ell)
-    return BiorthSet(s.family, s.k, active, kmat, s.q * a / c)
+    t = BiorthSet(s.family, s.k, tuple(n for n in s.active if n != ell),
+                  s.q * a / c)
+    vars(t)["kmat"] = kmat          # where the cached property keeps K
+    return t
 
 
 @dataclass(frozen=True)
@@ -396,24 +353,25 @@ _slot = None
 
 
 def _carry(s: BiorthSet, nums: tuple[int, ...], lcms: tuple[int, ...],
-           last: tuple[int, int, tuple[int, ...]]) -> tuple[int, ...] | None:
-    """The numerators of the full set ``s`` from ``last``, the projection
-    of the same moments onto the full set of order s.k - 1; None unless
-    ``s`` is that set's ``upgrade``."""
-    k_prev, q_prev, y = last
-    k = s.k
-    if k_prev != k - 1:
-        return None
-    d = norm_sq(s.family, k)
-    q = math.lcm(q_prev, d.denominator)
-    if s.q != q:
-        return None
-    # K' = f (K (+) 0) + w c c^T and nu' = g (nu (+) 0) + nu'_k e_k give
-    # y'_n = f g y_n + w c_n z with z = c . nu'
-    c = _integer_row(s.family, k)
-    fg = q // q_prev * (lcms[k] // lcms[k - 1])
-    wz = (q * d).numerator * (sum(map(mul, c, nums)) // (lcms[-1] // lcms[k]))
-    return tuple([fg * yn + wz * cn for yn, cn in zip(y, c)] + [wz * c[k]])
+           last: tuple[int, int, tuple[int, ...]] | None
+           ) -> tuple[int, ...] | None:
+    """The numerators of the full set ``s``, folded forward by one
+    ``upgrade``'s rank-one step per order from ``last``, the projection of
+    the same moments onto a full set of order at most s.k, or from the
+    empty set of order -1 when there is none.  None unless s.q is the q
+    that the upgrades reach."""
+    k_prev, q_prev, y = last if last and last[0] <= s.k else (-1, 1, ())
+    for j in range(k_prev + 1, s.k + 1):
+        # K' = f (K (+) 0) + w c c^T and nu' = g (nu (+) 0) + nu'_j e_j give
+        # y'_n = f g y_n + w c_n z with z = c . nu' (y is empty at j = 0)
+        d = norm_sq(s.family, j)
+        q = math.lcm(q_prev, d.denominator)
+        c = _integer_row(s.family, j)
+        fg = q // q_prev * (lcms[j] // lcms[j - 1])
+        wz = (q * d).numerator * (sum(map(mul, c, nums)) // (lcms[-1] // lcms[j]))
+        y = [fg * yn + wz * cn for yn, cn in zip(y, c)] + [wz * c[j]]
+        q_prev = q
+    return tuple(y) if s.q == q_prev else None
 
 
 def project(s: BiorthSet, moments: "MomentVector") -> FitModel:
@@ -421,32 +379,39 @@ def project(s: BiorthSet, moments: "MomentVector") -> FitModel:
 
     The dot products are exact (float moments are promoted to the
     rationals they already are) and fraction-free: the numerators of
-    D mu over one common denominator, dotted with an integer row of K,
-    give the model's integer numerators over one shared denominator.  So
-    the huge cancellations inside high-order beta rows cost no precision:
-    order ~36 fits come out clean where solved normal equations lose
-    everything.  A full set that is the ``upgrade`` of the last full set
-    projected onto the same moments takes its numerators from that
-    projection in one rank-one step (``_carry``); the integers are the
-    same.
+    D mu over one common denominator give the model's integer numerators
+    over one shared denominator.  So the huge cancellations inside
+    high-order beta rows cost no precision: order ~36 fits come out clean
+    where solved normal equations lose everything.  A full set reads no K:
+    its numerators are folded forward from the last full-set projection of
+    the same moments at an order no higher, or from order -1 (``_carry``).
+    A pruned set takes one integer dot product per row of its K.  The
+    integers are the same either way.  Moments taken in another space
+    than the family's raise ``MomentSpaceError``.
     """
     global _slot
     top = max(s.active)
     _require_moments(moments, top)
     slot = _slot
     if slot is None or slot[0]() is not moments or slot[1] != s.family:
+        # checked here once per moment vector and family
+        if moments.space != s.family.space:
+            raise MomentSpaceError(
+                f"{s.family.describe()} needs moments on its own space, "
+                f"got moments on {moments.space}")
         slot = (weakref.ref(moments), s.family,
                 *_scaled_moments(s.family, moments), None)
     _, _, nums, lcms, last = slot
-    full = len(s.active) == s.k + 1
-    numerators = _carry(s, nums, lcms, last) if full and last else None
+    numerators = _carry(s, nums, lcms, last) if len(s.active) == s.k + 1 else None
     if numerators is None:
         # entries past the largest active exponent are zero, so rows stop
         # at top; nu / L_top == D mu, c_n = D_n (K_n . nu) / (q L_top)
         r = lcms[-1] // lcms[top]
         nu = nums[:top + 1] if r == 1 else [x // r for x in nums[:top + 1]]
         numerators = tuple(sum(map(mul, s.kmat[n], nu)) for n in s.active)
-    _slot = slot[:4] + ((s.k, s.q.numerator, numerators),) if full else slot
+    else:
+        slot = slot[:4] + ((s.k, s.q.numerator, numerators),)
+    _slot = slot
     return FitModel.from_projection(s, numerators, s.q * lcms[top])
 
 

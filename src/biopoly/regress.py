@@ -288,9 +288,9 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
     coefficients every round.
     """
     _require_moments(moments, k)
+    s = build(fam, k)           # a negative k is refused here, before removals
     if not 0 <= removals <= k:
         raise ValueError("removals must leave at least one active exponent")
-    s = build(fam, k)
     model = project(s, moments)
     removed = []
     for _ in range(removals):

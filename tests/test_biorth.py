@@ -9,12 +9,10 @@ the plain ``Fraction`` rank-one sum and Schur-complement step.
 """
 
 import dataclasses
-import gc
 import inspect
 import math
 import sys
 import threading
-import weakref
 from fractions import Fraction
 from math import comb
 
@@ -22,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biopoly import biorth
 from biopoly.biorth import (BiorthSet, LastElementError, NotActiveError,
                             UpgradeAfterRemovalError, _integer_row, build,
                             cheapest_removal, downgrade, project,
@@ -309,7 +306,7 @@ def test_upgrade_equals_rebuild(fam):
 
 
 # ----------------------------------------------------------------------
-# deferred K: an upgrade builds K on first read
+# K on first read: a full set forms the closed-form sum
 # ----------------------------------------------------------------------
 
 def test_unread_chain_materialises_without_recursion():
@@ -327,40 +324,9 @@ def test_unread_chain_materialises_without_recursion():
     assert (kmat, s.q) == (full.kmat, full.q)
 
 
-def test_reading_kmat_drops_the_predecessor():
-    fam = FamilySpec.legendre_sym()
-    prev = upgrade(build(fam, 5))
-    s = upgrade(prev)
-    ref = weakref.ref(prev)
-    del prev
-    gc.collect()
-    assert ref() is not None          # the unread set still needs it
-    assert s.kmat == build(fam, 7).kmat
-    gc.collect()
-    assert ref() is None
-
-
-def test_built_set_keeps_no_intermediate_alive(monkeypatch):
-    fam = FamilySpec.legendre_shifted(Fraction(13, 7))
-    made = []
-
-    def recording_upgrade(s):
-        t = upgrade(s)
-        made.append(weakref.ref(t))
-        return t
-
-    monkeypatch.setattr(biorth, "upgrade", recording_upgrade)
-    s = build.__wrapped__(fam, 9)       # past the memo, so the build runs
-    gc.collect()
-    assert len(made) == 10
-    assert made[-1]() is s
-    assert [r() for r in made[:-1]] == [None] * 9
-    assert "kmat" in vars(s)
-
-
 def test_concurrent_first_reads_agree():
-    """Threads that read K along one unread chain, in different orders,
-    all see ``build``'s integers and raise nothing."""
+    """Threads that read K first on the sets of one upgrade scan, in
+    different orders, all see ``build``'s integers and raise nothing."""
     fam = FamilySpec.legendre_shifted(1)
     orders = [range(24, 0, -1), range(1, 25), range(24, 0, -3), range(12, 25)] * 2
     errors, seen = [], []
@@ -392,18 +358,6 @@ def test_concurrent_first_reads_agree():
     assert all(kmat == build(fam, k).kmat for k, kmat in seen)
 
 
-def test_kmat_lookup_that_lost_the_race_returns_the_stored_k():
-    """A thread whose lookup of ``kmat`` missed, while another thread was
-    storing K and dropping the link, gets K, not ``AttributeError``."""
-    fam = FamilySpec.legendre_shifted(1)
-    s = upgrade(build(fam, 3))
-    stored = s.kmat                      # the other thread's read
-    assert "_prev" not in vars(s)
-    assert BiorthSet.__getattr__(s, "kmat") is stored
-    with pytest.raises(AttributeError):
-        BiorthSet.__getattr__(s, "kmatt")
-
-
 @pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=KERNEL_IDS)
 def test_deferred_set_agrees_with_build(fam):
     """Each reader of K, first on a fresh upgrade, sees ``build``'s set."""
@@ -421,15 +375,43 @@ def test_deferred_set_agrees_with_build(fam):
     s = deferred()
     other = exact_moments(fam, [Fraction(1, i + 3) for i in range(k + 1)])
     model = project(s, other)          # no earlier projection to carry
-    assert "kmat" in vars(s)
+    assert "kmat" not in vars(s)
     assert model.numerators == project(full, other).numerators
-    assert dataclasses.replace(deferred(), kmat=full.kmat, q=full.q) == full
     assert dataclasses.replace(deferred()) == full
     assert deferred() == full and full == deferred()
     assert hash(deferred()) == hash(full)
     assert repr(deferred()) == repr(full)
-    with pytest.raises(AttributeError, match="kmatt"):
-        deferred().kmatt
+
+
+def test_kmat_of_a_pruned_set_without_k_is_refused():
+    """Only ``downgrade`` gives a pruned set its K: a hand-made one, or one
+    passed through ``dataclasses.replace``, raises instead of reading the
+    full set's sum."""
+    fam = FamilySpec.legendre_sym()
+    pruned = downgrade(build(fam, 6), 2)
+    for s in (BiorthSet(fam, 6, pruned.active, pruned.q),
+              dataclasses.replace(pruned)):
+        assert s == pruned
+        with pytest.raises(ValueError, match="downgrade"):
+            s.kmat
+        with pytest.raises(ValueError, match="downgrade"):
+            s.gram_entry(0, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fam=st.sampled_from(ALL_FAMILIES), k=st.integers(1, 12), data=st.data())
+def test_removal_orders_that_reach_one_active_set_agree(fam, k, data):
+    """Sets compare and hash by (family, k, active, q); that is sound
+    because any two removal orders of one set of exponents give the same
+    q and K."""
+    removed = data.draw(st.lists(st.integers(0, k), min_size=1, max_size=k,
+                                 unique=True), label="removed")
+    other = data.draw(st.permutations(removed), label="other order")
+    a, b = build(fam, k), build(fam, k)
+    for ell, m in zip(removed, other):
+        a, b = downgrade(a, ell), downgrade(b, m)
+    assert a == b and hash(a) == hash(b)
+    assert (a.kmat, a.q) == (b.kmat, b.q)
 
 
 def test_upgrade_after_removal_is_refused():

@@ -9,6 +9,7 @@ path with an answer obtained independently of the package.
 import dataclasses
 import gc
 import math
+import re
 import weakref
 from fractions import Fraction
 from operator import mul
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from biopoly import biorth, regress
+from biopoly import MomentSpaceError, biorth, regress
 from biopoly.biorth import (_scales, build, downgrade, project, select_removal,
                             upgrade)
 from biopoly.exact import INV_PI_FLOAT, ScaleTag, SpaceSpec, Weight, inner_monomial
@@ -282,6 +283,8 @@ def test_fit_removal_bounds():
     mom = moments_expdecay(fam.space, 4)
     with pytest.raises(ValueError):
         fit(fam, 4, mom, removals=5)
+    with pytest.raises(ValueError, match="order k must be nonnegative"):
+        fit(fam, -1, mom)
     model = fit(fam, 4, mom, removals=2)
     assert model.n_params == 3
     assert len(model.removed) == 2
@@ -568,27 +571,17 @@ def test_upgrade_scan_carries_every_order(monkeypatch, fam):
 
 
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=lambda f: f.describe())
-def test_upgrade_scan_builds_no_kmat(monkeypatch, fam):
-    """An order scan to 48 that projects each upgrade takes no K step; the
-    last set's K, built on first read, is ``build``'s."""
-    next_kmat = biorth._next_kmat
-    steps = []
-
-    def counting_next_kmat(*args):
-        steps.append(args[-1].k)
-        return next_kmat(*args)
-
+def test_upgrade_scan_builds_no_kmat(fam):
+    """An order scan to 48 that projects each upgrade forms no K; the last
+    set's K, built on first read, is ``build``'s."""
     mv = _mixed_moments(fam, 48)
-    s = build(fam, 1)
-    project(s, mv)
-    monkeypatch.setattr(biorth, "_next_kmat", counting_next_kmat)
+    scan = [upgrade(build(fam, 0))]
+    project(scan[0], mv)
     for _ in range(47):
-        s = upgrade(s)
-        project(s, mv)
-    assert steps == []
-    assert "kmat" not in vars(s)
-    monkeypatch.undo()
-    full = build(fam, 48)
+        scan.append(upgrade(scan[-1]))
+        project(scan[-1], mv)
+    assert [t for t in scan if "kmat" in vars(t)] == []
+    s, full = scan[-1], build(fam, 48)
     assert (s.kmat, s.q) == (full.kmat, full.q)
 
 
@@ -599,8 +592,7 @@ def test_carry_needs_the_upgraded_set():
     mv = _mixed_moments(fam, 12)
     project(build(fam, 11), mv)
     s = build(fam, 12)
-    doubled = dataclasses.replace(
-        s, kmat=tuple(tuple(2 * x for x in row) for row in s.kmat), q=2 * s.q)
+    doubled = dataclasses.replace(s, q=2 * s.q)
     model = project(doubled, mv)
     _assert_is_product(model, doubled, mv)
     assert model.coeffs == project(s, mv).coeffs
@@ -630,6 +622,26 @@ def test_moment_shortfall_has_one_message(monkeypatch):
         fit(fam, 8, mom)
     assert str(from_fit.value) == str(from_project.value)
     assert "up to 8" in str(from_fit.value)
+
+
+@pytest.mark.parametrize("fam", [FamilySpec.laguerre(), FamilySpec.chebyshev(),
+                                 FamilySpec.legendre_shifted(2)],
+                         ids=lambda f: f.describe())
+def test_moments_of_another_space_are_refused(fam):
+    """Moments sampled on [-1, 1] with unit weight fit ``legendre`` only:
+    ``project``, ``fit`` and ``select_removal`` refuse them for any other
+    family with one typed error."""
+    xs = np.linspace(-1.0, 1.0, 201)
+    mom = moments_from_samples(SampleSet(xs, np.cos(3 * xs)),
+                               FamilySpec.legendre_sym().space, 6)
+    fit(FamilySpec.legendre_sym(), 6, mom, removals=2)
+    assert issubclass(MomentSpaceError, ValueError)
+    for call in (lambda: project(build(fam, 6), mom),
+                 lambda: fit(fam, 6, mom),
+                 lambda: fit(fam, 6, mom, removals=2),
+                 lambda: select_removal(build(fam, 6), mom)):
+        with pytest.raises(MomentSpaceError, match=re.escape(fam.describe())):
+            call()
 
 
 @pytest.mark.parametrize("fam,target,moments_of,kmax", [
