@@ -20,8 +20,7 @@ from .regress import (EvenPanelParityError, FitModel, MomentShortfallError,
                       max_abs_error, moments_expdecay, moments_from_samples,
                       moments_gamma, moments_quadrature, rms_error,
                       space_measure)
-from .baseline import (HankelGram, SingularToWorkingPrecision,
-                       condition_estimate, determinant, gram,
-                       solve_normal_equations)
+from .baseline import (SingularToWorkingPrecision, condition_estimate,
+                       determinant, gram, solve_normal_equations)
 
 __version__ = "0.1.0"

@@ -3,14 +3,17 @@
 This module is the foil for :mod:`biopoly.biorth`.  It assembles the
 dense Gram matrix G[n, j] = <x^n, x^j> in double precision and solves
 G c = mu by Gaussian elimination, which is exactly the route the
-biorthogonal construction exists to avoid.  On [-1, 1] the matrix is
-the notoriously ill-conditioned Hankel/Hilbert type: by order ~36 its
-float condition number saturates around 1e16..1e18 and the solved
-coefficients are garbage.  Nothing here tries to rescue that (no
-pivoted QR, no SVD, no preconditioning); demonstrating the failure is
-the module's job.
+biorthogonal construction exists to avoid.  For every weight the
+matrix is Hankel, G[n, j] = m_{n+j} with m_s = <x^s, 1>, and on
+[-1, 1] it is the notoriously ill-conditioned Hankel/Hilbert type: by
+order ~36 its float condition number saturates around 1e16..1e18 and
+the solved coefficients are garbage.  Nothing here tries to rescue
+that (no pivoted QR, no SVD, no preconditioning); demonstrating the
+failure is the module's job.
 
-Entries are computed from the exact rational inner products and
+``gram`` returns a plain read-only float64 array, which the solver,
+the condition estimate and the determinant take directly.  Its 2k+1
+distinct entries are computed from the exact rational moments and
 rounded to float once, so the only approximation under study is the
 solve itself.
 """
@@ -18,7 +21,6 @@ solve itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .exact import SpaceSpec, Weight, inner_monomial
 
 __all__ = [
     "SingularToWorkingPrecision",
-    "HankelGram",
     "gram",
     "solve_normal_equations",
     "condition_estimate",
@@ -42,45 +43,25 @@ class SingularToWorkingPrecision(ArithmeticError):
     """Raised when elimination meets a pivot indistinguishable from zero."""
 
 
-@dataclass(frozen=True)
-class HankelGram:
-    """Dense float Gram matrix of the monomials 1, x, ..., x^k.
-
-    For the unit weight the entries depend only on n + j, giving the
-    constant-anti-diagonal (Hankel) structure; for the other weights
-    the matrix is still symmetric positive definite, just not Hankel.
-    """
-
-    space: SpaceSpec
-    k: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.k + 1, self.k + 1):
-            raise ValueError("entries must be (k+1) x (k+1)")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-
-def gram(space: SpaceSpec, k: int) -> HankelGram:
+def gram(space: SpaceSpec, k: int) -> np.ndarray:
     """Assemble the order-k monomial Gram matrix of a space in float.
 
-    Each entry is the exact rational <x^n, x^j> rounded once; for the
-    Chebyshev weight the rational carries an implied factor pi which is
+    The matrix is Hankel for every weight: row n is m_n, ..., m_{n+k},
+    where m_s = <x^s, 1> is the exact rational moment rounded once, so
+    only the 2k+1 distinct moments are computed.  For the Chebyshev
+    weight the rational carries an implied factor pi which is
     materialised here, because the baseline lives entirely in plain
-    float arithmetic.
+    float arithmetic.  The result is a read-only (k+1) x (k+1) float64
+    array.
     """
     if k < 0:
         raise ValueError("order k must be >= 0")
     pi_factor = math.pi if space.weight is Weight.CHEBYSHEV else 1.0
-    m = np.empty((k + 1, k + 1), dtype=float)
-    for n in range(k + 1):
-        for j in range(n, k + 1):
-            v = float(inner_monomial(space, n, j)) * pi_factor
-            m[n, j] = v
-            m[j, n] = v
-    return HankelGram(space, k, m)
+    values = [float(inner_monomial(space, s, 0)) * pi_factor
+              for s in range(2 * k + 1)]
+    m = np.array([values[n:n + k + 1] for n in range(k + 1)], dtype=float)
+    m.setflags(write=False)
+    return m
 
 
 def _lu_factor(a: np.ndarray):
@@ -134,7 +115,7 @@ def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray,
     return out
 
 
-def solve_normal_equations(g: HankelGram, rhs) -> np.ndarray:
+def solve_normal_equations(g: np.ndarray, rhs) -> np.ndarray:
     """Solve G c = rhs by partial-pivoted elimination, no safeguards.
 
     ``rhs`` holds the target's monomial moments <f, x^j>.  At small
@@ -143,13 +124,13 @@ def solve_normal_equations(g: HankelGram, rhs) -> np.ndarray:
     ill-conditioned solve produces, which is the behaviour under study.
     """
     b = np.asarray(rhs, dtype=float)
-    if b.shape != (g.k + 1,):
-        raise ValueError(f"rhs must have length {g.k + 1}")
-    lu, perm, _ = _lu_factor(g.entries)
+    if b.shape != (len(g),):
+        raise ValueError(f"rhs must have length {len(g)}")
+    lu, perm, _ = _lu_factor(g)
     return _lu_solve(lu, perm, b)
 
 
-def condition_estimate(g: HankelGram) -> float:
+def condition_estimate(g: np.ndarray) -> float:
     """1-norm condition estimate of the Gram matrix.
 
     ||G||_1 is exact; ||G^-1||_1 comes from the classic iterative
@@ -159,12 +140,11 @@ def condition_estimate(g: HankelGram) -> float:
     of the truth, which is all an order-of-magnitude conditioning
     argument needs.
     """
-    a = g.entries
-    n = a.shape[0]
-    norm_a = float(np.max(np.abs(a).sum(axis=0)))
+    n = len(g)
+    norm_a = float(np.max(np.abs(g).sum(axis=0)))
     if n == 1:
         return 1.0
-    lu, perm, _ = _lu_factor(a)
+    lu, perm, _ = _lu_factor(g)
 
     x = np.full(n, 1.0 / n)
     est = 0.0
@@ -181,7 +161,7 @@ def condition_estimate(g: HankelGram) -> float:
     return norm_a * est
 
 
-def determinant(g: HankelGram) -> float:
+def determinant(g: np.ndarray) -> float:
     """Float determinant via the LU factors: the pivot product, negated
     once per row swap.
 
@@ -190,7 +170,7 @@ def determinant(g: HankelGram) -> float:
     matrix is hopeless.
     """
     try:
-        lu, _, sign = _lu_factor(g.entries)
+        lu, _, sign = _lu_factor(g)
     except SingularToWorkingPrecision:
         return 0.0
     det = sign

@@ -80,7 +80,7 @@ def _read_samples(path: Path) -> SampleSet:
     if not path.exists():
         raise CliError(EXIT_BAD_INPUT, f"input file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

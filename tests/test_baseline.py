@@ -12,10 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from biopoly.baseline import (HankelGram, SingularToWorkingPrecision,
-                              condition_estimate, determinant, gram,
-                              solve_normal_equations)
-from biopoly.exact import SpaceSpec, inner_monomial
+from biopoly.baseline import (SingularToWorkingPrecision, condition_estimate,
+                              determinant, gram, solve_normal_equations)
+from biopoly.exact import SpaceSpec, Weight, inner_monomial
 from biopoly.families import FamilySpec
 from biopoly.regress import fit, moments_quadrature
 from biopoly.targets import damped_wiggle
@@ -25,38 +24,49 @@ SYM = SpaceSpec.bounded(-1, 1)
 
 def test_gram_entries_on_symmetric_interval():
     g = gram(SYM, 1)
-    assert g.entries.tolist() == [[2.0, 0.0], [0.0, 2.0 / 3.0]]
+    assert g.tolist() == [[2.0, 0.0], [0.0, 2.0 / 3.0]]
 
 
 def test_gram_entries_are_hilbert_matrix_on_unit_interval():
     g = gram(SpaceSpec.bounded(0, 1), 3)
     for n in range(4):
         for j in range(4):
-            assert g.entries[n, j] == pytest.approx(1.0 / (n + j + 1), rel=1e-15)
+            assert g[n, j] == pytest.approx(1.0 / (n + j + 1), rel=1e-15)
 
 
 def test_gram_order_zero():
     g = gram(SpaceSpec.half_line(), 0)
-    assert g.entries.shape == (1, 1)
-    assert g.entries[0, 0] == 1.0
+    assert g.shape == (1, 1)
+    assert g[0, 0] == 1.0
 
 
-def test_gram_is_hankel_for_unit_weight():
-    g = gram(SYM, 5).entries
-    for n in range(6):
-        for j in range(6):
-            assert g[n, j] == g[0, n + j] if n + j <= 5 else True
-    # anti-diagonal constancy in full
-    for s in range(11):
-        vals = {g[n, s - n] for n in range(6) if 0 <= s - n <= 5}
-        assert len(vals) == 1
+@pytest.mark.parametrize("space", [SYM, SpaceSpec.bounded(0, 1),
+                                   SpaceSpec.half_line(),
+                                   SpaceSpec.chebyshev()],
+                         ids=["sym", "unit", "half", "cheb"])
+def test_gram_is_hankel_for_every_weight(space):
+    pi_factor = math.pi if space.weight is Weight.CHEBYSHEV else 1.0
+    for k in (0, 5, 36):
+        g = gram(space, k)
+        assert isinstance(g, np.ndarray)
+        assert g.dtype == np.float64 and g.shape == (k + 1, k + 1)
+        # oracle: each entry is its own exact inner product, rounded once
+        for n in range(k + 1):
+            for j in range(k + 1):
+                assert g[n, j] == float(inner_monomial(space, n, j)) * pi_factor
+        # anti-diagonal constancy in full
+        for s in range(2 * k + 1):
+            vals = {g[n, s - n] for n in range(k + 1) if 0 <= s - n <= k}
+            assert len(vals) == 1
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
 
 
 def test_gram_chebyshev_materialises_pi():
     g = gram(SpaceSpec.chebyshev(), 2)
-    assert g.entries[0, 0] == pytest.approx(math.pi, rel=1e-15)
-    assert g.entries[1, 1] == pytest.approx(math.pi / 2.0, rel=1e-15)
-    assert g.entries[0, 1] == 0.0
+    assert g[0, 0] == pytest.approx(math.pi, rel=1e-15)
+    assert g[1, 1] == pytest.approx(math.pi / 2.0, rel=1e-15)
+    assert g[0, 1] == 0.0
 
 
 def test_gram_rejects_negative_order():
@@ -72,9 +82,8 @@ def test_solve_small_well_conditioned_system():
 
 
 def test_solve_identity_gram_returns_rhs():
-    mock = HankelGram(SYM, 2, np.eye(3))
     rhs = [3.0, -1.0, 2.0]
-    assert solve_normal_equations(mock, rhs).tolist() == rhs
+    assert solve_normal_equations(np.eye(3), rhs).tolist() == rhs
 
 
 def test_solve_checks_rhs_length():
@@ -86,9 +95,8 @@ def test_singular_matrix_is_reported():
     rows = np.array([[1.0, 2.0, 3.0],
                      [2.0, 4.0, 6.0],
                      [3.0, 6.0, 9.0]])    # rank one
-    mock = HankelGram(SYM, 2, rows)
     with pytest.raises(SingularToWorkingPrecision):
-        solve_normal_equations(mock, [1.0, 1.0, 1.0])
+        solve_normal_equations(rows, [1.0, 1.0, 1.0])
 
 
 def test_condition_k0_is_exactly_one():
@@ -143,7 +151,7 @@ def test_determinant_small_case():
 ], ids=["swap", "three-cycle"])
 def test_determinant_sign_follows_row_swaps(entries, expect):
     entries = np.asarray(entries)
-    det = determinant(HankelGram(SYM, len(entries) - 1, entries))
+    det = determinant(entries)
     assert det == pytest.approx(expect, rel=1e-12)
     assert det == pytest.approx(np.linalg.det(entries), rel=1e-12)
 
@@ -153,7 +161,7 @@ def test_determinant_sign_follows_row_swaps(entries, expect):
                          ids=["sym", "unit", "b10"])
 def test_positive_definite_through_k10(space):
     for k in range(11):
-        np.linalg.cholesky(gram(space, k).entries)   # raises if not PD
+        np.linalg.cholesky(gram(space, k))   # raises if not PD
 
 
 @pytest.mark.parametrize("k", range(9))

@@ -111,6 +111,18 @@ def test_fit_with_removals_drops_terms(sym_csv, tmp_path):
     assert doc["diagnostics"]["n_params"] == 7
 
 
+def test_fit_accepts_a_utf8_byte_order_mark(sym_csv, tmp_path):
+    """Spreadsheet "CSV UTF-8" exports start with a BOM; it is not data."""
+    bom_csv = tmp_path / "samples-bom.csv"
+    bom_csv.write_bytes(b"\xef\xbb\xbf" + sym_csv.read_bytes())
+    for src, out in ((sym_csv, "plain"), (bom_csv, "bom")):
+        assert main(["fit", "--family", "legendre", "--k", "6",
+                     "--input", str(src), "--out", str(tmp_path / out)]) == 0
+    for name in ("model.json", "residuals.csv"):
+        assert ((tmp_path / "bom" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes())
+
+
 def test_fit_legendre0b_records_endpoint(tmp_path):
     xs = np.linspace(0.0, 2.0, 101)
     path = tmp_path / "s.csv"
