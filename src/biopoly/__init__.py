@@ -12,8 +12,8 @@ from .exact import (ExactPoly, ScaleMismatchError, ScaleTag, SpaceSpec,
 from .families import (FamilyKind, FamilySpec, norm_sq, rat_coeff,
                        verify_orthonormal)
 from .biorth import (BiorthSet, LastElementError, MomentSpaceError,
-                     NotActiveError, UpgradeAfterRemovalError, build,
-                     downgrade, project, select_removal, upgrade)
+                     NotActiveError, build, downgrade, project,
+                     select_removal, upgrade)
 from .regress import (EvenPanelParityError, FitModel, MomentShortfallError,
                       MomentVector, NonUniformGridError, SampleSet,
                       UnsupportedSpaceError, bic_score, fit, l2_error,

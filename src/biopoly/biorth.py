@@ -23,7 +23,7 @@ matrix of V_k.)
 
 Integer kernel: t_j[n] = D_n c_j[n] with c_j[n] = ``families.int_coeff``
 an integer, and D_n = ``families.coeff_scale`` a scale that depends only on
-the family and the exponent.  A set therefore stores G as
+the family and the exponent.  G is therefore
 
     G = D K D / q,        K = sum_j (q d_j) c_j c_j^T,
 
@@ -31,20 +31,22 @@ one integer matrix K and one positive rational q (for a full set, the
 least common multiple of the denominators of the d_j, so that every weight
 q d_j is an integer).  ``BiorthSet.g`` is a derived view: G as
 ``Fraction`` entries, computed from K, D and q on first use and cached.
-A full set is just its family, order and q: its K is the closed-form sum
-above, which ``kmat`` forms on first read over the memoised integer rows
-c_j and caches.  Only ``downgrade`` stores a K, that of the pruned set it
-returns.  Four operations stay in integers:
+A set is just its family, order and active exponents.  K and q are one
+pair, formed on the first read of either and cached: a full set forms the
+closed-form sum above over the memoised integer rows c_j, ``downgrade``
+stores the pair of the pruned set it returns, and any other pruned set
+takes ``build``'s pair and one ``downgrade`` per missing exponent.  Four
+operations stay in integers:
 
-* ``upgrade``  - extend a full set from order k to k+1 in O(k): the new
-  set's q is the lcm of q and the denominator of d_{k+1}.  Its K, if it is
-  ever read, is the predecessor's rescaled by f = q'/q plus the one
-  integer rank-one term of degree k+1; an order scan that projects each
-  upgrade (the projection below needs only k, q and the family) forms no
-  K at all.
-* ``build``    - the full set of order k: q from d_0..d_k, nothing else.
-  Sets are immutable, so it is memoised per (family, k) and callers share
-  one, K included once it is read.
+* ``upgrade``  - raise any set from order k to k+1 with k+1 active, in
+  O(k): the new set is (family, k+1, active + (k+1,)), and nothing else.
+  Its K, if it is ever read, is the predecessor's rescaled by f = q'/q plus
+  the one integer rank-one term of degree k+1, with the same removals
+  applied; an order scan that projects each upgrade (the projection below
+  needs only k and the family) forms no K at all.
+* ``build``    - the full set of order k, nothing else.  Sets are
+  immutable, so it is memoised per (family, k) and callers share one, K
+  included once it is read.
 * ``downgrade`` - remove one monomial exponent l from the active set by a
   single fraction-free elimination step
 
@@ -76,9 +78,8 @@ returns.  Four operations stay in integers:
   the empty set of order -1 when there is none; the integers are those of
   K nu.  One module-level slot holds what that needs: a weak reference to
   the last moment vector projected, its D mu over one denominator with
-  the prefix lcms, and the last full-set projection of it.  A pruned set
-  takes one integer dot product per row of the K that ``downgrade``
-  stored.
+  the prefix lcms, and the last full-set projection of it with its q.  A
+  pruned set takes one integer dot product per row of its K.
 
 Removing l changes every remaining coefficient by the same exact identity,
 c_n <- c_n - (G[l][n] / G[l][l]) c_l, which on the numerators is the
@@ -117,10 +118,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .regress import MomentVector
 
 
-class UpgradeAfterRemovalError(ValueError):
-    """Order upgrade is only defined on full (never-downgraded) sets."""
-
-
 class NotActiveError(KeyError):
     """The requested exponent is not in the active set."""
 
@@ -141,32 +138,45 @@ class MomentSpaceError(ValueError):
 class BiorthSet:
     """The rows beta_n of order k for the active exponents n.
 
-    ``kmat`` is the symmetric (k+1) x (k+1) integer matrix K with
-    G = D K D / q, where D_n = ``_scales(family, k)[n]``.  Row n of G holds the
-    monomial coefficients of beta_n, which are also its Gram entries
+    A set is the value (family, k, active): it compares, hashes and prints
+    by those three fields.  ``kmat`` is the symmetric (k+1) x (k+1) integer
+    matrix K and ``q`` the positive rational with G = D K D / q, where
+    D_n = ``_scales(family, k)[n]``.  Row n of G holds the monomial
+    coefficients of beta_n, which are also its Gram entries
     <beta_n, beta_m>; the rows and columns of removed exponents are zero.
-    Immutable; ``upgrade`` and ``downgrade`` return new sets, which compare,
-    hash and print by (family, k, active, q): every removal order that
-    reaches one active set gives one q and one K.  A full set holds no K
-    until ``kmat`` is read; ``downgrade`` stores a pruned set's K.
+    K and q are one pair, ``_kq``, formed on the first read of either:
+    ``downgrade`` stores the pair of the set it returns, and any other set
+    forms its own.
     """
 
     family: FamilySpec
     k: int
     active: tuple[int, ...]
-    q: Fraction
 
     @functools.cached_property
-    def kmat(self) -> tuple[tuple[int, ...], ...]:
-        """K of a full set: the sum of (q d_j) c_j c_j^T over j <= k."""
+    def _kq(self) -> tuple[tuple[tuple[int, ...], ...], Fraction]:
+        """(K, q).  A full set's q is the lcm of the denominators of
+        d_0..d_k and its K the sum of (q d_j) c_j c_j^T over j <= k.  A
+        pruned set takes ``build``'s pair and one ``downgrade`` per missing
+        exponent, in increasing order: every removal order reaches the same
+        pair."""
         if len(self.active) != self.k + 1:
-            raise ValueError("a pruned set's K is the one downgrade stored, "
-                             "and this set holds none")
+            missing = sorted(set(range(self.k + 1)).difference(self.active))
+            return functools.reduce(downgrade, missing, build(self.family, self.k))._kq
+        d = [norm_sq(self.family, j) for j in range(self.k + 1)]
+        q = math.lcm(*(dj.denominator for dj in d))
         kmat = [[0] * (self.k + 1) for _ in range(self.k + 1)]
-        for j in range(self.k + 1):
-            _add_term(kmat, (self.q * norm_sq(self.family, j)).numerator,
-                      _integer_row(self.family, j))
-        return tuple(map(tuple, kmat))
+        for j, dj in enumerate(d):
+            _add_term(kmat, (q * dj).numerator, _integer_row(self.family, j))
+        return tuple(map(tuple, kmat)), Fraction(q)
+
+    @property
+    def kmat(self) -> tuple[tuple[int, ...], ...]:
+        return self._kq[0]
+
+    @property
+    def q(self) -> Fraction:
+        return self._kq[1]
 
     @functools.cached_property
     def g(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -212,30 +222,23 @@ def _add_term(kmat: list[list[int]], w: int, c: Sequence[int]) -> None:
 
 @functools.cache
 def build(fam: FamilySpec, k: int) -> BiorthSet:
-    """The full set of order k, with q the lcm of the denominators of
-    d_0..d_k (memoised); its K is formed on first read of ``kmat``."""
+    """The full set of order k (memoised); its K and q are formed on the
+    first read of ``kmat`` or ``q``."""
     if k < 0:
         raise ValueError("order k must be nonnegative")
-    q = math.lcm(*(norm_sq(fam, j).denominator for j in range(k + 1)))
-    return BiorthSet(fam, k, tuple(range(k + 1)), Fraction(q))
+    return BiorthSet(fam, k, tuple(range(k + 1)))
 
 
 def upgrade(s: BiorthSet) -> BiorthSet:
-    """Extend a full set from order k to order k+1, in O(k).
+    """Raise the order of ``s`` from k to k+1 and make k+1 active.
 
     Every row n gains t_{k+1}[n] * p_{k+1}, and the new row k+1 is a single
-    multiple of p_{k+1}: both are the rank-one term of degree k+1.  The
-    returned set is the full set of order k+1, equal to ``build``'s: its q
-    is the lcm of q and the denominator of d_{k+1}, and its K, the
-    closed-form sum, waits for the first read of ``kmat``.
+    multiple of p_{k+1}: both are the rank-one term of degree k+1.  Of a
+    full set this is ``build``'s set of order k+1; of a pruned set it is
+    the same removals from that set.  Nothing is computed until K or q is
+    read.
     """
-    if len(s.active) != s.k + 1:
-        raise UpgradeAfterRemovalError(
-            "cannot upgrade a set after removals; rebuild at the new order")
-    j = s.k + 1
-    # a full set's q is an integer
-    q = math.lcm(s.q.numerator, norm_sq(s.family, j).denominator)
-    return BiorthSet(s.family, j, tuple(range(j + 1)), Fraction(q))
+    return BiorthSet(s.family, s.k + 1, s.active + (s.k + 1,))
 
 
 def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
@@ -264,9 +267,8 @@ def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
         upper = [[x // c for x in row] for row in upper]
     kmat = tuple(tuple([upper[m][n - m] for m in range(n)] + row)
                  for n, row in enumerate(upper))
-    t = BiorthSet(s.family, s.k, tuple(n for n in s.active if n != ell),
-                  s.q * a / c)
-    vars(t)["kmat"] = kmat          # where the cached property keeps K
+    t = BiorthSet(s.family, s.k, tuple(n for n in s.active if n != ell))
+    vars(t)["_kq"] = kmat, s.q * a / c      # where the cached property keeps them
     return t
 
 
@@ -354,12 +356,11 @@ _slot = None
 
 def _carry(s: BiorthSet, nums: tuple[int, ...], lcms: tuple[int, ...],
            last: tuple[int, int, tuple[int, ...]] | None
-           ) -> tuple[int, ...] | None:
-    """The numerators of the full set ``s``, folded forward by one
-    ``upgrade``'s rank-one step per order from ``last``, the projection of
-    the same moments onto a full set of order at most s.k, or from the
-    empty set of order -1 when there is none.  None unless s.q is the q
-    that the upgrades reach."""
+           ) -> tuple[tuple[int, ...], int]:
+    """The numerators of the full set ``s`` and its q, folded forward by
+    one ``upgrade``'s rank-one step per order from ``last``, the projection
+    of the same moments onto a full set of order at most s.k, or from the
+    empty set of order -1 when there is none."""
     k_prev, q_prev, y = last if last and last[0] <= s.k else (-1, 1, ())
     for j in range(k_prev + 1, s.k + 1):
         # K' = f (K (+) 0) + w c c^T and nu' = g (nu (+) 0) + nu'_j e_j give
@@ -371,7 +372,7 @@ def _carry(s: BiorthSet, nums: tuple[int, ...], lcms: tuple[int, ...],
         wz = (q * d).numerator * (sum(map(mul, c, nums)) // (lcms[-1] // lcms[j]))
         y = [fg * yn + wz * cn for yn, cn in zip(y, c)] + [wz * c[j]]
         q_prev = q
-    return tuple(y) if s.q == q_prev else None
+    return tuple(y), q_prev
 
 
 def project(s: BiorthSet, moments: "MomentVector") -> FitModel:
@@ -382,11 +383,11 @@ def project(s: BiorthSet, moments: "MomentVector") -> FitModel:
     D mu over one common denominator give the model's integer numerators
     over one shared denominator.  So the huge cancellations inside
     high-order beta rows cost no precision: order ~36 fits come out clean
-    where solved normal equations lose everything.  A full set reads no K:
-    its numerators are folded forward from the last full-set projection of
-    the same moments at an order no higher, or from order -1 (``_carry``).
-    A pruned set takes one integer dot product per row of its K.  The
-    integers are the same either way.  Moments taken in another space
+    where solved normal equations lose everything.  A full set reads
+    neither K nor q: its numerators and q are folded forward from the last
+    full-set projection of the same moments at an order no higher, or from
+    order -1 (``_carry``).  A pruned set takes one integer dot product per
+    row of its K.  The integers are the same either way.  Moments taken in another space
     than the family's raise ``MomentSpaceError``.
     """
     global _slot
@@ -402,17 +403,18 @@ def project(s: BiorthSet, moments: "MomentVector") -> FitModel:
         slot = (weakref.ref(moments), s.family,
                 *_scaled_moments(s.family, moments), None)
     _, _, nums, lcms, last = slot
-    numerators = _carry(s, nums, lcms, last) if len(s.active) == s.k + 1 else None
-    if numerators is None:
+    if len(s.active) == s.k + 1:
+        numerators, q = _carry(s, nums, lcms, last)
+        slot = slot[:4] + ((s.k, q, numerators),)
+    else:
         # entries past the largest active exponent are zero, so rows stop
         # at top; nu / L_top == D mu, c_n = D_n (K_n . nu) / (q L_top)
         r = lcms[-1] // lcms[top]
         nu = nums[:top + 1] if r == 1 else [x // r for x in nums[:top + 1]]
         numerators = tuple(sum(map(mul, s.kmat[n], nu)) for n in s.active)
-    else:
-        slot = slot[:4] + ((s.k, s.q.numerator, numerators),)
+        q = s.q
     _slot = slot
-    return FitModel.from_projection(s, numerators, s.q * lcms[top])
+    return FitModel.from_projection(s, numerators, Fraction(q * lcms[top]))
 
 
 def _prune(s: BiorthSet, model: FitModel,

@@ -21,9 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biopoly.biorth import (BiorthSet, LastElementError, NotActiveError,
-                            UpgradeAfterRemovalError, _integer_row, build,
-                            cheapest_removal, downgrade, project,
-                            select_removal, upgrade)
+                            _integer_row, build, cheapest_removal, downgrade,
+                            project, select_removal, upgrade)
 from biopoly.exact import ScaleTag, inner_monomial, inner_poly
 from biopoly.families import FamilySpec, norm_sq, rat_coeff
 from biopoly.regress import MomentShortfallError, MomentVector
@@ -231,8 +230,8 @@ def test_integer_kernel_matches_fraction_reference(fam, k, data):
 
 def _direct_build(fam, k):
     """K and q as one direct sum over the degrees 0..k, with q the lcm of
-    the denominators of d_0..d_k: a reference for ``build``, which reaches
-    the same set by k+1 upgrades."""
+    the denominators of d_0..d_k: a reference for the closed form that a
+    full set forms on first read, with its own loops."""
     d = [norm_sq(fam, j) for j in range(k + 1)]
     q = math.lcm(*(dj.denominator for dj in d))
     kmat = [[0] * (k + 1) for _ in range(k + 1)]
@@ -306,7 +305,7 @@ def test_upgrade_equals_rebuild(fam):
 
 
 # ----------------------------------------------------------------------
-# K on first read: a full set forms the closed-form sum
+# K and q on first read: a set is its family, order and active exponents
 # ----------------------------------------------------------------------
 
 def test_unread_chain_materialises_without_recursion():
@@ -366,7 +365,7 @@ def test_deferred_set_agrees_with_build(fam):
 
     def deferred():
         s = upgrade(build(fam, k - 1))
-        assert "kmat" not in vars(s)
+        assert "_kq" not in vars(s)
         return s
 
     assert downgrade(deferred(), 4) == downgrade(full, 4)
@@ -375,7 +374,7 @@ def test_deferred_set_agrees_with_build(fam):
     s = deferred()
     other = exact_moments(fam, [Fraction(1, i + 3) for i in range(k + 1)])
     model = project(s, other)          # no earlier projection to carry
-    assert "kmat" not in vars(s)
+    assert "_kq" not in vars(s)
     assert model.numerators == project(full, other).numerators
     assert dataclasses.replace(deferred()) == full
     assert deferred() == full and full == deferred()
@@ -383,27 +382,26 @@ def test_deferred_set_agrees_with_build(fam):
     assert repr(deferred()) == repr(full)
 
 
-def test_kmat_of_a_pruned_set_without_k_is_refused():
-    """Only ``downgrade`` gives a pruned set its K: a hand-made one, or one
-    passed through ``dataclasses.replace``, raises instead of reading the
-    full set's sum."""
-    fam = FamilySpec.legendre_sym()
-    pruned = downgrade(build(fam, 6), 2)
-    for s in (BiorthSet(fam, 6, pruned.active, pruned.q),
-              dataclasses.replace(pruned)):
-        assert s == pruned
-        with pytest.raises(ValueError, match="downgrade"):
-            s.kmat
-        with pytest.raises(ValueError, match="downgrade"):
-            s.gram_entry(0, 0)
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=IDS)
+def test_hand_made_pruned_set_agrees_with_downgrade(fam):
+    """A pruned set made by hand, or passed through ``dataclasses.replace``,
+    holds no K or q; on first read it forms those of the set ``downgrade``
+    returned, and projects to the same model."""
+    pruned = downgrade(downgrade(build(fam, 6), 4), 2)
+    mom = exact_moments(fam, [Fraction(1, i + 2) for i in range(7)])
+    for s in (BiorthSet(fam, 6, pruned.active), dataclasses.replace(pruned)):
+        assert "_kq" not in vars(s)
+        assert s == pruned and hash(s) == hash(pruned)
+        assert (s.kmat, s.q, s.g) == (pruned.kmat, pruned.q, pruned.g)
+        assert s.gram_entry(0, 5) == pruned.gram_entry(0, 5)
+        assert project(s, mom) == project(pruned, mom)
 
 
 @settings(max_examples=40, deadline=None)
 @given(fam=st.sampled_from(ALL_FAMILIES), k=st.integers(1, 12), data=st.data())
 def test_removal_orders_that_reach_one_active_set_agree(fam, k, data):
-    """Sets compare and hash by (family, k, active, q); that is sound
-    because any two removal orders of one set of exponents give the same
-    q and K."""
+    """Sets compare and hash by (family, k, active); that is sound because
+    any two removal orders of one set of exponents give the same q and K."""
     removed = data.draw(st.lists(st.integers(0, k), min_size=1, max_size=k,
                                  unique=True), label="removed")
     other = data.draw(st.permutations(removed), label="other order")
@@ -414,10 +412,24 @@ def test_removal_orders_that_reach_one_active_set_agree(fam, k, data):
     assert (a.kmat, a.q) == (b.kmat, b.q)
 
 
-def test_upgrade_after_removal_is_refused():
-    s = downgrade(build(FamilySpec.laguerre(), 3), 1)
-    with pytest.raises(UpgradeAfterRemovalError):
-        upgrade(s)
+@settings(max_examples=60, deadline=None)
+@given(fam=st.sampled_from(ALL_FAMILIES), k=st.integers(1, 12), data=st.data())
+def test_upgrade_after_removal_equals_removal_after_upgrade(fam, k, data):
+    """Upgrading the set with R removed gives the set of order k+1 with R
+    removed: the same value, K, q, G and projection."""
+    removed = data.draw(st.lists(st.integers(0, k), max_size=k, unique=True),
+                        label="removed")
+    a, b = build(fam, k), build(fam, k + 1)
+    for ell in removed:
+        a, b = downgrade(a, ell), downgrade(b, ell)
+    up = upgrade(a)
+    assert up == b and hash(up) == hash(b)
+    assert (up.kmat, up.q, up.g) == (b.kmat, b.q, b.g)
+    mu = data.draw(st.lists(st.fractions(min_value=-3, max_value=3,
+                                         max_denominator=20),
+                            min_size=k + 2, max_size=k + 2), label="mu")
+    mom = exact_moments(fam, mu)
+    assert project(up, mom) == project(b, mom)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biopoly import biorth
+from biopoly import biorth, demos
 from biopoly.cli import EXIT_BAD_INPUT, EXIT_DOMAIN, load_model, main
 from biopoly.demos import _csv_text
 from biopoly.exact import horner_many
@@ -69,6 +69,22 @@ def test_fit_evaluates_the_model_once(sym_csv, tmp_path, monkeypatch):
     assert main(["fit", "--family", "legendre", "--k", "8", "--removals", "2",
                  "--input", str(sym_csv), "--out", str(tmp_path / "out")]) == 0
     assert calls == [(201,)]
+
+
+def test_example_3_evaluates_each_model_once_per_error(tmp_path, monkeypatch):
+    """Each order-36 fit is evaluated once on the plot grid and once per
+    error figure except rms_error, which divides l2_error's value; the
+    baseline solve is evaluated once."""
+    calls = []
+
+    def counting_horner(coeffs, xs):
+        calls.append(np.shape(xs))
+        return horner_many(coeffs, xs)
+
+    monkeypatch.setattr(biorth, "horner_many", counting_horner)
+    monkeypatch.setattr(demos, "horner_many", counting_horner)
+    demos.run_high_order_wiggle(tmp_path)
+    assert len(calls) == 7
 
 
 def test_saved_model_reproduces_fit_column(sym_csv, tmp_path):

@@ -6,7 +6,6 @@ a hand-derived double sum, which exercises the entire moment-to-model
 path with an answer obtained independently of the package.
 """
 
-import dataclasses
 import gc
 import math
 import re
@@ -508,6 +507,7 @@ def _assert_is_product(model, s, mv):
     for integer, with the float bits of its ``Fraction``s."""
     y, nu_den = _kv_numerators(s, mv)
     assert model.numerators == y
+    assert type(model.denominator) is Fraction
     assert model.denominator == s.q * nu_den
     factor = INV_PI_FLOAT if s.family.poly_scale is ScaleTag.INV_PI else 1.0
     assert [c.hex() for c in model.coeffs] == [(float(c) * factor).hex()
@@ -546,10 +546,9 @@ def test_upgrade_scan_carries_every_order(monkeypatch, fam):
     carry, exact_values = biorth._carry, MomentVector.exact_values
     carried, reads = [], []
 
-    def counting_carry(*args):
-        y = carry(*args)
-        carried.append(y is not None)
-        return y
+    def counting_carry(s, nums, lcms, last):
+        carried.append((s.k, last[0] if last else -1))   # (order, from order)
+        return carry(s, nums, lcms, last)
 
     def counting_exact_values(mv):
         reads.append(mv)
@@ -563,7 +562,7 @@ def test_upgrade_scan_carries_every_order(monkeypatch, fam):
     for _ in range(30):
         s = upgrade(s)
         models.append(project(s, mv))
-    assert carried[-30:] == [True] * 30
+    assert carried[-30:] == [(k, k - 1) for k in range(1, 31)]
     assert len(reads) == 1
     monkeypatch.undo()
     for k, model in enumerate(models):
@@ -572,30 +571,18 @@ def test_upgrade_scan_carries_every_order(monkeypatch, fam):
 
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=lambda f: f.describe())
 def test_upgrade_scan_builds_no_kmat(fam):
-    """An order scan to 48 that projects each upgrade forms no K; the last
-    set's K, built on first read, is ``build``'s."""
+    """An order scan to 48 that projects each upgrade forms no K or q (the
+    ``_kq`` slot stays empty); the last set's pair, formed on first read,
+    is ``build``'s."""
     mv = _mixed_moments(fam, 48)
     scan = [upgrade(build(fam, 0))]
     project(scan[0], mv)
     for _ in range(47):
         scan.append(upgrade(scan[-1]))
         project(scan[-1], mv)
-    assert [t for t in scan if "kmat" in vars(t)] == []
+    assert [t for t in scan if "_kq" in vars(t)] == []
     s, full = scan[-1], build(fam, 48)
     assert (s.kmat, s.q) == (full.kmat, full.q)
-
-
-def test_carry_needs_the_upgraded_set():
-    """A full set of the next order whose q is not the upgrade's, here the
-    same G as 2K / 2q, is projected by its own product."""
-    fam = FamilySpec.legendre_shifted(1)
-    mv = _mixed_moments(fam, 12)
-    project(build(fam, 11), mv)
-    s = build(fam, 12)
-    doubled = dataclasses.replace(s, q=2 * s.q)
-    model = project(doubled, mv)
-    _assert_is_product(model, doubled, mv)
-    assert model.coeffs == project(s, mv).coeffs
 
 
 def test_projection_keeps_no_moment_vector_alive():
