@@ -24,12 +24,16 @@ twice the working precision: about 1 ulp while the condition number of p
 at x stays below about 2**53, and worse beyond.  The cancelling monomial
 coefficients of a high-order fit on [0, b] go past that, and there the
 limit is the rounding of the coefficients to double before evaluation, not
-the summation.  From two blocks of points on, ``horner_many`` shares its
-blocks out dynamically among one thread per CPU this process may run on,
-the helpers on a ``concurrent.futures.ThreadPoolExecutor`` that lives for
-one call.  The result bits do not depend on the thread count, every thread
-runs under the caller's ``np.errstate``, and nothing sets the count but
-the CPUs.
+the summation.  Per block of points, ``horner_many`` runs only the two
+true recurrences, the Horner sum and its correction, one term at a time;
+the error terms of a whole chunk of terms take one ufunc call per
+operation in between.  Every operation keeps its operands, so the bits
+are those of the one-term-at-a-time loop.  From two blocks of points on,
+``horner_many`` shares its blocks out dynamically among one thread per
+CPU this process may run on, the helpers on a
+``concurrent.futures.ThreadPoolExecutor`` that lives for one call.  The
+result bits do not depend on the thread count, every thread runs under the
+caller's ``np.errstate``, and nothing sets the count but the CPUs.
 """
 
 from __future__ import annotations
@@ -176,6 +180,11 @@ _SPLITTER = 134217729.0  # 2**27 + 1
 #: (128 KB each) stay in a 2 MB per-core L2 cache across all the terms.
 _BLOCK = 16384
 
+#: point-terms per chunk: a block of m points takes its terms
+#: r = min(k, max(1, _CHUNK // m)) at a time, in 6r + 3 work rows of m
+#: floats, which with _CHUNK <= _BLOCK is never more than a full block's nine
+_CHUNK = _BLOCK
+
 #: CPUs this process may run on: ``horner_many`` shares its blocks among
 #: at most this many threads, the caller's included.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -201,10 +210,26 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     the same condition number, is what limits the accuracy of a fit's
     evaluation, not this loop.
 
-    The points go through in blocks of ``_BLOCK``.  Per block the split of
-    x is computed once, and each term is a fixed sequence of ufunc calls
-    that write into the same work arrays, so no temporary is allocated per
-    term.  From two blocks on, the blocks are shared out dynamically among
+    The points go through in blocks of ``_BLOCK``, and per block the split
+    of x is computed once.  Only two of the recurrences are sequential in
+    the terms: the Horner sum acc <- acc*x + c and the correction
+    comp <- comp*x + e.  So a block of m points takes its k terms in chunks
+    of r = min(k, max(1, _CHUNK // m)), in two passes over each.  The first
+    runs the plain Horner sum term by term, p_i = acc_i*x and
+    acc_{i+1} = p_i + c_i, and keeps every acc and p row.  Then the 18
+    operations of the error terms, TwoProd(acc_i, x), TwoSum(p_i, c_i) and
+    e_i = e1 + e2, each take one ufunc call over the whole (r, m) chunk, and
+    the second pass runs comp = comp*x + e_i term by term, straight into the
+    result.  That is about 4 + 18/r calls a term where one term at a time
+    takes 22: at 201 points and k = 48 the whole sum is one chunk, and a
+    full block has r = 1, 22 one-dimensional calls a term.  Every float
+    operation gets the same operands as in the loop that takes one term at
+    a time, and only operations that do not depend on each other change
+    order, so the bits are the same.  A block's 6r + 3 work rows are never
+    more than a full block's nine, and nothing is allocated per term.
+    With no coefficients the result is the empty sum, +0.0.
+
+    From two blocks on, the blocks are shared out dynamically among
     one thread per CPU this process may run on (fewer if there are fewer
     blocks), the calling thread included: each takes the next block start
     as it finishes one, so a stalled CPU holds back one block, not a fixed
@@ -215,19 +240,21 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     calling thread takes every block.  The ufuncs release
     the interpreter lock, so the blocks run in parallel.  There is no
     setting for the thread count.  Every point sees the same float
-    operations in the same order whatever the block size or thread count,
-    so the result bits depend on neither.  Each thread runs under the
-    caller's numpy error state (``np.errstate``), and once all have
-    finished, an exception raised in the caller, or else the first helper's
-    in submission order, is raised here.  The result is a new float64
+    operations on the same operands whatever the block size, chunk length
+    or thread count, so the result bits depend on none of them.  Each
+    thread runs under the caller's numpy error state (``np.errstate``), and
+    once all have finished, an exception raised in the caller, or else the
+    first helper's in submission order, is raised here.  The result is a new float64
     array of ``xs``'s shape; ``xs`` is not written.
     """
     xs = np.asarray(xs, dtype=float)
+    if len(coeffs) == 0:
+        coeffs = [0.0]                       # the empty sum
     # Scalars go in as 0-d arrays: a Python float is converted on every
     # call, and a (1,) array takes numpy's slower broadcasting path, whose
-    # cost shows on a few hundred points.  And no call writes into one
-    # of its own inputs, because numpy copies an operand that aliases the
-    # output of a one-element call first.
+    # cost shows on a few hundred points.  And only a block's last call,
+    # acc + comp into comp, writes into one of its own inputs: numpy copies
+    # an operand that aliases the output of a one-element call first.
     top = float(coeffs[-1])
     rest = [np.array(float(c)) for c in reversed(coeffs[:-1])]
     flat = xs.reshape(-1)
@@ -274,43 +301,103 @@ def _horner_blocks(top: float, rest: list[np.ndarray], flat: np.ndarray,
                    out_flat: np.ndarray, starts) -> None:
     """Evaluate the blocks of ``flat`` whose starts this call takes from
     ``starts`` into ``out_flat``, with a work array of its own."""
-    split = np.array(_SPLITTER)
-    mul, sub, add = np.multiply, np.subtract, np.add
-    work = np.empty((9, min(flat.size, _BLOCK)))
+    k = len(rest)
+    cols = np.fromiter(rest, float, k).reshape(k, 1)  # as a column
+    work = None
     for lo in starts:
         x = flat[lo:lo + _BLOCK]
-        m = x.size
-        acc, comp, xh, xl, p, h, t, u, w = work[:, :m]
-        mul(x, split, t)
-        sub(t, x, u)
-        sub(t, u, xh)                # xh = high half of x
-        sub(x, xh, xl)               # xl = x - xh
-        acc.fill(top)
-        comp.fill(0.0)
-        for c in rest:
-            # TwoProd(acc, x) = p + e1, e1 in t
-            mul(acc, x, p)
-            mul(acc, split, h)
-            sub(h, acc, t)
-            sub(h, t, u)             # u = high half of acc
-            sub(acc, u, h)           # h = acc - u
-            mul(u, xh, t)
-            sub(t, p, w)
-            mul(u, xl, acc)          # acc is scratch until TwoSum
-            add(w, acc, t)
-            mul(h, xh, acc)
-            add(t, acc, w)
-            mul(h, xl, acc)
-            add(w, acc, t)
-            # TwoSum(p, c) = acc + e2, e2 in u
-            add(p, c, acc)
-            sub(acc, p, u)
-            sub(acc, u, h)
-            sub(p, h, w)
-            sub(c, u, h)
-            add(w, h, u)
-            # comp = comp * x + (e1 + e2)
-            mul(comp, x, w)
-            add(t, u, h)
-            add(w, h, comp)
-        add(acc, comp, out_flat[lo:lo + m])
+        r = max(1, min(k, _CHUNK // x.size))  # terms per chunk
+        if work is None or work.size != (6 * r + 3) * x.size:
+            # the first block, or the last and shorter one: the old array
+            # goes first (its views die with _horner_block's frame), so no
+            # two are held at once
+            work = None
+            work = np.empty((6 * r + 3) * x.size)
+        _horner_block(top, rest, cols, r, x, out_flat[lo:lo + x.size], work)
+
+
+def _horner_block(top: float, rest: list[np.ndarray], cols: np.ndarray,
+                  r: int, x: np.ndarray, comp: np.ndarray,
+                  work: np.ndarray) -> None:
+    """Evaluate one block of points ``x`` into ``comp``, r terms a chunk, in
+    the 6r + 3 rows of ``work``."""
+    split = np.array(_SPLITTER)
+    mul, sub, add = np.multiply, np.subtract, np.add
+    k, m = len(rest), x.size
+    xh, xl = work[:2 * m].reshape(2, m)
+    accs = work[2 * m:(r + 3) * m].reshape(r + 1, m)
+    rows = work[(r + 3) * m:].reshape(5, r, m)
+    p, h, t, u, w = rows
+    # the rows used one term at a time, as lists, so a term takes no view;
+    # the correction's products all go through one row of t
+    A, P, W, tmp = list(accs), list(p), list(w), t[0]
+    mul(x, split, h[0])
+    sub(h[0], x, tmp)
+    sub(h[0], tmp, xh)                       # xh = high half of x
+    sub(x, xh, xl)                           # xl = x - xh
+    A[0].fill(top)
+    comp.fill(0.0)                           # the correction sums in place
+    # chunks run down the acc rows and back up in turn, so each starts on
+    # the row where the one before ended, with no copy.  A full chunk's
+    # error terms take these operands: rows when it has one term, which run
+    # on numpy's faster one-dimensional path, else (r, m) blocks.
+    ways = []
+    for a, stack in ((A, accs), (A[::-1], accs[::-1])):
+        if r == 1:
+            ways.append((a, (a[0], a[1], P[0], h[0], tmp, u[0], W[0])))
+        else:
+            ways.append((a, (stack[:-1], stack[1:], *rows)))
+    last = A[0]
+    for j in range(0, k, r):
+        a, ops = ways[j // r % 2]
+        if r == 1:
+            # one-term chunks, as in full blocks: no loops, whose setup
+            # would be most of a term's interpreter time, which other
+            # threads wait on under the interpreter lock
+            acc, s, pp, hh, tt, uu, ww = ops
+            c = rest[j]
+            mul(acc, x, pp)                  # 1. p = acc * x, s = p + c
+            add(pp, c, s)
+            last = s
+        else:
+            n = min(r, k - j)
+            # 1. plain Horner: p_i = acc_i * x, acc_{i+1} = p_i + c_i
+            for i in range(n):
+                mul(a[i], x, P[i])
+                add(P[i], rest[j + i], a[i + 1])
+            last = a[n]
+            if n < r:                        # the last chunk, a shorter one
+                stack = (accs[::-1] if j // r % 2 else accs)[:n + 1]
+                ops = (stack[:-1], stack[1:], *rows[:, :n])
+            acc, s, pp, hh, tt, uu, ww = ops
+            c = cols[j:j + n]
+        # 2. the error terms of every term of the chunk at once
+        # TwoProd(acc, x) = p + e1, e1 in uu
+        mul(acc, split, hh)
+        sub(hh, acc, tt)
+        sub(hh, tt, uu)                      # uu = high half of acc
+        sub(acc, uu, hh)                     # hh = acc - uu
+        mul(uu, xh, tt)
+        sub(tt, pp, ww)
+        mul(uu, xl, tt)
+        add(ww, tt, uu)
+        mul(hh, xh, tt)
+        add(uu, tt, ww)
+        mul(hh, xl, tt)
+        add(ww, tt, uu)
+        # TwoSum(p, c) = s + e2, e2 in tt
+        sub(s, pp, tt)
+        sub(s, tt, hh)
+        sub(pp, hh, ww)
+        sub(c, tt, hh)
+        add(ww, hh, tt)
+        add(uu, tt, ww)                      # ww = e1 + e2
+        # 3. the correction: comp = comp * x + (e1 + e2)
+        if r == 1:
+            mul(comp, x, tmp)
+            add(tmp, ww, comp)
+        else:
+            for i in range(n):
+                mul(comp, x, tmp)
+                add(tmp, W[i], comp)
+    add(last, comp, comp)

@@ -3,10 +3,12 @@
 The closed-form monomial integrals are checked against adaptive
 quadrature, which shares no code with the formulas under test, and the
 algebraic laws of the inner product are exercised with hypothesis over
-random rational polynomials.  The blocked, in-place ``horner_many`` is
-checked bit for bit against the plain vectorised loop it replaced, at
-several forced thread counts, and so is what its threads do with blocks,
-numpy error states and exceptions.
+random rational polynomials.  The blocked, chunked ``horner_many`` is
+checked bit for bit against the plain vectorised loop it replaced, with
+chunks of one term, of part of the sum and of all of it, and at several
+forced thread counts, and so is what its threads do with blocks, numpy
+error states and exceptions.  Its ufunc calls and its peak memory per
+evaluation are bounded.
 """
 
 import math
@@ -14,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import zip_longest
@@ -21,14 +24,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from biopoly import exact
-from biopoly.exact import (_BLOCK, _SPLITTER, ExactPoly, ScaleMismatchError,
-                           ScaleTag, SpaceSpec, Weight, horner_many,
-                           inner_monomial, inner_poly)
+from biopoly.exact import (_BLOCK, _CHUNK, _SPLITTER, ExactPoly,
+                           ScaleMismatchError, ScaleTag, SpaceSpec, Weight,
+                           horner_many, inner_monomial, inner_poly)
 from biopoly.families import FamilySpec
 from biopoly.regress import (fit, moments_expdecay, moments_gamma,
                              moments_quadrature)
@@ -186,6 +189,17 @@ def test_horner_many_vectorised_matches_scalar():
     assert np.allclose(got, expected, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("coeffs", [[], np.zeros(0)], ids=["list", "ndarray"])
+def test_horner_many_of_no_coefficients_is_the_empty_sum(coeffs):
+    xs = np.array([[1.5, -2.0, 0.0], [-0.0, 1e300, np.nan]])
+    got = horner_many(coeffs, xs)
+    assert got.dtype == np.float64 and got.shape == xs.shape
+    assert got.tobytes() == np.zeros(xs.shape).tobytes()     # +0.0 each
+    one = horner_many(coeffs, np.asarray(-3.0))
+    assert type(one) is type(horner_many([2.0], np.asarray(-3.0)))
+    assert one == 0.0 and not np.signbit(one)
+
+
 # ----------------------------------------------------------------------
 # bit identity: blocked in-place horner_many vs the plain vectorised loop
 # ----------------------------------------------------------------------
@@ -234,7 +248,12 @@ def _assert_same_bits(coeffs, xs):
 
 magnitudes = st.builds(lambda m, e, neg: (-m if neg else m) * 10.0 ** e,
                        st.floats(1.0, 9.999), st.integers(-12, 19), st.booleans())
-SIZES = [0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+# A block of m points takes r = min(k, max(1, _CHUNK // m)) terms a chunk:
+# r >= k at 1, 2 and 201 points (k <= 81), 1 < r < k at 2001 points (r = 8)
+# and 201 points (k > 81), r = 1 from _CHUNK // 2 + 1 points on; m * r
+# crosses _CHUNK between _CHUNK // 3 (r = 3) and _CHUNK // 3 + 1 (r = 2).
+SIZES = [0, 1, 2, 201, 2001, _CHUNK // 3, _CHUNK // 3 + 1, _CHUNK // 2,
+         _CHUNK // 2 + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
 
 
 def _points(seed, n, half_width):
@@ -245,14 +264,32 @@ def _points(seed, n, half_width):
     return xs
 
 
+def _spread(k):
+    """k + 1 coefficients of alternating sign, from 1e-8 to 1e8."""
+    return [(-1) ** i * 10.0 ** ((5 * i) % 17 - 8) for i in range(k + 1)]
+
+
+def _edge(n, k):
+    """An example of the test below with n points and degree k."""
+    return example(coeffs=_spread(k), form="float", n=n, layout="flat",
+                   read_only=False, half_width=2.0, seed=n + k)
+
+
 @settings(max_examples=60, deadline=None)
-@given(coeffs=st.lists(magnitudes, min_size=1, max_size=65),
+@given(coeffs=st.lists(magnitudes, min_size=1, max_size=100),
        form=st.sampled_from(["float", "fraction", "ndarray"]),
        n=st.sampled_from(SIZES),
        layout=st.sampled_from(["flat", "0-d", "2-d", "strided", "transposed"]),
        read_only=st.booleans(),
        half_width=st.sampled_from([1.0, 2.0, 10.0]),
        seed=st.integers(0, 2 ** 32 - 1))
+@_edge(201, 48)                 # r = k: the whole sum in one chunk
+@_edge(201, 99)                 # r = 81, k mod r = 18
+@_edge(2001, 36)                # r = 8, k mod r = 4
+@_edge(_CHUNK // 3, 64)         # r = 3, k mod r = 1
+@_edge(_CHUNK // 3 + 1, 64)     # r = 2
+@_edge(_CHUNK // 2 + 1, 17)     # r = 1 below a full block
+@_edge(2 * _BLOCK + 3, 64)      # r = 1 on full blocks, r = k on the last
 def test_horner_many_bit_identical_to_reference(coeffs, form, n, layout,
                                                 read_only, half_width, seed):
     if form == "fraction":
@@ -299,6 +336,65 @@ def test_horner_many_bit_identical_on_real_fits(family, k):
         coeffs = fit(fam, k, mom, removals=r).dense_coeffs()
         _assert_same_bits(coeffs, xs)
         _assert_same_bits(coeffs, xs[:201])
+
+
+# ----------------------------------------------------------------------
+# work: the ufunc calls and the memory of one evaluation
+# ----------------------------------------------------------------------
+
+class _CountingNumpy:
+    """Stands in for the kernel's ``np``; counts multiply, subtract and add."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        real = getattr(np, name)
+        if name not in ("multiply", "subtract", "add"):
+            return real
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+        return counted
+
+
+def test_horner_many_runs_only_the_recurrences_term_by_term(monkeypatch):
+    """At 201 points all 48 terms take one chunk: two calls a term for the
+    Horner sum, two for the correction, and one call per operation of the
+    error terms for the whole chunk, where one call per operation and term
+    makes about 22 * k."""
+    k = 48
+    coeffs = _spread(k)
+    xs = _points(3, 201, 1.0)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(exact, "np", counting)
+    got = horner_many(coeffs, xs)
+    monkeypatch.undo()
+    assert counting.calls <= 5 * k + 40
+    assert got.tobytes() == _horner_reference(coeffs, xs).tobytes()
+
+
+@pytest.mark.parametrize("k", [17, 48, 64])
+@pytest.mark.parametrize("n", [201, 2001, 2 * _BLOCK + 3, 100_000])
+def test_horner_many_allocates_no_more_than_nine_block_rows(monkeypatch, n, k):
+    """Past the result's 8n bytes, one thread allocates no more than a full
+    block's nine work rows, plus 64 KiB for small objects and numpy's
+    iteration buffer: peak memory does not grow with the chunk length."""
+    monkeypatch.setattr(exact, "_WORKERS", 1)
+    coeffs = _spread(k)
+    xs = _points(4, n, 1.0)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        horner_many(coeffs, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak - before <= 8 * n + 9 * _BLOCK * 8 + 64 * 1024
 
 
 # ----------------------------------------------------------------------
