@@ -16,10 +16,10 @@ from .biorth import (BiorthSet, LastElementError, MomentSpaceError,
                      select_removal, upgrade)
 from .regress import (EvenPanelParityError, FitModel, MomentShortfallError,
                       MomentVector, NonUniformGridError, SampleSet,
-                      UnsupportedSpaceError, bic_score, fit, l2_error,
-                      max_abs_error, moments_expdecay, moments_from_samples,
-                      moments_gamma, moments_quadrature, rms_error,
-                      space_measure)
+                      UnsupportedSpaceError, bic_score, error_figures, fit,
+                      l2_error, max_abs_error, moments_expdecay,
+                      moments_from_samples, moments_gamma, moments_quadrature,
+                      rms_error, space_measure)
 from .baseline import (SingularToWorkingPrecision, condition_estimate,
                        determinant, gram, solve_normal_equations)
 

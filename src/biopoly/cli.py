@@ -43,8 +43,8 @@ from .demos import (_csv_text, _json_text, _write_all, run_closed_form_decay,
 from .exact import ExactPoly, ScaleTag
 from .families import FamilyKind, FamilySpec
 from .regress import (EvenPanelParityError, FitModel, NonUniformGridError,
-                      SampleSet, UnsupportedSpaceError, _bic, _simpson,
-                      _simpson_l2, fit, moments_from_samples)
+                      SampleSet, UnsupportedSpaceError, error_figures, fit,
+                      moments_from_samples)
 
 __all__ = ["main", "load_model", "format_beta_row"]
 
@@ -205,24 +205,14 @@ def _cmd_fit(args) -> int:
         raise CliError(EXIT_BAD_INPUT, f"{args.input}: moments or coefficients "
                        f"of order {args.k} overflow the float range")
     with np.errstate(over="ignore", invalid="ignore"):
-        # one evaluation: l2_error and bic_score at the samples, from the
-        # residual they would each compute
-        fitted = model(samples.xs)
-        resid = samples.ys - fitted
-        abs_err = np.abs(resid)
-        _, w, h = _simpson(samples)
-        l2 = float(_simpson_l2(w, h, resid))
-        max_abs = float(np.max(abs_err))
-        bic = float(_bic(model.n_params, resid))
+        fitted, errors = error_figures(model, samples)
+    l2, max_abs, bic = errors["l2_error"], errors["max_abs_error"], errors["bic"]
     if not (math.isfinite(l2) and math.isfinite(max_abs)):
         raise CliError(EXIT_BAD_INPUT,
                        f"{args.input}: residuals overflow the float range")
-    figures = {
-        "l2_error": l2,
-        "max_abs_error": max_abs,
-        "bic": bic if math.isfinite(bic) else None,  # -inf: zero residual
-        "n_params": model.n_params,
-    }
+    figures = {"l2_error": l2, "max_abs_error": max_abs,
+               "bic": bic if math.isfinite(bic) else None,  # -inf: zero residual
+               "n_params": model.n_params}
 
     try:
         model_json = _model_to_json(model, figures)
@@ -231,7 +221,8 @@ def _cmd_fit(args) -> int:
     texts = {
         "model.json": _json_text(model_json),
         "residuals.csv": _csv_text(["x", "y", "fit", "abs_error"],
-                                   [samples.xs, samples.ys, fitted, abs_err]),
+                                   [samples.xs, samples.ys, fitted,
+                                    np.abs(samples.ys - fitted)]),
     }
     out_dir = Path(args.out)
     with _writing(out_dir):

@@ -15,7 +15,6 @@ outputs too, so every file the package writes takes one path.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +22,9 @@ import numpy as np
 from .baseline import condition_estimate, determinant, gram, solve_normal_equations
 from .exact import horner_many
 from .families import FamilySpec
-from .regress import (FitModel, SampleSet, _simpson, _simpson_l2, bic_score,
-                      fit, l2_error, max_abs_error, moments_expdecay,
-                      moments_from_samples, moments_gamma, moments_quadrature,
-                      space_measure)
+from .regress import (FitModel, SampleSet, error_figures, fit, l2_error,
+                      moments_expdecay, moments_from_samples, moments_gamma,
+                      moments_quadrature)
 from .targets import chirp, damped_wiggle, exp_decay, gamma_density
 
 __all__ = ["run_noisy_chirp", "run_closed_form_decay", "run_high_order_wiggle"]
@@ -83,16 +81,18 @@ def run_noisy_chirp(out_dir: str | Path, seed: int = 42) -> dict:
     pruned = fit(fam, 17, mom, removals=3)
     short = fit(fam, 14, mom)
 
-    def entry(model: FitModel) -> dict:
-        return {
+    def entry(model: FitModel) -> tuple[np.ndarray, dict]:
+        values, figures = error_figures(model, samples)
+        return values, {
             "k": model.k,
             "n_params": model.n_params,
             "removed": list(model.removed),
-            "error_vs_truth": float(l2_error(model, chirp)),
-            "bic": float(bic_score(model, samples)),
+            "error_vs_truth": l2_error(model, chirp),
+            "bic": figures["bic"],
         }
 
-    e_full, e_pruned, e_short = entry(full), entry(pruned), entry(short)
+    (v_full, e_full), (v_pruned, e_pruned), (v_short, e_short) = (
+        entry(full), entry(pruned), entry(short))
     inc_pruned = e_pruned["bic"] - e_full["bic"]
     inc_short = e_short["bic"] - e_full["bic"]
     report = {
@@ -113,7 +113,7 @@ def run_noisy_chirp(out_dir: str | Path, seed: int = 42) -> dict:
         "report.json": _json_text(report),
         "chirp_fits.csv": _csv_text(
             ["x", "y_noisy", "truth", "fit_k17", "fit_pruned", "fit_k14"],
-            [xs, ys, chirp(xs), full(xs), pruned(xs), short(xs)]),
+            [xs, ys, chirp(xs), v_full, v_pruned, v_short]),
     })
     return report
 
@@ -143,13 +143,14 @@ def run_closed_form_decay(out_dir: str | Path) -> dict:
     fit_cols, fit_names, rows = [], [], []
     for target_name, target, fam, k, mom in cases:
         model = fit(fam, k, mom)
+        _, figures = error_figures(model, target)
         rows.append({
             "target": target_name,
             "family": fam.name,
             "k": k,
             # [0, 10] is the default window of both families
-            "max_abs_error_0_10": float(max_abs_error(model, target)),
-            "l2_error": float(l2_error(model, target)),
+            "max_abs_error_0_10": figures["max_abs_error"],
+            "l2_error": figures["l2_error"],
         })
         fit_cols.append(model(xs))
         fit_names.append(f"fit_{target_name.replace('-', '')}_{fam.kind.value}_k{k}")
@@ -186,26 +187,13 @@ def run_high_order_wiggle(out_dir: str | Path) -> dict:
     coeffs_base = solve_normal_equations(g, np.asarray(mom_leg.mu))
     base_vals = horner_many(coeffs_base, xs)
 
-    def entry(model: FitModel, vals: np.ndarray, l2: float,
-              max_abs: float) -> dict:
-        return {
-            "k": k,
-            "l2_error": l2,
-            # rms_error's own definition, without evaluating the model again
-            "rms_error": l2 / math.sqrt(space_measure(model.family.space)),
-            "max_abs_error": float(max_abs),
-            "mean_abs_error": float(np.mean(np.abs(vals - truth))),
-        }
+    def entry(model: FitModel, vals: np.ndarray) -> dict:
+        # l2_error, rms_error and max_abs_error
+        return {"k": k, **error_figures(model, damped_wiggle)[1],
+                "mean_abs_error": float(np.mean(np.abs(vals - truth)))}
 
-    # max_abs_error's grid on [-1, 1] is the Simpson node set of l2_error,
-    # so one evaluation there gives both figures of the Legendre fit
-    nodes, w, h = _simpson(legendre.space)
-    resid = damped_wiggle(nodes) - fit_leg(nodes)
     leg_vals, cheb_vals = fit_leg(xs), fit_cheb(xs)
-    leg_entry = entry(fit_leg, leg_vals, _simpson_l2(w, h, resid),
-                      np.max(np.abs(resid)))
-    cheb_entry = entry(fit_cheb, cheb_vals, l2_error(fit_cheb, damped_wiggle),
-                       max_abs_error(fit_cheb, damped_wiggle))
+    leg_entry, cheb_entry = entry(fit_leg, leg_vals), entry(fit_cheb, cheb_vals)
     base_mean = float(np.mean(np.abs(base_vals - truth)))
     report = {
         "scenario": "high-order-wiggle",

@@ -16,6 +16,9 @@ from three sources, recorded in the vector's provenance:
   targets;
 * direct quadrature of a callable target.
 
+Every error figure a fit reports comes from one path, :func:`error_figures`:
+one evaluation on the nodes of :func:`l2_error`'s rule and its residual.
+
 Keeping analytic and sampled moments exact (rather than rounding each one
 back to float) costs nothing and removes a genuine noise floor: at order
 ~17 on [0, 1] the inverse-Gram map amplifies incoherent per-moment rounding
@@ -26,6 +29,7 @@ to the quantities reported here.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -316,27 +320,36 @@ def l2_error(model: FitModel, reference: Reference) -> float:
     a truncation tail.  A SampleSet reference integrates the squared
     residual over the sampled grid with composite Simpson.
     """
+    return _residual(model, reference)[2]
+
+
+@functools.cache
+def _laguerre_rule() -> tuple[np.ndarray, np.ndarray, None]:
+    """96 Gauss-Laguerre nodes and weights, read-only, made on first use,
+    and no Simpson step."""
+    xs, ws = np.polynomial.laguerre.laggauss(96)
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws, None
+
+
+def _residual(model: FitModel, reference: Reference) -> tuple:
+    """The model's values on the nodes of :func:`l2_error`'s rule for
+    ``reference``, the residual (reference - model) there and its L2 norm."""
     space = model.family.space
     if isinstance(reference, SampleSet):
-        xs, w, h = _simpson(reference)
-        ys = reference.ys
-    elif space.weight is Weight.EXP_NEG:
-        # half line: the weight is built into Gauss-Laguerre nodes, which
-        # integrate the polynomial part of the squared residual exactly (no
-        # truncation tail, which matters for the removal error identity)
-        xs, ws = np.polynomial.laguerre.laggauss(96)
-        resid2 = (reference(xs) - model(xs)) ** 2
-        return math.sqrt(abs(float(np.dot(ws, resid2))))
+        (xs, w, h), ys = _simpson(reference), reference.ys
     else:
-        xs, w, h = _simpson(space)
+        # the half line takes Gauss-Laguerre nodes, which build in the weight
+        # and integrate the polynomial part of the squared residual exactly
+        # (no truncation tail, which matters for the removal error identity)
+        xs, w, h = (_laguerre_rule() if space.weight is Weight.EXP_NEG
+                    else _simpson(space))
         ys = reference(xs)
-    return _simpson_l2(w, h, ys - model(xs))
-
-
-def _simpson_l2(w: np.ndarray, h: float, resid: np.ndarray) -> float:
-    """Composite-Simpson L2 norm of ``resid``, given at nodes with Simpson
-    weights ``w`` and step ``h``."""
-    return math.sqrt(abs(np.dot(w, resid ** 2) * h / 3.0))
+    values = model(xs)
+    resid = ys - values
+    sq = np.dot(w, resid ** 2)
+    return values, resid, math.sqrt(abs(sq if h is None else sq * h / 3.0))
 
 
 def space_measure(space: SpaceSpec) -> float:
@@ -391,3 +404,21 @@ def _bic(n_params: int, resid: np.ndarray) -> float:
     if mse == 0.0:
         return float("-inf")
     return n_params * math.log(n) + n * math.log(mse)
+
+
+def error_figures(model: FitModel,
+                  reference: Reference) -> tuple[np.ndarray, dict[str, float]]:
+    """The model's values on the nodes of :func:`l2_error`'s rule for
+    ``reference``, and its ``l2_error``, ``rms_error``, ``max_abs_error``
+    and, against a SampleSet, ``bic``, bit for bit.  The max shares the one
+    evaluation where the nodes are :func:`max_abs_error`'s grid too (samples,
+    and the MAX_ERROR_POINTS Simpson nodes of a unit-weight interval)."""
+    values, resid, l2 = _residual(model, reference)
+    space, samples = model.family.space, isinstance(reference, SampleSet)
+    figures = {"l2_error": l2, "rms_error": l2 / math.sqrt(space_measure(space)),
+               "max_abs_error": float(np.max(np.abs(resid)))
+               if samples or space.weight is Weight.UNIT
+               else max_abs_error(model, reference)}
+    if samples:
+        figures["bic"] = _bic(model.n_params, resid)
+    return values, figures

@@ -99,6 +99,15 @@ def test_singular_matrix_is_reported():
         solve_normal_equations(rows, [1.0, 1.0, 1.0])
 
 
+def test_determinant_below_the_pivot_floor_is_zero():
+    """Elimination of a rank-one matrix meets a zero pivot in column 1,
+    below the floor: the determinant reads 0.0, not an error."""
+    rows = np.array([[1.0, 2.0, 3.0],
+                     [2.0, 4.0, 6.0],
+                     [3.0, 6.0, 9.0]])
+    assert determinant(rows) == 0.0
+
+
 def test_condition_k0_is_exactly_one():
     assert condition_estimate(gram(SYM, 0)) == 1.0
     assert condition_estimate(gram(SpaceSpec.bounded(0, 10), 0)) == 1.0

@@ -474,6 +474,8 @@ def test_downgrade_errors():
         downgrade(s, 0)
     with pytest.raises(NotActiveError):
         s.beta(1)
+    with pytest.raises(NotActiveError):
+        s.gram_entry(0, 1)
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=IDS)

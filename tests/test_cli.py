@@ -1,6 +1,7 @@
 """End-to-end checks of the command line: exit codes, file outputs,
 round-tripping a saved model, and the exact coefficient tables."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biopoly import biorth, demos
+from biopoly import biorth, cli, demos
 from biopoly.cli import EXIT_BAD_INPUT, EXIT_DOMAIN, load_model, main
 from biopoly.demos import _csv_text
 from biopoly.exact import horner_many
@@ -137,6 +138,21 @@ def test_fit_accepts_a_utf8_byte_order_mark(sym_csv, tmp_path):
                      "--input", str(src), "--out", str(tmp_path / out)]) == 0
     for name in ("model.json", "residuals.csv"):
         assert ((tmp_path / "bom" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes())
+
+
+def test_fit_skips_blank_rows(sym_csv, tmp_path):
+    """Blank lines between data rows are not samples."""
+    gappy = tmp_path / "gappy.csv"
+    lines = sym_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+    gappy.write_text("".join(line + ("\n" if i % 7 == 3 else "")
+                             for i, line in enumerate(lines)) + "\n",
+                     encoding="utf-8")
+    for src, out in ((sym_csv, "plain"), (gappy, "gappy")):
+        assert main(["fit", "--family", "legendre", "--k", "6",
+                     "--input", str(src), "--out", str(tmp_path / out)]) == 0
+    for name in ("model.json", "residuals.csv"):
+        assert ((tmp_path / "gappy" / name).read_bytes()
                 == (tmp_path / "plain" / name).read_bytes())
 
 
@@ -495,14 +511,20 @@ def test_tables_order_capped(capsys):
 # example: deterministic outputs
 # ----------------------------------------------------------------------
 
-def test_example_1_is_reproducible(tmp_path, capsys):
+@pytest.mark.parametrize("number, csv_name, line", [
+    (1, "chirp_fits.csv", "noisy chirp (seed=7)"),
+    (2, "decay_fits.csv", "max|err| on [0,10]"),
+    (3, "wiggle_fits.csv", "baseline k=36"),
+], ids=["1", "2", "3"])
+def test_example_is_reproducible(number, csv_name, line, tmp_path, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["example", "1", "--seed", "7", "--out", str(out_a)]) == 0
-    assert main(["example", "1", "--seed", "7", "--out", str(out_b)]) == 0
-    for name in ("report.json", "chirp_fits.csv"):
+    for out in (out_a, out_b):
+        assert main(["example", str(number), "--seed", "7",
+                     "--out", str(out)]) == 0
+    for name in ("report.json", csv_name):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     out = capsys.readouterr().out
-    assert "noisy chirp (seed=7)" in out
+    assert line in out
 
 
 def test_example_1_seed_changes_noise(tmp_path):
@@ -544,6 +566,42 @@ def test_example_3_evaluates_each_model_once_on_its_grid(tmp_path, monkeypatch):
     monkeypatch.setattr(biorth.FitModel, "__call__", counting_call)
     assert main(["example", "3", "--out", str(tmp_path / "o")]) == 0
     assert shapes.count((2001,)) == 2
+
+
+@pytest.mark.parametrize("number, shapes", [
+    # each fit once on l2_error's Simpson nodes against the truth, which
+    # are max_abs_error's grid too, and once at the samples for its BIC
+    # and its CSV column
+    (1, [(501,)] * 3 + [(10001,)] * 3),
+    # each fit once on the CSV grid; a legendre0b fit once more on its
+    # Simpson nodes, a laguerre fit on its Gauss nodes and on the
+    # max_abs_error grid
+    (2, [(96,)] * 2 + [(1001,)] * 4 + [(10001,)] * 4),
+], ids=["1", "2"])
+def test_examples_evaluate_each_model_once_per_grid(number, shapes, tmp_path,
+                                                    monkeypatch):
+    seen = []
+    real = biorth.FitModel.__call__
+
+    def counting_call(model, xs):
+        seen.append(np.shape(xs))
+        return real(model, xs)
+
+    monkeypatch.setattr(biorth.FitModel, "__call__", counting_call)
+    assert main(["example", str(number), "--out", str(tmp_path / "o")]) == 0
+    assert sorted(seen) == shapes
+
+
+@pytest.mark.parametrize("module", [cli, demos], ids=["cli", "demos"])
+def test_no_private_regress_name_is_imported(module):
+    """The command line and the demos score fits through regress's public
+    functions only, so no copy of a scoring rule grows back beside them."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("regress", "biopoly.regress")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+from biopoly import families
 from biopoly.cli import MAX_ORDER
 from biopoly.exact import SpaceSpec, Weight, inner_monomial
-from biopoly.families import (FamilyKind, FamilySpec, norm_sq, rat_coeff,
-                              verify_orthonormal)
+from biopoly.families import (FamilyKind, FamilySpec, int_coeff, norm_sq,
+                              rat_coeff, verify_orthonormal)
 
 ALL_FAMILIES = [
     FamilySpec.legendre_shifted(1),
@@ -160,6 +161,22 @@ def test_support_structure(fam):
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.describe())
 def test_orthonormality_exact(fam):
     assert verify_orthonormal(fam, KMAX) == []
+
+
+def test_negative_degree_is_refused():
+    fam = FamilySpec.legendre_sym()
+    with pytest.raises(ValueError, match="nonnegative"):
+        norm_sq(fam, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        int_coeff(fam, -1, 0)
+
+
+def test_verify_orthonormal_reports_a_wrong_norm(monkeypatch):
+    """A squared norm off by a factor shows as a diagonal defect."""
+    fam = FamilySpec.legendre_shifted(1)
+    monkeypatch.setattr(families, "norm_sq",
+                        lambda f, j: 2 * norm_sq(f, j) if j == 2 else norm_sq(f, j))
+    assert verify_orthonormal(fam, 3) == [(2, 2, Fraction(1))]
 
 
 def test_family_validation():

@@ -24,12 +24,12 @@ from biopoly.biorth import (_scales, build, downgrade, project, select_removal,
                             upgrade)
 from biopoly.exact import INV_PI_FLOAT, ScaleTag, SpaceSpec, Weight, inner_monomial
 from biopoly.families import FamilySpec
-from biopoly.regress import (DEFAULT_PANELS, UNIFORM_GRID_RTOL,
-                             EvenPanelParityError, FitModel,
+from biopoly.regress import (DEFAULT_PANELS, MAX_ERROR_POINTS,
+                             UNIFORM_GRID_RTOL, EvenPanelParityError, FitModel,
                              MomentShortfallError, MomentVector,
                              NonUniformGridError,
-                             SampleSet, UnsupportedSpaceError, bic_score, fit,
-                             l2_error, max_abs_error, moments_expdecay,
+                             SampleSet, UnsupportedSpaceError, bic_score,
+                             error_figures, fit, l2_error, max_abs_error, moments_expdecay,
                              moments_from_samples, moments_gamma,
                              moments_quadrature, rms_error, space_measure)
 from biopoly.targets import damped_wiggle, exp_decay, gamma_density
@@ -140,6 +140,11 @@ def test_simpson_moments_exact_on_cubics():
                                        abs=1e-12)
 
 
+def test_quadrature_moments_refuse_the_half_line():
+    with pytest.raises(UnsupportedSpaceError, match="bounded and Chebyshev"):
+        moments_quadrature(exp_decay, SpaceSpec.half_line(), 2)
+
+
 def test_quadrature_moments_exact_on_cubics():
     # exactness applies to the whole integrand x^i f(x); keep its total
     # degree at three
@@ -240,6 +245,16 @@ def test_sample_set_validation():
             SampleSet(np.array([0.0, 0.5, 1.0]), np.array([0.0, bad, 1.0]))
         with pytest.raises(ValueError, match="finite"):
             SampleSet(np.array([0.0, 0.5, bad]), np.zeros(3))
+    with pytest.raises(ValueError, match="at least 3"):
+        SampleSet(np.array([0.0, 1.0]), np.zeros(2))
+    assert len(SampleSet(np.linspace(0.0, 1.0, 5), np.zeros(5))) == 5
+
+
+def test_moment_vector_exact_values_must_match_in_length():
+    space = SpaceSpec.bounded(0, 1)
+    with pytest.raises(ValueError, match="match mu in length"):
+        MomentVector(mu=(1.0, 0.5), space=space, provenance="test",
+                     mu_exact=(Fraction(1),))
 
 
 # ----------------------------------------------------------------------
@@ -698,6 +713,16 @@ def test_max_abs_error_default_windows():
         assert max_abs_error(model, exp_decay) == expect
 
 
+def test_max_abs_error_against_samples_is_the_max_residual():
+    fam = FamilySpec.legendre_shifted(1)
+    xs = np.linspace(0.0, 1.0, 11)
+    samples = SampleSet(xs, np.sin(3.0 * xs))
+    model = fit(fam, 2, moments_from_samples(samples, fam.space, 2))
+    expect = max(abs(y - f) for y, f in zip(samples.ys.tolist(),
+                                            model(xs).tolist()))
+    assert max_abs_error(model, samples) == expect
+
+
 def test_bic_score_definition():
     fam = FamilySpec.legendre_shifted(1)
     xs = np.linspace(0.0, 1.0, 11)
@@ -795,3 +820,81 @@ def test_l2_error_simpson_branches_bit_identical(branch):
         model = fit(fam, 7, moments_quadrature(ref, fam.space, 7))
         r2 = (ref(xs) - model(xs)) ** 2
     assert l2_error(model, ref) == _simpson_oracle(xs, h, r2)
+
+
+# ----------------------------------------------------------------------
+# the one scoring path
+# ----------------------------------------------------------------------
+
+def _scored_case(fam: FamilySpec, against: str):
+    """A fit of one family and a reference to score it against: its own
+    target, or samples of that target with a little deterministic noise."""
+    target = exp_decay if fam.space.lo == 0 else damped_wiggle
+    if fam.space.hi is None:
+        model = fit(fam, 8, moments_expdecay(fam.space, 8))
+    else:
+        model = fit(fam, 8, moments_quadrature(target, fam.space, 8))
+    if against == "callable":
+        return model, target
+    hi = 10.0 if fam.space.hi is None else float(fam.space.hi)
+    xs = np.linspace(float(fam.space.lo), hi, 301)
+    return model, SampleSet(xs, target(xs) + 1e-3 * np.sin(37.0 * xs))
+
+
+_SCORED_FAMILIES = [FamilySpec.legendre_shifted(1), FamilySpec.legendre_sym(),
+                    FamilySpec.chebyshev(), FamilySpec.laguerre()]
+
+
+@pytest.mark.parametrize("against", ["callable", "samples"])
+@pytest.mark.parametrize("fam", _SCORED_FAMILIES, ids=lambda f: f.describe())
+def test_error_figures_are_the_functions_bit_for_bit(fam, against):
+    """error_figures gives each figure the bits of the function of its
+    name, and the model's values on l2_error's nodes."""
+    model, ref = _scored_case(fam, against)
+    values, figures = error_figures(model, ref)
+    expect = {"l2_error": l2_error(model, ref),
+              "rms_error": rms_error(model, ref),
+              "max_abs_error": max_abs_error(model, ref)}
+    if against == "samples":
+        expect["bic"] = bic_score(model, ref)
+        nodes = ref.xs
+    elif fam.space.hi is None:
+        nodes = np.polynomial.laguerre.laggauss(96)[0]
+    else:
+        nodes = regress._simpson(fam.space)[0]
+    assert {k: v.hex() for k, v in figures.items()} == {
+        k: v.hex() for k, v in expect.items()}
+    assert values.tobytes() == model(nodes).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 1), (0, 1), (0, 10),
+                                    (0, Fraction(7, 3))])
+def test_max_error_grid_is_the_simpson_node_set_on_unit_intervals(lo, hi):
+    """error_figures takes the max from l2_error's residual on a
+    unit-weight interval because the two grids are the same floats."""
+    space = SpaceSpec.bounded(lo, hi)
+    grid = np.linspace(float(lo), float(hi), MAX_ERROR_POINTS)
+    assert grid.tobytes() == regress._simpson(space)[0].tobytes()
+
+
+def test_half_line_rule_is_built_once(monkeypatch):
+    """Two half-line l2_error calls build the Gauss-Laguerre rule once,
+    read-only, and score with the bits of a freshly built rule."""
+    real = np.polynomial.laguerre.laggauss
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(np.polynomial.laguerre, "laggauss", counting)
+    regress._laguerre_rule.cache_clear()
+    fam = FamilySpec.laguerre()
+    model = fit(fam, 8, moments_expdecay(fam.space, 8))
+    first, second = l2_error(model, exp_decay), l2_error(model, exp_decay)
+    assert calls == [96]
+    xs, ws = real(96)
+    expect = math.sqrt(abs(float(np.dot(ws, (exp_decay(xs) - model(xs)) ** 2))))
+    assert first.hex() == second.hex() == expect.hex()
+    nodes, weights, _ = regress._laguerre_rule()
+    assert not (nodes.flags.writeable or weights.flags.writeable)
