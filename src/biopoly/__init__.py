@@ -19,7 +19,7 @@ from .regress import (EvenPanelParityError, FitModel, MomentShortfallError,
                       UnsupportedSpaceError, bic_score, error_figures, fit,
                       l2_error, max_abs_error, moments_expdecay,
                       moments_from_samples, moments_gamma, moments_quadrature,
-                      rms_error, space_measure)
+                      rms_error)
 from .baseline import (SingularToWorkingPrecision, condition_estimate,
                        determinant, gram, solve_normal_equations)
 

@@ -20,11 +20,9 @@ solve itself.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .exact import SpaceSpec, Weight, inner_monomial
+from .exact import PI_FLOAT, SpaceSpec, inner_monomial
 
 __all__ = [
     "SingularToWorkingPrecision",
@@ -49,15 +47,14 @@ def gram(space: SpaceSpec, k: int) -> np.ndarray:
     The matrix is Hankel for every weight: row n is m_n, ..., m_{n+k},
     where m_s = <x^s, 1> is the exact rational moment rounded once, so
     only the 2k+1 distinct moments are computed.  For the Chebyshev
-    weight the rational carries an implied factor pi which is
-    materialised here, because the baseline lives entirely in plain
-    float arithmetic.  The result is a read-only (k+1) x (k+1) float64
-    array.
+    weight the rational carries an implied factor pi, which
+    ``exact.PI_FLOAT`` makes a float here, because the baseline lives
+    entirely in plain float arithmetic.  The result is a read-only
+    (k+1) x (k+1) float64 array.
     """
     if k < 0:
         raise ValueError("order k must be >= 0")
-    pi_factor = math.pi if space.weight is Weight.CHEBYSHEV else 1.0
-    values = [float(inner_monomial(space, s, 0)) * pi_factor
+    values = [float(inner_monomial(space, s, 0)) * PI_FLOAT[space.pi_power]
               for s in range(2 * k + 1)]
     m = np.array([values[n:n + k + 1] for n in range(k + 1)], dtype=float)
     m.setflags(write=False)

@@ -111,7 +111,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .exact import INV_PI_FLOAT, ExactPoly, ScaleTag, horner_many
+from .exact import PI_FLOAT, ExactPoly, horner_many
 from .families import FamilySpec, coeff_scale, int_coeff, norm_sq
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -277,14 +277,14 @@ class FitModel:
     """A fitted polynomial sum(c_n x^n over active exponents n).
 
     ``coeffs`` are floats ready for evaluation (the family's 1/pi scale,
-    if any, already applied).  The exact rational parts behind them are
-    kept as integer ``numerators`` y_n over one positive ``denominator``
-    den, c_n = D_n y_n / den with D_n the family's monomial scale; each
-    float is one correctly rounded integer division.  ``coeffs_exact``
-    normalises them to ``Fraction``s on first read (``None`` for a
-    float-only model such as ``cli.load_model`` returns).  A model is
-    immutable and hashable; error figures are computed from it, not kept
-    on it.
+    if any, applied from ``exact.PI_FLOAT``).  The exact rational parts
+    behind them are kept as integer ``numerators`` y_n over one positive
+    ``denominator`` den, c_n = D_n y_n / den with D_n the family's
+    monomial scale; each float is one correctly rounded integer division.
+    ``coeffs_exact`` normalises them to ``Fraction``s on first read
+    (``None`` for a float-only model such as ``cli.load_model`` returns).
+    A model is immutable and hashable; error figures are computed from
+    it, not kept on it.
     """
 
     family: FamilySpec
@@ -298,7 +298,7 @@ class FitModel:
     @classmethod
     def from_projection(cls, s: BiorthSet, numerators: tuple[int, ...],
                         denominator: Fraction) -> "FitModel":
-        factor = INV_PI_FLOAT if s.family.poly_scale is ScaleTag.INV_PI else 1.0
+        factor = PI_FLOAT[s.family.poly_scale.pi_power]
         d = _scales(s.family, s.k)
         den_n, den_d = denominator.numerator, denominator.denominator
         # int / int is correctly rounded: the same float as float(c_n)

@@ -17,11 +17,15 @@ arithmetic; instead it is tracked symbolically by two conventions:
 
 ``inner_poly`` combines both bookkeeping rules and only returns a value when
 the pi factors cancel to a pure rational; otherwise it raises
-:class:`ScaleMismatchError`.  Floats enter as quadrature moments, as the
-coefficients ``FitModel`` rounds to double once, and in the ``horner_many``
-evaluator.  It uses compensated Horner summation, as accurate as Horner in
-twice the working precision: about 1 ulp while the condition number of p
-at x stays below about 2**53, and worse beyond.  The cancelling monomial
+:class:`ScaleMismatchError`.  A symbolic pi becomes a float in one place,
+the table :data:`PI_FLOAT` of pi**p by the ``pi_power`` p in {-1, 0, 1} of a
+:class:`ScaleTag` or :class:`SpaceSpec`: a fitted model's 1/pi, the naive
+Gram matrix's pi and a space's measure all index it.  Floats enter as
+quadrature moments, as the coefficients ``FitModel`` rounds to double
+once, and in the ``horner_many`` evaluator.  It uses compensated Horner
+summation, as accurate as Horner in twice the working precision: about
+1 ulp while the condition number of p at x stays below about 2**53, and
+worse beyond.  The cancelling monomial
 coefficients of a high-order fit on [0, b] go past that, and there the
 limit is the rounding of the coefficients to double before evaluation, not
 the summation.  Per block of points, ``horner_many`` runs only the two
@@ -50,8 +54,8 @@ import numpy as np
 
 RationalLike = Union[Fraction, int]
 
-#: float value of 1/pi used only when materialising INV_PI-scaled quantities.
-INV_PI_FLOAT = 1.0 / math.pi
+#: pi**p as a float by ``pi_power`` p: the one place pi becomes a float.
+PI_FLOAT = {-1: 1.0 / math.pi, 0: 1.0, 1: math.pi}
 
 
 class ScaleMismatchError(ValueError):

@@ -18,6 +18,10 @@ from three sources, recorded in the vector's provenance:
 
 Every error figure a fit reports comes from one path, :func:`error_figures`:
 one evaluation on the nodes of :func:`l2_error`'s rule and its residual.
+Each rule carries the measure :func:`rms_error` divides by: a sample set's
+span xs[-1] - xs[0], or the space's <1, 1> floated by ``exact.PI_FLOAT``
+(b - a on a bounded interval, pi under the Chebyshev weight, 1 on the half
+line).
 
 Keeping analytic and sampled moments exact (rather than rounding each one
 back to float) costs nothing and removes a genuine noise floor: at order
@@ -40,7 +44,7 @@ import numpy as np
 
 from .biorth import (FitModel, MomentShortfallError, _prune, _require_moments,
                      build, cheapest_removal, project)
-from .exact import RationalLike, SpaceSpec, Weight
+from .exact import PI_FLOAT, RationalLike, SpaceSpec, Weight, inner_monomial
 from .families import FamilySpec
 
 #: panel count of the composite Simpson rule over a bounded or Chebyshev space
@@ -67,16 +71,17 @@ class EvenPanelParityError(ValueError):
 # data carriers
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Observations (x_i, y_i) with strictly increasing abscissae."""
+    """Observations (x_i, y_i) with strictly increasing abscissae, kept as
+    read-only copies; two sets compare and hash by identity."""
 
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
+        xs = np.array(self.xs, dtype=float)
+        ys = np.array(self.ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape:
             raise ValueError("xs and ys must be 1-d arrays of equal length")
         if len(xs) < 3:
@@ -335,11 +340,14 @@ def _laguerre_rule() -> tuple[np.ndarray, np.ndarray, None]:
 
 def _residual(model: FitModel, reference: Reference) -> tuple:
     """The model's values on the nodes of :func:`l2_error`'s rule for
-    ``reference``, the residual (reference - model) there and its L2 norm."""
+    ``reference``, the residual (reference - model) there, its L2 norm and
+    the rule's measure: the samples' span, or the space's zeroth moment."""
     space = model.family.space
     if isinstance(reference, SampleSet):
         (xs, w, h), ys = _simpson(reference), reference.ys
+        measure = float(xs[-1] - xs[0])
     else:
+        measure = float(inner_monomial(space, 0, 0)) * PI_FLOAT[space.pi_power]
         # the half line takes Gauss-Laguerre nodes, which build in the weight
         # and integrate the polynomial part of the squared residual exactly
         # (no truncation tail, which matters for the removal error identity)
@@ -349,29 +357,18 @@ def _residual(model: FitModel, reference: Reference) -> tuple:
     values = model(xs)
     resid = ys - values
     sq = np.dot(w, resid ** 2)
-    return values, resid, math.sqrt(abs(sq if h is None else sq * h / 3.0))
-
-
-def space_measure(space: SpaceSpec) -> float:
-    """Total mass of the space's weight: the normaliser for mean-square error."""
-    if space.weight is Weight.UNIT:
-        return float(space.hi) - float(space.lo)
-    if space.weight is Weight.CHEBYSHEV:
-        return math.pi
-    return 1.0  # integral of e^{-x} over the half line
+    return (values, resid, math.sqrt(abs(sq if h is None else sq * h / 3.0)),
+            measure)
 
 
 def rms_error(model: FitModel, reference: Reference) -> float:
-    """Measure-normalised (root-mean-square) form of :func:`l2_error`.
-
-    Dividing the weighted L2 norm by the square root of the weight's
-    total mass makes errors comparable across intervals of different
-    length and across weights: the value is the RMS deviation under the
-    weight, the same number a discrete RMS over equidistributed points
-    converges to.
-    """
-    return l2_error(model, reference) / math.sqrt(
-        space_measure(model.family.space))
+    """:func:`l2_error` over the root of its rule's measure: against a
+    SampleSet the samples' span xs[-1] - xs[0], which gives what the
+    discrete RMS at the samples converges to; against a callable the
+    weight's mass over the space (b - a, pi under the Chebyshev weight, 1
+    on the half line), which gives the RMS deviation under the weight."""
+    _, _, l2, measure = _residual(model, reference)
+    return l2 / math.sqrt(measure)
 
 
 def max_abs_error(model: FitModel, reference: Reference) -> float:
@@ -413,9 +410,9 @@ def error_figures(model: FitModel,
     and, against a SampleSet, ``bic``, bit for bit.  The max shares the one
     evaluation where the nodes are :func:`max_abs_error`'s grid too (samples,
     and the MAX_ERROR_POINTS Simpson nodes of a unit-weight interval)."""
-    values, resid, l2 = _residual(model, reference)
+    values, resid, l2, measure = _residual(model, reference)
     space, samples = model.family.space, isinstance(reference, SampleSet)
-    figures = {"l2_error": l2, "rms_error": l2 / math.sqrt(space_measure(space)),
+    figures = {"l2_error": l2, "rms_error": l2 / math.sqrt(measure),
                "max_abs_error": float(np.max(np.abs(resid)))
                if samples or space.weight is Weight.UNIT
                else max_abs_error(model, reference)}

@@ -11,7 +11,9 @@ error states and exceptions.  Its ufunc calls and its peak memory per
 evaluation are bounded.
 """
 
+import ast
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -125,6 +127,82 @@ def test_inner_poly_chebyshev_scale_cancellation():
     row = _poly([3, 0, -4], ScaleTag.INV_PI)
     assert inner_poly(CHEB, row, _poly([1])) == 1
     assert inner_poly(CHEB, row, _poly([0, 0, 1])) == 0
+
+
+# ----------------------------------------------------------------------
+# pi becomes a float in one place: exact.PI_FLOAT
+# ----------------------------------------------------------------------
+
+_PACKAGE = Path(exact.__file__).parent
+#: an upper-case name with PI as one of its words, such as INV_PI_FLOAT
+_PI_CONSTANT = re.compile(r"(^|_)PI(_|$)")
+
+
+def test_pi_float_table_covers_every_pi_power():
+    """PI_FLOAT holds pi**p for each pi_power a scale tag or space carries."""
+    powers = ({tag.pi_power for tag in ScaleTag}
+              | {space.pi_power for space in (BOUNDED, HALF, CHEB)})
+    assert powers == set(exact.PI_FLOAT) == {-1, 0, 1}
+    assert exact.PI_FLOAT == {-1: 1.0 / math.pi, 0: 1.0, 1: math.pi}
+
+
+def _tree(name):
+    return ast.parse((_PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def _pi_reads(tree):
+    """Nodes of ``tree`` that read or import pi as a float: ``math.pi`` or
+    ``np.pi``, a bare ``pi``, or a PI constant other than PI_FLOAT."""
+    def is_pi(name):
+        return name == "pi" or (name != "PI_FLOAT"
+                                and _PI_CONSTANT.search(name) is not None)
+    return [node for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "pi")
+            or (isinstance(node, ast.Name) and is_pi(node.id))
+            or (isinstance(node, ast.alias) and is_pi(node.name))]
+
+
+@pytest.mark.parametrize("module", ["biorth", "baseline"])
+def test_fitting_modules_take_pi_from_the_table_only(module):
+    """biorth and baseline read no math.pi and no pi constant but PI_FLOAT."""
+    assert [ast.unparse(n) for n in _pi_reads(_tree(module))] == []
+
+
+def test_regress_reads_math_pi_only_in_the_simpson_rule():
+    """regress's one float pi is _simpson's theta range [0, pi]: the rule's
+    geometry, not a pi factor."""
+    tree = _tree("regress")
+    simpson = next(node for node in tree.body if isinstance(
+        node, ast.FunctionDef) and node.name == "_simpson")
+    inside = {id(node) for node in _pi_reads(simpson)}
+    outside = [n.lineno for n in _pi_reads(tree) if id(n) not in inside]
+    assert inside and outside == []
+
+
+def test_no_module_but_exact_picks_a_float_factor_by_scale_tag():
+    """Outside exact, the statement around a comparison with
+    ScaleTag.INV_PI holds no float constant and reads no pi: the tag picks
+    text (the tables verb's "(1/pi) *"), never a float factor."""
+    offending = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        if path.stem == "exact":
+            continue
+        tree = _tree(path.stem)
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Compare) and any(
+                    isinstance(op, ast.Attribute) and op.attr == "INV_PI"
+                    for op in (node.left, *node.comparators))):
+                continue
+            stmt = node
+            while not isinstance(stmt, ast.stmt):
+                stmt = parents[stmt]
+            if _pi_reads(stmt) or any(
+                    isinstance(n, ast.Constant) and type(n.value) is float
+                    for n in ast.walk(stmt)):
+                offending.append(f"{path.stem}:{stmt.lineno}")
+    assert offending == []
 
 
 rational = st.fractions(min_value=-10, max_value=10,

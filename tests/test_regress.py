@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from biopoly import MomentSpaceError, biorth, regress
 from biopoly.biorth import (_scales, build, downgrade, project, select_removal,
                             upgrade)
-from biopoly.exact import INV_PI_FLOAT, ScaleTag, SpaceSpec, Weight, inner_monomial
+from biopoly.exact import PI_FLOAT, SpaceSpec, Weight, inner_monomial
 from biopoly.families import FamilySpec
 from biopoly.regress import (DEFAULT_PANELS, MAX_ERROR_POINTS,
                              UNIFORM_GRID_RTOL, EvenPanelParityError, FitModel,
@@ -31,7 +31,7 @@ from biopoly.regress import (DEFAULT_PANELS, MAX_ERROR_POINTS,
                              SampleSet, UnsupportedSpaceError, bic_score,
                              error_figures, fit, l2_error, max_abs_error, moments_expdecay,
                              moments_from_samples, moments_gamma,
-                             moments_quadrature, rms_error, space_measure)
+                             moments_quadrature, rms_error)
 from biopoly.targets import damped_wiggle, exp_decay, gamma_density
 
 
@@ -250,6 +250,32 @@ def test_sample_set_validation():
     assert len(SampleSet(np.linspace(0.0, 1.0, 5), np.zeros(5))) == 5
 
 
+def test_sample_set_keeps_read_only_copies():
+    """A SampleSet copies the arrays it is given: the caller's arrays stay
+    writable, and writing to them does not reach the set."""
+    xs = np.linspace(0.0, 1.0, 5)
+    ys = xs * xs
+    samples = SampleSet(xs, ys)
+    assert samples.xs is not xs and samples.ys is not ys
+    assert not (samples.xs.flags.writeable or samples.ys.flags.writeable)
+    xs[0], ys[0] = 0.5, 7.0
+    assert xs.flags.writeable and ys.flags.writeable
+    assert samples.xs[0] == 0.0 and samples.ys[0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        samples.xs[1] = 0.5
+
+
+def test_sample_sets_compare_and_hash_by_identity():
+    """Two sets of the same arrays are two sets: == and hash are by
+    identity, so sets can key a dict without comparing arrays."""
+    xs = np.linspace(0.0, 1.0, 5)
+    a, b = SampleSet(xs, xs), SampleSet(xs, xs)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+    assert {a: "a", b: "b"}[b] == "b"
+
+
 def test_moment_vector_exact_values_must_match_in_length():
     space = SpaceSpec.bounded(0, 1)
     with pytest.raises(ValueError, match="match mu in length"):
@@ -454,7 +480,7 @@ def test_project_numerators_match_fraction_reference(data):
     model = project(s, mv)
     expect = _fraction_project(s, mv)
     assert model.coeffs_exact == expect
-    factor = INV_PI_FLOAT if fam.poly_scale is ScaleTag.INV_PI else 1.0
+    factor = PI_FLOAT[fam.poly_scale.pi_power]
     assert [c.hex() for c in model.coeffs] == [(float(c) * factor).hex()
                                                for c in expect]
 
@@ -471,7 +497,7 @@ def test_integer_pruning_matches_fraction_update(data):
     mom = data.draw(_oracle_moments(fam, k))
     model = fit(fam, k, mom, removals=r)
 
-    factor = INV_PI_FLOAT if fam.poly_scale is ScaleTag.INV_PI else 1.0
+    factor = PI_FLOAT[fam.poly_scale.pi_power]
     s = build(fam, k)
     exact = project(s, mom).coeffs_exact
     removed = []
@@ -524,7 +550,7 @@ def _assert_is_product(model, s, mv):
     assert model.numerators == y
     assert type(model.denominator) is Fraction
     assert model.denominator == s.q * nu_den
-    factor = INV_PI_FLOAT if s.family.poly_scale is ScaleTag.INV_PI else 1.0
+    factor = PI_FLOAT[s.family.poly_scale.pi_power]
     assert [c.hex() for c in model.coeffs] == [(float(c) * factor).hex()
                                                for c in _fraction_project(s, mv)]
 
@@ -699,9 +725,6 @@ def test_rms_error_is_l2_over_root_measure():
     model = fit(fam, 10, mom)
     assert rms_error(model, damped_wiggle) == pytest.approx(
         l2_error(model, damped_wiggle) / math.sqrt(2.0), rel=1e-14)
-    assert space_measure(FamilySpec.chebyshev().space) == pytest.approx(math.pi)
-    assert space_measure(FamilySpec.laguerre().space) == 1.0
-    assert space_measure(SpaceSpec.bounded(0, 10)) == 10.0
 
 
 def test_max_abs_error_default_windows():
@@ -865,6 +888,45 @@ def test_error_figures_are_the_functions_bit_for_bit(fam, against):
     assert {k: v.hex() for k, v in figures.items()} == {
         k: v.hex() for k, v in expect.items()}
     assert values.tobytes() == model(nodes).tobytes()
+
+
+#: the weight's total mass over each scored family's space
+_SPACE_MEASURES = {"legendre0b(b=1)": 1.0, "legendre": 2.0,
+                   "chebyshev": math.pi, "laguerre": 1.0}
+
+
+@pytest.mark.parametrize("against", ["callable", "samples"])
+@pytest.mark.parametrize("fam", _SCORED_FAMILIES, ids=lambda f: f.describe())
+def test_rms_error_divides_by_the_rules_measure(fam, against):
+    """rms_error is l2_error over the root of the measure of the rule that
+    integrated it, bit for bit: the samples' span, or the weight's mass."""
+    model, ref = _scored_case(fam, against)
+    measure = (ref.xs[-1] - ref.xs[0] if against == "samples"
+               else _SPACE_MEASURES[fam.describe()])
+    expect = l2_error(model, ref) / math.sqrt(measure)
+    assert rms_error(model, ref).hex() == expect.hex()
+
+
+@pytest.mark.parametrize("fam, k, moments, target, lo, hi", [
+    (FamilySpec.laguerre(), 8, lambda f, k: moments_expdecay(f.space, k),
+     exp_decay, 0, 10),
+    (FamilySpec.chebyshev(), 12,
+     lambda f, k: moments_quadrature(damped_wiggle, f.space, k),
+     damped_wiggle, -1, 1),
+    (FamilySpec.legendre_shifted(10), 9,
+     lambda f, k: moments_expdecay(f.space, k), exp_decay, 0, 1),
+], ids=["laguerre-on-0-10", "chebyshev-on-samples", "legendre0b-on-0-1"])
+def test_rms_error_against_samples_is_the_discrete_rms(fam, k, moments,
+                                                       target, lo, hi):
+    """Against 301 samples that do not cover the model's space with unit
+    weight, rms_error is within 2% of the discrete RMS of the residual;
+    divided by the model space's measure, it was off by a factor of about
+    3 on the first and the last."""
+    model = fit(fam, k, moments(fam, k))
+    xs = np.linspace(lo, hi, 301)
+    discrete = math.sqrt(float(np.mean((target(xs) - model(xs)) ** 2)))
+    assert rms_error(model, SampleSet(xs, target(xs))) == pytest.approx(
+        discrete, rel=0.02)
 
 
 @pytest.mark.parametrize("lo, hi", [(-1, 1), (0, 1), (0, 10),
