@@ -12,10 +12,13 @@ that (no pivoted QR, no SVD, no preconditioning); demonstrating the
 failure is the module's job.
 
 ``gram`` returns a plain read-only float64 array, which the solver,
-the condition estimate and the determinant take directly.  Its 2k+1
+the condition number and the determinant take directly.  Its 2k+1
 distinct entries are computed from the exact rational moments and
 rounded to float once, so the only approximation under study is the
-solve itself.
+solve itself.  ``condition_estimate`` computes the 1-norm condition
+number by its definition, from one solve per column; it keeps its name
+because the acceptance suite imports it and ``perfbench/tracing.py``
+wraps it.
 """
 
 from __future__ import annotations
@@ -91,25 +94,14 @@ def _lu_factor(a: np.ndarray):
     return lu, perm, sign
 
 
-def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray,
-              transpose: bool = False) -> np.ndarray:
+def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = lu.shape[0]
-    if not transpose:
-        x = np.asarray(b, dtype=float)[perm].copy()
-        for i in range(1, n):           # forward: L y = P b
-            x[i] -= lu[i, :i] @ x[:i]
-        for i in range(n - 1, -1, -1):  # backward: U x = y
-            x[i] = (x[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
-        return x
-    # A^T x = b  via  U^T z = b, L^T w = z, x = P^T w
-    x = np.asarray(b, dtype=float).copy()
-    for i in range(n):
-        x[i] = (x[i] - lu[:i, i] @ x[:i]) / lu[i, i]
-    for i in range(n - 1, -1, -1):
-        x[i] -= lu[i + 1:, i] @ x[i + 1:]
-    out = np.empty(n)
-    out[perm] = x
-    return out
+    x = np.asarray(b, dtype=float)[perm].copy()
+    for i in range(1, n):           # forward: L y = P b
+        x[i] -= lu[i, :i] @ x[:i]
+    for i in range(n - 1, -1, -1):  # backward: U x = y
+        x[i] = (x[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
+    return x
 
 
 def solve_normal_equations(g: np.ndarray, rhs) -> np.ndarray:
@@ -128,34 +120,21 @@ def solve_normal_equations(g: np.ndarray, rhs) -> np.ndarray:
 
 
 def condition_estimate(g: np.ndarray) -> float:
-    """1-norm condition estimate of the Gram matrix.
+    """1-norm condition number of the Gram matrix, by its definition.
 
-    ||G||_1 is exact; ||G^-1||_1 comes from the classic iterative
-    lower-bound estimator (Hager's method) driven by triangular solves
-    on the LU factors, the same approach LAPACK's xGECON takes.  The
-    result is a lower bound that is almost always within a small factor
-    of the truth, which is all an order-of-magnitude conditioning
-    argument needs.
+    ||G||_1 is the largest absolute column sum of G, and ||G^-1||_1 that
+    of G^-1, whose column j is one solve against e_j on the LU factors.
+    The baseline only meets orders up to 36, where those solves take a
+    few milliseconds, so no estimator is needed.
     """
     n = len(g)
     norm_a = float(np.max(np.abs(g).sum(axis=0)))
     if n == 1:
         return 1.0
     lu, perm, _ = _lu_factor(g)
-
-    x = np.full(n, 1.0 / n)
-    est = 0.0
-    for _ in range(5):
-        y = _lu_solve(lu, perm, x)
-        est = float(np.abs(y).sum())
-        xi = np.where(y >= 0.0, 1.0, -1.0)
-        z = _lu_solve(lu, perm, xi, transpose=True)
-        j = int(np.argmax(np.abs(z)))
-        if abs(z[j]) <= float(z @ x):
-            break
-        x = np.zeros(n)
-        x[j] = 1.0
-    return norm_a * est
+    norm_inv = max(float(np.abs(_lu_solve(lu, perm, e)).sum())
+                   for e in np.eye(n))
+    return norm_a * norm_inv
 
 
 def determinant(g: np.ndarray) -> float:

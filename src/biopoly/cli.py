@@ -175,15 +175,15 @@ def load_model(source: str | Path | dict) -> FitModel:
 def _where(fam: FamilySpec, b: str | None) -> str:
     """'legendre0b(b=2) lives on [0, 2]', for the domain-error message.
 
-    A ``--b`` past the float range or the int-to-str digit limit is
-    echoed as typed instead of converted.
+    A given ``--b`` is echoed as typed: converted, one past the float
+    range or the int-to-str digit limit would fail, and one below it
+    would read 0.
     """
-    space = fam.space
-    try:
-        hi = "inf" if space.hi is None else f"{float(space.hi):g}"
-        return f"{fam.describe()} lives on [{float(space.lo):g}, {hi}]"
-    except (OverflowError, ValueError):
+    if b is not None:
         return f"{fam.kind.value}(b={b}) lives on [0, {b}]"
+    space = fam.space
+    hi = "inf" if space.hi is None else f"{float(space.hi):g}"
+    return f"{fam.describe()} lives on [{float(space.lo):g}, {hi}]"
 
 
 def _cmd_fit(args) -> int:

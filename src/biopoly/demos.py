@@ -169,8 +169,12 @@ def run_high_order_wiggle(out_dir: str | Path) -> dict:
     """Order-36 fits on [-1, 1] against the naive normal-equations solver.
 
     Both symmetric families fit (1 - x^2) e^{-x} sin(8 pi x); the same
-    moments also feed the monomial-Gram solve, whose condition estimate
-    and pointwise error document why that route collapses at this order.
+    moments also feed the monomial-Gram solve, whose 1-norm condition
+    number and pointwise error document why that route collapses at this
+    order.  The figure is the condition number by its definition, not an
+    estimate; its report key keeps the name of ``baseline``'s
+    ``condition_estimate``, which the acceptance suite imports and
+    ``perfbench/tracing.py`` wraps.
     """
     k = 36
     legendre = FamilySpec.legendre_sym()

@@ -363,9 +363,10 @@ def test_out_of_domain_samples_exit_3(tmp_path, capsys):
     assert "lives on" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("b", ["1e400", "1e5000"])
+@pytest.mark.parametrize("b", ["1e400", "1e5000", "1e-400"])
 def test_out_of_domain_with_huge_b_exit_3(tmp_path, capsys, b):
-    # past the float range, and past the int-to-str digit limit
+    # past the float range, past the int-to-str digit limit, and below
+    # the float range, where float(b) would read 0
     path = tmp_path / "in.csv"
     _write_samples(path, [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     out = tmp_path / "out"
