@@ -29,8 +29,8 @@ the family and the exponent.  G is therefore
 
 one integer matrix K and one positive rational q (for a full set, the
 least common multiple of the denominators of the d_j, so that every weight
-q d_j is an integer).  ``BiorthSet.g`` is a derived view: G as
-``Fraction`` entries, computed from K, D and q on first use and cached.
+q d_j is an integer).  (K, q) is the one stored form of G: ``beta`` and
+``gram_entry`` form their ``Fraction``s from K, D and q when called.
 A set is just its family, order and active exponents.  K and q are one
 pair, formed on the first read of either and cached: a full set forms the
 closed-form sum above over the memoised integer rows c_j, ``downgrade``
@@ -178,23 +178,20 @@ class BiorthSet:
     def q(self) -> Fraction:
         return self._kq[1]
 
-    @functools.cached_property
-    def g(self) -> tuple[tuple[Fraction, ...], ...]:
-        """G as exact rationals: a view derived from K, D and q."""
-        d = _scales(self.family, self.k)
-        return tuple(tuple(x * (dn * dm) / self.q for x, dm in zip(row, d))
-                     for row, dn in zip(self.kmat, d))
-
     def beta(self, n: int) -> ExactPoly:
         if n not in self.active:
             raise NotActiveError(n)
-        return ExactPoly(self.g[n], self.family.poly_scale)
+        d = _scales(self.family, self.k)
+        return ExactPoly(tuple(x * (d[n] * dm) / self.q
+                               for x, dm in zip(self.kmat[n], d)),
+                         self.family.poly_scale)
 
     def gram_entry(self, n: int, m: int) -> Fraction:
         """Exact <beta_n, beta_m> (rational part; /pi implied for Chebyshev)."""
         if n not in self.active or m not in self.active:
             raise NotActiveError((n, m))
-        return self.g[n][m]
+        d = _scales(self.family, self.k)
+        return self.kmat[n][m] * (d[n] * d[m]) / self.q
 
 
 @functools.cache

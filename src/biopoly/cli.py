@@ -72,8 +72,9 @@ def _family_from_args(name: str, b: str | None) -> FamilySpec:
             b = "1"
         return FamilySpec(kind, None if b is None else Fraction(b))
     except (ValueError, ZeroDivisionError) as exc:
+        why = "its denominator is zero" if isinstance(exc, ZeroDivisionError) else exc
         raise CliError(EXIT_BAD_INPUT,
-                       f"--family {name} --b {b}: {exc}") from None
+                       f"--family {name} --b {b}: {why}") from None
 
 
 def _read_samples(path: Path) -> SampleSet:

@@ -51,8 +51,6 @@ from .families import FamilySpec
 DEFAULT_PANELS = 10_000
 #: relative tolerance on the sample spacing for a grid to count as uniform
 UNIFORM_GRID_RTOL = 1e-9
-#: grid size of max_abs_error against a callable reference
-MAX_ERROR_POINTS = 10_001
 
 
 class UnsupportedSpaceError(ValueError):
@@ -372,14 +370,14 @@ def rms_error(model: FitModel, reference: Reference) -> float:
 
 
 def max_abs_error(model: FitModel, reference: Reference) -> float:
-    """Max |reference - model| at the samples, or on a dense grid over the
-    model's interval (the [0, 10] reporting window for half-line models).
-    """
+    """Max |reference - model| at the samples, or at DEFAULT_PANELS + 1
+    equispaced points over the model's interval (the [0, 10] reporting
+    window for half-line models)."""
     if isinstance(reference, SampleSet):
         return float(np.max(np.abs(reference.ys - model(reference.xs))))
     space = model.family.space
     hi = 10.0 if space.hi is None else float(space.hi)
-    xs = np.linspace(float(space.lo), hi, MAX_ERROR_POINTS)
+    xs = np.linspace(float(space.lo), hi, DEFAULT_PANELS + 1)
     return float(np.max(np.abs(reference(xs) - model(xs))))
 
 
@@ -408,8 +406,9 @@ def error_figures(model: FitModel,
     """The model's values on the nodes of :func:`l2_error`'s rule for
     ``reference``, and its ``l2_error``, ``rms_error``, ``max_abs_error``
     and, against a SampleSet, ``bic``, bit for bit.  The max shares the one
-    evaluation where the nodes are :func:`max_abs_error`'s grid too (samples,
-    and the MAX_ERROR_POINTS Simpson nodes of a unit-weight interval)."""
+    evaluation where the nodes are :func:`max_abs_error`'s grid too: the
+    samples, and on a unit-weight interval the Simpson nodes, which are the
+    same ``np.linspace`` call over DEFAULT_PANELS + 1 points."""
     values, resid, l2, measure = _residual(model, reference)
     space, samples = model.family.space, isinstance(reference, SampleSet)
     figures = {"l2_error": l2, "rms_error": l2 / math.sqrt(measure),

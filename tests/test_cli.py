@@ -456,6 +456,20 @@ def test_bad_endpoint_values(tmp_path, bad_b):
     assert rc == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("verb", ["fit", "tables"])
+def test_zero_denominator_b_is_bad_input(sym_csv, tmp_path, capsys, verb):
+    out = tmp_path / "o"
+    argv = ([verb, "--family", "legendre0b", "--b", "1/0", "--k", "4"]
+            + (["--input", str(sym_csv), "--out", str(out)] if verb == "fit"
+               else []))
+    assert main(argv) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("biopoly: --family legendre0b --b 1/0: "
+                            "its denominator is zero\n")
+    assert not out.exists()
+
+
 def test_unknown_verb_raises_system_exit():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
