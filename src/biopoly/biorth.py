@@ -21,9 +21,9 @@ and G is also their Gram matrix: G[n][m] is both the coefficient of x^m
 in beta_n and <beta_n, beta_m>.  (G is the inverse of the monomial Gram
 matrix of V_k.)
 
-Integer kernel: t_j[n] = D_n c_j[n] with c_j[n] = ``families.int_coeff``
-an integer, and D_n = ``families.coeff_scale`` a scale that depends only on
-the family and the exponent.  G is therefore
+Integer kernel: t_j[n] = D_n c_j[n] with c_j the integer row of the family's
+recurrence (``families._integer_row``), and D_n = ``families.coeff_scale`` a
+scale that depends only on the family and the exponent.  G is therefore
 
     G = D K D / q,        K = sum_j (q d_j) c_j c_j^T,
 
@@ -90,7 +90,7 @@ fraction-free step of ``downgrade``:
 exact because y' = K' nu.  So a greedy pruning loop (``regress.fit``)
 projects once and takes this step (``_prune``) per removal.
 ``select_removal`` and that loop rank removals with one scoring helper,
-``cheapest_removal``.
+``cheapest_removal``, on the integers y and K alone.
 
 For parity-support families t_j[n] vanishes unless j - n is even, so G is
 zero between exponents of opposite parity.  For Chebyshev sets all stored
@@ -112,7 +112,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .exact import PI_FLOAT, ExactPoly, horner_many
-from .families import FamilySpec, coeff_scale, int_coeff, norm_sq
+from .families import FamilySpec, _integer_row, coeff_scale, norm_sq
 
 if TYPE_CHECKING:  # pragma: no cover
     from .regress import MomentVector
@@ -198,12 +198,6 @@ class BiorthSet:
 def _scales(fam: FamilySpec, k: int) -> tuple[Fraction, ...]:
     """D_0..D_k: the family's factor of each monomial coefficient."""
     return tuple(coeff_scale(fam, n) for n in range(k + 1))
-
-
-@functools.cache
-def _integer_row(fam: FamilySpec, j: int) -> tuple[int, ...]:
-    """c_j: the integer coefficients of x^0..x^j in p_j over D (memoised)."""
-    return tuple(int_coeff(fam, j, n) for n in range(j + 1))
 
 
 def _add_term(kmat: list[list[int]], w: int, c: Sequence[int]) -> None:
@@ -431,32 +425,21 @@ def _prune(s: BiorthSet, model: FitModel,
                                             model.denominator * a / c)
 
 
-def cheapest_removal(s: BiorthSet, coeffs: Sequence[float]) -> int:
+def cheapest_removal(s: BiorthSet, numerators: Sequence[int]) -> int:
     """Exponent whose removal increases the squared fit error least.
 
-    ``coeffs`` are the float coefficients of the set's active exponents.
-    Removing l adds |<f, beta_l>|^2 / ||beta_l||^2 to the squared error,
-    so the arg-min of that score is returned; ties break to the smallest
-    exponent.  Scores are compared in float (they involve measured
-    moments), which is far finer than any tie the data can produce.
-    ||beta_n||^2 = G[n][n] = K[n][n] D_n^2 / q is rounded by one correctly
-    rounded integer division, the same float as that of the ``Fraction``.
+    ``numerators`` are the integers y_n of the projection onto ``s``.
+    Removing l adds c_l^2 / G[l][l] = y_l^2 q / (den^2 K[l][l]) to the
+    squared error, so the arg-min of y_l^2 / K[l][l] is returned, compared
+    exactly by cross-multiplying; ties go to the smallest exponent.
     """
-    d = _scales(s.family, s.k)
-    qn, qd = s.q.numerator, s.q.denominator
-    best_l = None
-    best_score = None
-    for n, c in zip(s.active, coeffs):
-        dn = d[n]
-        g_nn = (s.kmat[n][n] * dn.numerator ** 2 * qd) / (dn.denominator ** 2 * qn)
-        score = c * c / g_nn
-        if best_score is None or score < best_score:
-            best_l, best_score = n, score
-    return best_l
+    scores = [(y * y, s.kmat[n][n], n) for n, y in zip(s.active, numerators)]
+    by_score = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+    return min(scores, key=by_score)[2]
 
 
 def select_removal(s: BiorthSet, moments: "MomentVector") -> int:
     """``cheapest_removal`` on the projection of ``moments`` onto ``s``."""
     if len(s.active) == 1:
         raise LastElementError("cannot select a removal from a single element")
-    return cheapest_removal(s, project(s, moments).coeffs)
+    return cheapest_removal(s, project(s, moments).numerators)

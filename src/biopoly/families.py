@@ -19,9 +19,9 @@ downstream multiplies two coefficients of the same degree, so the result
 stays rational.  For Chebyshev, ``norm_sq_j`` follows the module-wide pi
 convention: the stored rational c means c / pi.
 
-Sign conventions match the classical closed forms, including the (-1)^j
-prefactor of the shifted Legendre polynomials; they are asserted verbatim
-by the test suite against three-term-recurrence reconstructions.
+The integer rows come from one three-term recurrence per family
+(``_RECURRENCE``, DLMF 18.9); the test suite asserts them against the
+classical closed forms, signs included.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .exact import ExactPoly, RationalLike, ScaleTag, SpaceSpec, inner_poly
 
@@ -118,29 +119,43 @@ def norm_sq(fam: FamilySpec, j: int) -> Fraction:
     return Fraction(1) if j == 0 else Fraction(2)
 
 
+#: (a_j, b_j, g_j, d_j) of c_{j+1} = (a_j S(c_j) + b_j c_j - g_j c_{j-1}) / d_j
+#: for P_j(2x/b - 1) in u = x/b, L_j, 2^j P_j and T_j
+_RECURRENCE = {
+    FamilyKind.LEGENDRE_SHIFTED: lambda j: (2 * (2 * j + 1), -(2 * j + 1), j, j + 1),
+    FamilyKind.LAGUERRE: lambda j: (-1, 2 * j + 1, j, j + 1),
+    FamilyKind.LEGENDRE_SYM: lambda j: (2 * (2 * j + 1), 0, 4 * j, j + 1),
+    FamilyKind.CHEBYSHEV: lambda j: (2 if j else 1, 0, 1, 1),
+}
+#: per family, the rows c_{-1} = (), c_0 = (1,), ... formed so far
+_ROWS: dict[FamilySpec, tuple[tuple[int, ...], ...]] = {}
+
+
+def _integer_row(fam: FamilySpec, j: int) -> tuple[int, ...]:
+    """c_j, the integers of x^0..x^j in p_j, by one exact recurrence step
+    per degree (memoised, no recursion).  S shifts a row up one exponent,
+    times e + 1 for Laguerre's D_e = 1/e!.  Rows grow in a new tuple,
+    published whole, so threads racing on a family form equal rows."""
+    rows = _ROWS.get(fam, ((), (1,)))
+    if len(rows) <= j + 1:
+        step, shift = _RECURRENCE[fam.kind], fam.kind is FamilyKind.LAGUERRE
+        grown = list(rows)
+        for i in range(len(rows) - 2, j):
+            a, b, g, d = step(i)
+            prev, cur = grown[-2:]
+            up = (0, *(c * (e + 1) for e, c in enumerate(cur))) if shift else (0, *cur)
+            grown.append(tuple((a * u + b * c - g * p) // d for u, c, p
+                               in zip_longest(up, cur, prev, fillvalue=0)))
+        _ROWS[fam] = rows = tuple(grown)
+    return rows[j + 1]
+
+
 def int_coeff(fam: FamilySpec, j: int, e: int) -> int:
     """c, the integer in the coefficient c D_e s_j of x^e in p_j; zero off
     the row's support (e out of range or of the wrong parity)."""
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    if e < 0 or e > j:
-        return 0
-    k = fam.kind
-    if k is FamilyKind.LEGENDRE_SHIFTED:
-        sign = -1 if (e + j) % 2 else 1
-        return sign * math.comb(j, e) * math.comb(j + e, e)
-    if k is FamilyKind.LAGUERRE:
-        return -math.comb(j, e) if e % 2 else math.comb(j, e)
-    if (j - e) % 2:
-        return 0
-    l = (j - e) // 2
-    sign = -1 if l % 2 else 1
-    if k is FamilyKind.LEGENDRE_SYM:
-        return sign * math.comb(j, l) * math.comb(2 * j - 2 * l, j)
-    if j == 0:
-        return 1
-    return sign * (j * 2 ** (j - 2 * l) * math.factorial(j - l - 1)
-                   // (2 * math.factorial(l) * math.factorial(j - 2 * l)))
+    return _integer_row(fam, j)[e] if 0 <= e <= j else 0
 
 
 def coeff_scale(fam: FamilySpec, e: int) -> Fraction:

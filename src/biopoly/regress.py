@@ -301,7 +301,7 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
     model = project(s, moments)
     removed = []
     for _ in range(removals):
-        ell = cheapest_removal(s, model.coeffs)
+        ell = cheapest_removal(s, model.numerators)
         s, model = _prune(s, model, ell)
         removed.append(ell)
     return dataclasses.replace(model, removed=tuple(removed))

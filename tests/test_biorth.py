@@ -25,7 +25,7 @@ from biopoly.biorth import (BiorthSet, LastElementError, NotActiveError,
                             project, select_removal, upgrade)
 from biopoly.exact import ScaleTag, inner_monomial, inner_poly
 from biopoly.families import FamilySpec, norm_sq, rat_coeff
-from biopoly.regress import MomentShortfallError, MomentVector
+from biopoly.regress import MomentShortfallError, MomentVector, fit
 
 ALL_FAMILIES = [
     FamilySpec.legendre_shifted(1),
@@ -628,33 +628,44 @@ def test_select_removal_near_minimal_on_random_moments(mu):
     mom = exact_moments(fam, mu)
     losses = _brute_force_loss(s, mom)
     chosen = select_removal(s, mom)
-    min_loss = min(losses.values())
-    # the float scoring may not split exact ties, but it must never pick
-    # a removal that costs measurably more than the best one
-    assert float(losses[chosen] - min_loss) <= 1e-12 * (1 + float(min_loss))
+    # the scores are exact, so the choice costs exactly the least
+    assert losses[chosen] == min(losses.values())
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=IDS)
-def test_removal_scores_divide_by_float_of_gram_fraction(fam):
-    """Scores are c_n^2 / float(G_nn) to the bit, with G_nn the ``Fraction``:
-    near an exact float tie between neighbours n < m, every ulp step of c_n
-    is decided as that score decides it, ties going to n."""
+def test_removal_scores_compare_exactly(fam):
+    """Scores y_n^2 / K_nn are compared exactly: for neighbours n < m, the
+    largest y_n that does not score above y_m goes and y_n + 1 stays,
+    though the two scores differ far below a float's precision; an exact
+    tie (two zero numerators) goes to n."""
     s = downgrade(build(fam, 16), 5)
-    ties = 0
+    far, y_m = 1 << 2000, 1 << 400
     for i, (n, m) in enumerate(zip(s.active, s.active[1:])):
-        g_n, g_m = float(s.gram_entry(n, n)), float(s.gram_entry(m, m))
-        target = 1.0 / g_m                  # the score of c_m = 1
-        c_n = math.sqrt(target * g_n)
-        for _ in range(8):
-            c_n = math.nextafter(c_n, 0.0)
-        for _ in range(16):
-            coeffs = [math.inf] * len(s.active)
-            coeffs[i], coeffs[i + 1] = c_n, 1.0
-            score = c_n * c_n / g_n
-            ties += score == target
-            assert cheapest_removal(s, coeffs) == (n if score <= target else m)
-            c_n = math.nextafter(c_n, math.inf)
-    assert ties
+        y_n = math.isqrt(y_m * y_m * s.kmat[n][n] // s.kmat[m][m])
+        for pair, expect in (((y_n, y_m), n), ((y_n + 1, y_m), m), ((0, 0), n)):
+            numerators = [far] * len(s.active)
+            numerators[i:i + 2] = pair
+            assert cheapest_removal(s, numerators) == expect
+
+
+@pytest.mark.parametrize("fam", [FamilySpec.legendre_shifted(1),
+                                 FamilySpec.laguerre(),
+                                 FamilySpec.legendre_sym(),
+                                 FamilySpec.chebyshev()],
+                         ids=["legendre0b(b=1)", "laguerre", "legendre",
+                              "chebyshev"])
+@pytest.mark.parametrize("k", [7, 12])
+def test_greedy_pruning_takes_the_exact_best_removal(fam, k):
+    """Every removal of a pruned ``fit`` is the brute-force best of its
+    round, ties going to the smallest exponent."""
+    mu = [Fraction(1, i + 1) + Fraction((-1) ** i, 2 * i + 3)
+          for i in range(k + 1)]
+    mom = exact_moments(fam, mu)
+    s = build(fam, k)
+    for ell in fit(fam, k, mom, removals=k - 1).removed:
+        losses = _brute_force_loss(s, mom)
+        assert ell == min(losses, key=lambda l: (losses[l], l))
+        s = downgrade(s, ell)
 
 
 def test_select_removal_needs_two_elements():

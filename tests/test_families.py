@@ -1,20 +1,24 @@
-"""Family coefficient formulas against independent recurrence oracles.
+"""Family integer rows against the classical closed forms.
 
-Each family's closed-form monomial coefficients are re-derived here
-from the classical three-term recurrences, carried out in exact
-rational arithmetic, and compared term by term.  Orthonormality is then
-verified as an exact rational identity through the split representation.
+The library forms each family's rows by its three-term recurrence; the
+closed-form monomial coefficients written out here are the independent
+oracle, compared term by term in exact rationals.  Orthonormality is
+then verified as an exact rational identity through the split
+representation.
 """
 
+import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from biopoly import families
 from biopoly.cli import MAX_ORDER
-from biopoly.exact import SpaceSpec, Weight, inner_monomial
-from biopoly.families import (FamilyKind, FamilySpec, int_coeff, norm_sq,
-                              rat_coeff, verify_orthonormal)
+from biopoly.exact import SpaceSpec, Weight
+from biopoly.families import (FamilyKind, FamilySpec, _integer_row, int_coeff,
+                              norm_sq, rat_coeff, verify_orthonormal)
 
 ALL_FAMILIES = [
     FamilySpec.legendre_shifted(1),
@@ -27,116 +31,102 @@ ALL_FAMILIES = [
 
 
 # ----------------------------------------------------------------------
-# recurrence oracles (exact, independent of the closed forms under test)
+# closed-form oracle (independent of the recurrence under test)
 # ----------------------------------------------------------------------
 
-def _poly_mul_x(p):
-    return [Fraction(0)] + p
+def _closed_form(fam, j, e):
+    """The rational coefficient of x^e in p_j over s_j, written out:
+    P_j(2x/b - 1), L_j, 2^j P_j and T_j (DLMF 18.5)."""
+    kind = fam.kind
+    if kind is FamilyKind.LEGENDRE_SHIFTED:
+        return (Fraction((-1) ** (j + e) * math.comb(j, e) * math.comb(j + e, e))
+                / fam.b ** e)
+    if kind is FamilyKind.LAGUERRE:
+        return Fraction((-1) ** e * math.comb(j, e), math.factorial(e))
+    if (j - e) % 2:
+        return Fraction(0)
+    l = (j - e) // 2
+    if kind is FamilyKind.LEGENDRE_SYM:
+        return Fraction((-1) ** l * math.comb(j, l) * math.comb(2 * j - 2 * l, j))
+    if j == 0:
+        return Fraction(1)
+    return Fraction((-1) ** l * j * 2 ** (j - 2 * l) * math.factorial(j - l - 1),
+                    2 * math.factorial(l) * math.factorial(j - 2 * l))
 
 
-def _poly_axpy(alpha, p, q):
-    n = max(len(p), len(q))
-    p = p + [Fraction(0)] * (n - len(p))
-    q = q + [Fraction(0)] * (n - len(q))
-    return [alpha * a + b for a, b in zip(p, q)]
-
-
-def _legendre_polys(count):
-    """P_0..P_{count-1} by (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}."""
-    polys = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-    for j in range(1, count):
-        nxt = _poly_axpy(Fraction(2 * j + 1, j + 1), _poly_mul_x(polys[j]),
-                         [-Fraction(j, j + 1) * c for c in polys[j - 1]])
-        polys.append(nxt)
-    return polys[:count]
-
-
-def _chebyshev_polys(count):
-    """T_0..T_{count-1} by T_{j+1} = 2 x T_j - T_{j-1}."""
-    polys = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-    for j in range(1, count):
-        nxt = _poly_axpy(Fraction(2), _poly_mul_x(polys[j]),
-                         [-c for c in polys[j - 1]])
-        polys.append(nxt)
-    return polys[:count]
-
-
-def _laguerre_polys(count):
-    """L_0..L_{count-1} by (j+1) L_{j+1} = (2j+1-x) L_j - j L_{j-1}."""
-    polys = [[Fraction(1)], [Fraction(1), Fraction(-1)]]
-    for j in range(1, count):
-        term = _poly_axpy(Fraction(2 * j + 1), polys[j],
-                          [-c for c in _poly_mul_x(polys[j])])
-        nxt = _poly_axpy(Fraction(-j), polys[j - 1], term)
-        polys.append([c / (j + 1) for c in nxt])
-    return polys[:count]
-
-
-def _shifted_legendre_polys(count, b):
-    """P_j(2x/b - 1) via exact composition of the Legendre recurrence."""
-    b = Fraction(b)
-    out = []
-    for p in _legendre_polys(count):
-        # compose with u = 2x/b - 1 by Horner over the outer coefficients
-        acc = [Fraction(0)]
-        for c in reversed(p):
-            # acc = acc * u + c
-            shifted = [Fraction(2, b) * v for v in _poly_mul_x(acc)]
-            acc = _poly_axpy(Fraction(-1), acc, shifted)
-            acc[0] += c
-        out.append(acc)
-    return out
-
-
-def _pad(p, n):
-    return p + [Fraction(0)] * (n - len(p))
+def _assert_rows_match_closed_form(fam, norm):
+    for j in range(ORACLE_KMAX + 1):
+        for e in range(j + 1):
+            assert rat_coeff(fam, j, e) == _closed_form(fam, j, e), (j, e)
+        assert norm_sq(fam, j) == norm(j), j
 
 
 KMAX = 12
-#: the recurrence oracles run through the largest order the CLI fits
+#: the closed-form oracle runs through the largest order the CLI fits
 ORACLE_KMAX = MAX_ORDER
 
 
 @pytest.mark.parametrize("b", [1, 10, Fraction(1, 2)])
 def test_shifted_legendre_coeffs_match_recurrence(b):
-    fam = FamilySpec.legendre_shifted(b)
-    oracle = _shifted_legendre_polys(ORACLE_KMAX + 1, b)
-    for j in range(ORACLE_KMAX + 1):
-        p = _pad(oracle[j], j + 1)
-        for e in range(j + 1):
-            assert rat_coeff(fam, j, e) == p[e], (j, e)
-        assert norm_sq(fam, j) == Fraction(2 * j + 1) / Fraction(b)
+    _assert_rows_match_closed_form(FamilySpec.legendre_shifted(b),
+                                   lambda j: Fraction(2 * j + 1) / Fraction(b))
 
 
 def test_symmetric_legendre_coeffs_match_recurrence():
-    fam = FamilySpec.legendre_sym()
-    oracle = _legendre_polys(ORACLE_KMAX + 1)
-    for j in range(ORACLE_KMAX + 1):
-        p = _pad(oracle[j], j + 1)
-        # split representation stores rat = 2^j [x^e] P_j
-        for e in range(j + 1):
-            assert rat_coeff(fam, j, e) == 2 ** j * p[e], (j, e)
-        assert norm_sq(fam, j) == Fraction(2 * j + 1, 2 ** (2 * j + 1))
+    # the split representation stores rat = 2^j [x^e] P_j
+    _assert_rows_match_closed_form(FamilySpec.legendre_sym(),
+                                   lambda j: Fraction(2 * j + 1, 2 ** (2 * j + 1)))
 
 
 def test_chebyshev_coeffs_match_recurrence():
-    fam = FamilySpec.chebyshev()
-    oracle = _chebyshev_polys(ORACLE_KMAX + 1)
-    for j in range(ORACLE_KMAX + 1):
-        p = _pad(oracle[j], j + 1)
-        for e in range(j + 1):
-            assert rat_coeff(fam, j, e) == p[e], (j, e)
-        assert norm_sq(fam, j) == (1 if j == 0 else 2)
+    _assert_rows_match_closed_form(FamilySpec.chebyshev(),
+                                   lambda j: 1 if j == 0 else 2)
 
 
 def test_laguerre_coeffs_match_recurrence():
-    fam = FamilySpec.laguerre()
-    oracle = _laguerre_polys(ORACLE_KMAX + 1)
-    for j in range(ORACLE_KMAX + 1):
-        p = _pad(oracle[j], j + 1)
-        for e in range(j + 1):
-            assert rat_coeff(fam, j, e) == p[e], (j, e)
-        assert norm_sq(fam, j) == 1
+    _assert_rows_match_closed_form(FamilySpec.laguerre(), lambda j: 1)
+
+
+def test_rows_form_iteratively():
+    """Row 400 of a family no test has used yet forms under a recursion
+    limit far below its degree: the recurrence is a loop."""
+    fam = FamilySpec.legendre_shifted(Fraction(401, 3))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        row = _integer_row(fam, 400)
+    finally:
+        sys.setrecursionlimit(old)
+    assert row[400] == math.comb(800, 400)
+    assert row[0] == 1
+
+
+def test_rows_formed_by_racing_threads_agree():
+    """Threads reading a fresh family's row 64 for the first time, at once
+    and with a short switch interval, get the rows one thread forms alone;
+    so do their reads of lower rows that another thread may be forming."""
+    fam = FamilySpec.legendre_shifted(Fraction(64, 7))
+    alone = FamilySpec.legendre_shifted(1)
+    barrier = threading.Barrier(4, timeout=30)
+    got = {}
+
+    def read(i):
+        barrier.wait()
+        got[i] = [_integer_row(fam, j) for j in (64, 16 * i + 1)]
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(4):
+        assert got[i] == [_integer_row(alone, j) for j in (64, 16 * i + 1)], i
 
 
 # ----------------------------------------------------------------------
