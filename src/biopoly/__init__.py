@@ -7,8 +7,8 @@ data without ever assembling or inverting a Gram matrix.  A deliberately
 naive normal-equations solver is included as a foil.
 """
 
-from .exact import (ExactPoly, ScaleMismatchError, ScaleTag, SpaceSpec,
-                    Weight, inner_monomial, inner_poly)
+from .exact import (ExactPoly, FloatRangeError, ScaleMismatchError, ScaleTag,
+                    SpaceSpec, Weight, inner_monomial, inner_poly)
 from .families import (FamilyKind, FamilySpec, norm_sq, rat_coeff,
                        verify_orthonormal)
 from .biorth import (BiorthSet, LastElementError, MomentSpaceError,

@@ -87,10 +87,11 @@ fraction-free step of ``downgrade``:
 
     y_n' = (K[l][l] y_n - K[l][n] y_l) / c,        den' = den K[l][l] / c,
 
-exact because y' = K' nu.  So a greedy pruning loop (``regress.fit``)
-projects once and takes this step (``_prune``) per removal.
-``select_removal`` and that loop rank removals with one scoring helper,
-``cheapest_removal``, on the integers y and K alone.
+exact because y' = K' nu.  So ``fit`` projects once and prunes greedily
+in integers: each round takes ``cheapest_removal`` (on y and K alone, as
+``select_removal`` does) on the set pruned so far, then ``downgrade`` and
+this step on (y, den), which equals re-projecting.  It forms one model,
+at the end.
 
 For parity-support families t_j[n] vanishes unless j - n is even, so G is
 zero between exponents of opposite parity.  For Chebyshev sets all stored
@@ -111,7 +112,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .exact import PI_FLOAT, ExactPoly, horner_many
+from .exact import PI_FLOAT, ExactPoly, FloatRangeError, horner_many
 from .families import FamilySpec, _integer_row, coeff_scale, norm_sq
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -286,18 +287,6 @@ class FitModel:
     numerators: tuple[int, ...] | None = field(default=None, repr=False)
     denominator: Fraction | None = field(default=None, repr=False)
 
-    @classmethod
-    def from_projection(cls, s: BiorthSet, numerators: tuple[int, ...],
-                        denominator: Fraction) -> "FitModel":
-        factor = PI_FLOAT[s.family.poly_scale.pi_power]
-        d = _scales(s.family, s.k)
-        den_n, den_d = denominator.numerator, denominator.denominator
-        # int / int is correctly rounded: the same float as float(c_n)
-        coeffs = tuple((y * d[n].numerator * den_d) / (d[n].denominator * den_n)
-                       * factor for n, y in zip(s.active, numerators))
-        return cls(family=s.family, k=s.k, exponents=tuple(s.active),
-                   coeffs=coeffs, numerators=numerators, denominator=denominator)
-
     @functools.cached_property
     def coeffs_exact(self) -> tuple[Fraction, ...] | None:
         """c_n as normalised ``Fraction``s, built on first read."""
@@ -321,6 +310,21 @@ class FitModel:
 
     def __call__(self, xs) -> np.ndarray:
         return horner_many(self.dense_coeffs(), np.asarray(xs, dtype=float))
+
+
+def _float_coeffs(s: BiorthSet, numerators: Sequence[int],
+                  denominator: Fraction) -> tuple[float, ...]:
+    """The floats of c_n = D_n y_n / den over the active exponents of
+    ``s``, times the family's 1/pi from ``exact.PI_FLOAT``."""
+    factor = PI_FLOAT[s.family.poly_scale.pi_power]
+    d = _scales(s.family, s.k)
+    den_n, den_d = denominator.numerator, denominator.denominator
+    try:    # int / int is correctly rounded: the same float as float(c_n)
+        return tuple((y * d[n].numerator * den_d) / (d[n].denominator * den_n)
+                     * factor for n, y in zip(s.active, numerators))
+    except OverflowError:
+        raise FloatRangeError(f"a coefficient of the order-{s.k} fit "
+                              "overflows the float range") from None
 
 
 def _require_moments(moments: "MomentVector", top: int) -> None:
@@ -405,24 +409,9 @@ def project(s: BiorthSet, moments: "MomentVector") -> FitModel:
         numerators = tuple(sum(map(mul, s.kmat[n], nu)) for n in s.active)
         q = s.q
     _slot = slot
-    return FitModel.from_projection(s, numerators, Fraction(q * lcms[top]))
-
-
-def _prune(s: BiorthSet, model: FitModel,
-           ell: int) -> tuple[BiorthSet, FitModel]:
-    """``downgrade(s, ell)`` and the projection onto it, by the same step
-    on the numerators of ``model``, the projection onto ``s``."""
-    pruned = downgrade(s, ell)
-    row_l = s.kmat[ell]
-    a = row_l[ell]
-    c = (s.q * a / pruned.q).numerator   # the content downgrade divided out
-    y_l = model.numerators[s.active.index(ell)]
-    numerators = tuple(a * y - row_l[n] * y_l
-                       for n, y in zip(s.active, model.numerators) if n != ell)
-    if c != 1:
-        numerators = tuple(x // c for x in numerators)
-    return pruned, FitModel.from_projection(pruned, numerators,
-                                            model.denominator * a / c)
+    den = Fraction(q * lcms[top])
+    return FitModel(s.family, s.k, s.active, _float_coeffs(s, numerators, den),
+                    (), numerators, den)
 
 
 def cheapest_removal(s: BiorthSet, numerators: Sequence[int]) -> int:
@@ -443,3 +432,29 @@ def select_removal(s: BiorthSet, moments: "MomentVector") -> int:
     if len(s.active) == 1:
         raise LastElementError("cannot select a removal from a single element")
     return cheapest_removal(s, project(s, moments).numerators)
+
+
+def fit(fam: FamilySpec, k: int, moments: "MomentVector",
+        removals: int = 0) -> FitModel:
+    """Project onto order k, then greedily remove ``removals`` exponents,
+    each the cheapest on the set pruned so far, by the integer step of
+    the module docstring; ``removed`` lists them in that order."""
+    _require_moments(moments, k)
+    s = build(fam, k)           # a negative k is refused here, before removals
+    if not 0 <= removals <= k:
+        raise ValueError("removals must leave at least one active exponent")
+    model = project(s, moments)
+    y, den, removed = model.numerators, model.denominator, []
+    for _ in range(removals):
+        ell = cheapest_removal(s, y)
+        pruned = downgrade(s, ell)
+        row_l = s.kmat[ell]
+        a = row_l[ell]
+        c = (s.q * a / pruned.q).numerator   # the content downgrade divided out
+        y_l = y[s.active.index(ell)]
+        y = tuple((a * yn - row_l[n] * y_l) // c
+                  for n, yn in zip(s.active, y) if n != ell)
+        s, den = pruned, den * a / c
+        removed.append(ell)
+    return FitModel(fam, k, s.active, _float_coeffs(s, y, den),
+                    tuple(removed), y, den)

@@ -21,11 +21,11 @@ the pi factors cancel to a pure rational; otherwise it raises
 the table :data:`PI_FLOAT` of pi**p by the ``pi_power`` p in {-1, 0, 1} of a
 :class:`ScaleTag` or :class:`SpaceSpec`: a fitted model's 1/pi, the naive
 Gram matrix's pi and a space's measure all index it.  Floats enter as
-quadrature moments, as the coefficients ``FitModel`` rounds to double
-once, and in the ``horner_many`` evaluator.  It uses compensated Horner
-summation, as accurate as Horner in twice the working precision: about
-1 ulp while the condition number of p at x stays below about 2**53, and
-worse beyond.  The cancelling monomial
+quadrature moments, as exact moments and coefficients rounded to double
+once (:class:`FloatRangeError` past the double range), and in ``horner_many``,
+which uses compensated Horner summation, as accurate as Horner in twice
+the working precision: about 1 ulp while the condition number of p at x
+stays below about 2**53, and worse beyond.  The cancelling monomial
 coefficients of a high-order fit on [0, b] go past that, and there the
 limit is the rounding of the coefficients to double before evaluation, not
 the summation.  Per block of points, ``horner_many`` runs only the two
@@ -56,6 +56,11 @@ RationalLike = Union[Fraction, int]
 
 #: pi**p as a float by ``pi_power`` p: the one place pi becomes a float.
 PI_FLOAT = {-1: 1.0 / math.pi, 0: 1.0, 1: math.pi}
+
+
+class FloatRangeError(OverflowError):
+    """An exact moment or fit coefficient, named with its order, is too
+    large for a float."""
 
 
 class ScaleMismatchError(ValueError):

@@ -32,7 +32,6 @@ to the quantities reported here.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -42,10 +41,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .biorth import (FitModel, MomentShortfallError, _prune, _require_moments,
-                     build, cheapest_removal, project)
-from .exact import PI_FLOAT, RationalLike, SpaceSpec, Weight, inner_monomial
-from .families import FamilySpec
+from .biorth import FitModel, MomentShortfallError, fit
+from .exact import (PI_FLOAT, FloatRangeError, RationalLike, SpaceSpec, Weight,
+                    inner_monomial)
 
 #: panel count of the composite Simpson rule over a bounded or Chebyshev space
 DEFAULT_PANELS = 10_000
@@ -170,8 +168,21 @@ def moments_from_samples(samples: SampleSet, space: SpaceSpec,
         # (h/3) * sum_j w_j y_j x_j^i, with h = span / ((n - 1) * 2**ex)
         exact.append(Fraction(span * sum(terms),
                               (3 * (n - 1)) << (ey + (i + 1) * ex)))
-    return MomentVector(mu=tuple(float(e) for e in exact), space=space,
-                        provenance=f"simpson-samples(n={n})",
+    return _exact_moments(exact, space, f"simpson-samples(n={n})")
+
+
+def _exact_moments(exact: list[Fraction], space: SpaceSpec,
+                   provenance: str) -> MomentVector:
+    """The vector of the exact moments and their floats; a moment past the
+    float range raises ``FloatRangeError`` naming its order."""
+    mu = []
+    for i, e in enumerate(exact):
+        try:
+            mu.append(float(e))
+        except OverflowError:
+            raise FloatRangeError(f"moment mu_{i} of {provenance} overflows "
+                                  "the float range") from None
+    return MomentVector(mu=tuple(mu), space=space, provenance=provenance,
                         mu_exact=tuple(exact))
 
 
@@ -215,10 +226,8 @@ def moments_expdecay(space: SpaceSpec, k: int,
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    exact = tuple(_decay_ladder(space, alpha, k))
-    return MomentVector(mu=tuple(float(e) for e in exact), space=space,
-                        provenance=f"analytic-expdecay(alpha={alpha})",
-                        mu_exact=exact)
+    return _exact_moments(_decay_ladder(space, alpha, k), space,
+                          f"analytic-expdecay(alpha={alpha})")
 
 
 def moments_gamma(space: SpaceSpec, k: int) -> MomentVector:
@@ -227,10 +236,8 @@ def moments_gamma(space: SpaceSpec, k: int) -> MomentVector:
     These are the alpha = 1 decay moments shifted up one power; on the
     half line they collapse to mu_i = (i+1)! / 2^{i+2}.
     """
-    exact = tuple(_decay_ladder(space, Fraction(1), k + 1)[1:])
-    return MomentVector(mu=tuple(float(e) for e in exact), space=space,
-                        provenance="analytic-gamma",
-                        mu_exact=exact)
+    return _exact_moments(_decay_ladder(space, Fraction(1), k + 1)[1:], space,
+                          "analytic-gamma")
 
 
 def _simpson(where: SpaceSpec | SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
@@ -277,34 +284,6 @@ def moments_quadrature(fn: Callable[[np.ndarray], np.ndarray],
         mu.append(float(np.dot(w, pw * base)))
     return MomentVector(mu=tuple(mu), space=space,
                         provenance=f"simpson-function(panels={DEFAULT_PANELS})")
-
-
-# ----------------------------------------------------------------------
-# fitting
-# ----------------------------------------------------------------------
-
-def fit(fam: FamilySpec, k: int, moments: MomentVector,
-        removals: int = 0) -> FitModel:
-    """Project onto order k, then greedily remove ``removals`` exponents.
-
-    Each removal step picks the exponent whose deletion costs the least
-    squared error on the current (already pruned) set and drops it.  The
-    fit projects once: ``biorth._prune`` updates the remaining integer
-    numerators by an exact identity that equals re-projecting onto the
-    pruned set, so the selection still sees the pruned set's own
-    coefficients every round.
-    """
-    _require_moments(moments, k)
-    s = build(fam, k)           # a negative k is refused here, before removals
-    if not 0 <= removals <= k:
-        raise ValueError("removals must leave at least one active exponent")
-    model = project(s, moments)
-    removed = []
-    for _ in range(removals):
-        ell = cheapest_removal(s, model.numerators)
-        s, model = _prune(s, model, ell)
-        removed.append(ell)
-    return dataclasses.replace(model, removed=tuple(removed))
 
 
 # ----------------------------------------------------------------------

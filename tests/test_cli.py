@@ -660,3 +660,19 @@ def test_import_leaves_the_thread_pool_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], cwd=src,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_the_package_needs_only_its_runtime_dependencies(sym_csv, tmp_path):
+    """scipy and hypothesis are test dependencies: with both blocked, the
+    package and its CLI import, and ``biopoly fit`` writes its files."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys\n"
+             "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+             "import biopoly, biopoly.cli\n"
+             "sys.exit(biopoly.cli.main(['fit', '--family', 'legendre', '--k', '6',"
+             " '--removals', '2', '--input', sys.argv[1], '--out', sys.argv[2]]))")
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-c", probe, str(sym_csv), str(out)],
+                          cwd=src, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["model.json", "residuals.csv"]

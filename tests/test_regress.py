@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import biopoly
 from biopoly import MomentSpaceError, biorth, regress
 from biopoly.biorth import (_scales, build, downgrade, project, select_removal,
                             upgrade)
@@ -253,9 +254,11 @@ def test_sample_grid_ends_within_a_fraction_of_a_step(gap, ok):
 
 
 def test_fit_format_lives_in_biorth():
-    """``regress`` re-exports the fit format that ``biorth.project`` builds."""
+    """``regress`` re-exports the fit format that ``biorth.project`` builds,
+    and ``fit`` itself: one function, under every name."""
     assert regress.FitModel is biorth.FitModel
     assert regress.MomentShortfallError is biorth.MomentShortfallError
+    assert biopoly.fit is regress.fit is biorth.fit
 
 
 def test_sample_set_validation():
@@ -420,8 +423,7 @@ def test_pruning_by_update_equals_reprojection(monkeypatch, fam, k, r,
         projects.append(len(s.active))
         return project(s, moments)
 
-    # biorth's own name too, so a projection inside select_removal counts
-    monkeypatch.setattr(regress, "project", counting_project)
+    # fit and select_removal both call biorth's own name
     monkeypatch.setattr(biorth, "project", counting_project)
     model = fit(fam, k, mom, removals=r)
     assert projects == [k + 1]
@@ -442,6 +444,86 @@ def test_pruning_by_update_equals_reprojection(monkeypatch, fam, k, r,
     if moments_of is _tied_moments:
         # ties break to the smallest exponent, and x^5 itself survives
         assert model.removed == tuple(n for n in range(k + 1) if n != 5)[:r]
+
+
+@pytest.mark.parametrize("fam", PRUNE_FAMILIES, ids=lambda f: f.describe())
+@pytest.mark.parametrize("r", ["0", "1", "3", "k"])
+def test_fit_forms_no_model_per_removal(monkeypatch, fam, r):
+    """The pruning loop stays in integers: a fit forms the projection's
+    model and its result, whatever the number of removals."""
+    k = 12
+    r = k if r == "k" else int(r)
+    mom = _mixed_moments(fam, k)
+    formed = []
+    init = FitModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        formed.append(self)
+
+    monkeypatch.setattr(FitModel, "__init__", counting_init)
+    model = fit(fam, k, mom, removals=r)
+    assert len(formed) <= 2 and formed[-1] is model
+    assert len(model.removed) == r
+
+
+# the [0, b] ladders overflow early because they run the by-parts recurrence
+# forward, which amplifies the rounding of e^(-alpha b) (ROADMAP item 14)
+@pytest.mark.parametrize("make, message", [
+    (lambda: moments_expdecay(SpaceSpec.half_line(), 197),
+     r"moment mu_197 of analytic-expdecay\(alpha=1\) overflows"),
+    (lambda: moments_gamma(SpaceSpec.bounded(0, 1), 204),
+     r"moment mu_\d+ of analytic-gamma overflows"),
+    (lambda: moments_expdecay(SpaceSpec.bounded(0, 1), 256, alpha=2),
+     r"moment mu_\d+ of analytic-expdecay\(alpha=2\) overflows"),
+    (lambda: fit(FamilySpec.legendre_shifted(1), 256, moments_quadrature(
+        damped_wiggle, SpaceSpec.bounded(0, 1), 256)),
+     r"a coefficient of the order-256 fit overflows"),
+], ids=["expdecay-half-line-197", "gamma-unit-204", "expdecay-unit-256",
+        "legendre0b-quadrature-fit-256"])
+def test_float_overflow_is_one_typed_error(make, message):
+    """A moment or coefficient past the float range raises the package's
+    ``FloatRangeError``, an ``OverflowError`` that names it and its order."""
+    with pytest.raises(biopoly.FloatRangeError, match=message):
+        make()
+    assert issubclass(biopoly.FloatRangeError, OverflowError)
+
+
+def _small_grid(space):
+    xs = np.linspace(float(space.lo), float(space.hi), 21)
+    return SampleSet(xs, np.cos(3.0 * xs) + 0.5 * xs)
+
+
+#: (family, moment source) for every source each family supports
+_FIT_SOURCES = [
+    (fam, source) for fam, sources in [
+        (FamilySpec.legendre_shifted(1), ["decay", "gamma", "quadrature", "samples"]),
+        (FamilySpec.laguerre(), ["decay", "gamma"]),
+        (FamilySpec.legendre_sym(), ["quadrature", "samples"]),
+        (FamilySpec.chebyshev(), ["quadrature"]),
+    ] for source in sources]
+_MOMENTS_OF = {
+    "decay": lambda space, k: moments_expdecay(space, k, alpha=Fraction(1, 2)),
+    "gamma": moments_gamma,
+    "quadrature": lambda space, k: moments_quadrature(damped_wiggle, space, k),
+    "samples": lambda space, k: moments_from_samples(_small_grid(space), space, k),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from(_FIT_SOURCES), k=st.integers(0, 256), data=st.data())
+def test_every_fit_to_order_256_ends_in_a_model_or_a_typed_error(case, k, data):
+    """Up to k = 256 with up to three removals, every fit from every moment
+    source its family supports returns a model or raises ``FloatRangeError``."""
+    fam, source = case
+    removals = data.draw(st.integers(0, min(3, k)))
+    try:
+        model = fit(fam, k, _MOMENTS_OF[source](fam.space, k), removals=removals)
+    except biopoly.FloatRangeError:
+        return
+    assert isinstance(model, FitModel)
+    assert model.n_params == k + 1 - removals
+    assert all(map(math.isfinite, model.coeffs))
 
 
 #: the acceptance families plus a b whose scales D_n = (3/7)^n are not integral
@@ -679,7 +761,7 @@ def test_moment_shortfall_has_one_message(monkeypatch):
     mom = moments_expdecay(fam.space, 5)
     with pytest.raises(MomentShortfallError) as from_project:
         project(build(fam, 8), mom)
-    monkeypatch.setattr(regress, "build", None)
+    monkeypatch.setattr(biorth, "build", None)
     with pytest.raises(MomentShortfallError) as from_fit:
         fit(fam, 8, mom)
     assert str(from_fit.value) == str(from_project.value)
