@@ -78,8 +78,10 @@ operations stay in integers:
   the empty set of order -1 when there is none; the integers are those of
   K nu.  One module-level slot holds what that needs: a weak reference to
   the last moment vector projected, its D mu over one denominator with
-  the prefix lcms, and the last full-set projection of it with its q.  A
-  pruned set takes one integer dot product per row of its K.
+  the prefix lcms, and the last full-set projection of it with its q.  It
+  is keyed by the vector alone: every call checks the vector's space, and
+  a space names its family.  A pruned set takes one integer dot product
+  per row of its K.
 
 Removing l changes every remaining coefficient by the same exact identity,
 c_n <- c_n - (G[l][n] / G[l][l]) c_l, which on the numerators is the
@@ -107,16 +109,13 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from operator import lt, mul
+from typing import Sequence
 
 import numpy as np
 
-from .exact import PI_FLOAT, ExactPoly, FloatRangeError, horner_many
+from .exact import PI_FLOAT, ExactPoly, FloatRangeError, SpaceSpec, horner_many
 from .families import FamilySpec, _integer_row, coeff_scale, norm_sq
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .regress import MomentVector
 
 
 class NotActiveError(KeyError):
@@ -136,23 +135,66 @@ class MomentSpaceError(ValueError):
 
 
 @dataclass(frozen=True)
+class MomentVector:
+    """Generalised moments mu_0..mu_k of one target in one space.
+
+    ``mu`` is the float contract every consumer can rely on, and each of
+    its values must be finite; ``mu_exact`` is kept alongside whenever
+    the source allows and is preferred by the projection to avoid
+    re-rounding.
+    """
+
+    mu: tuple[float, ...]
+    space: SpaceSpec
+    provenance: str
+    mu_exact: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self):
+        if self.mu_exact is not None and len(self.mu_exact) != len(self.mu):
+            raise ValueError("mu_exact must match mu in length")
+        for i, m in enumerate(self.mu):
+            if not math.isfinite(m):
+                raise ValueError(f"moment mu_{i} of {self.provenance} is {m}, not finite")
+
+    @property
+    def order(self) -> int:
+        return len(self.mu) - 1
+
+    def exact_values(self) -> tuple[Fraction, ...]:
+        if self.mu_exact is not None:
+            return self.mu_exact
+        return tuple(Fraction(m) for m in self.mu)
+
+
+def _check_exponents(exponents: tuple[int, ...], k: int) -> None:
+    """Refuse an exponent tuple that is empty, unordered, repeated or off 0..k."""
+    if not (exponents and 0 <= exponents[0] and exponents[-1] <= k
+            and all(map(lt, exponents, exponents[1:]))):
+        raise ValueError(f"exponents {exponents} are not a non-empty, "
+                         f"strictly increasing tuple within 0..{k}")
+
+
+@dataclass(frozen=True)
 class BiorthSet:
     """The rows beta_n of order k for the active exponents n.
 
     A set is the value (family, k, active): it compares, hashes and prints
-    by those three fields.  ``kmat`` is the symmetric (k+1) x (k+1) integer
+    by those three fields, and ``active`` is non-empty and strictly
+    increasing within 0..k.  ``kmat`` is the symmetric (k+1) x (k+1) integer
     matrix K and ``q`` the positive rational with G = D K D / q, where
     D_n = ``_scales(family, k)[n]``.  Row n of G holds the monomial
     coefficients of beta_n, which are also its Gram entries
     <beta_n, beta_m>; the rows and columns of removed exponents are zero.
-    K and q are one pair, ``_kq``, formed on the first read of either:
-    ``downgrade`` stores the pair of the set it returns, and any other set
-    forms its own.
+    K and q are one pair, ``_kq``, formed on the first read of either
+    (``downgrade`` stores the pair of the set it returns).
     """
 
     family: FamilySpec
     k: int
     active: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_exponents(self.active, self.k)
 
     @functools.cached_property
     def _kq(self) -> tuple[tuple[tuple[int, ...], ...], Fraction]:
@@ -287,6 +329,11 @@ class FitModel:
     numerators: tuple[int, ...] | None = field(default=None, repr=False)
     denominator: Fraction | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        _check_exponents(self.exponents, self.k)
+        if len(self.coeffs) != self.n_params:
+            raise ValueError(f"{len(self.coeffs)} coeffs for {self.n_params} exponents")
+
     @functools.cached_property
     def coeffs_exact(self) -> tuple[Fraction, ...] | None:
         """c_n as normalised ``Fraction``s, built on first read."""
@@ -304,8 +351,7 @@ class FitModel:
     def dense_coeffs(self) -> np.ndarray:
         """Float coefficients on the full 0..k exponent range (zeros filled)."""
         dense = np.zeros(self.k + 1)
-        for n, c in zip(self.exponents, self.coeffs):
-            dense[n] = c
+        dense[list(self.exponents)] = self.coeffs
         return dense
 
     def __call__(self, xs) -> np.ndarray:
@@ -327,7 +373,7 @@ def _float_coeffs(s: BiorthSet, numerators: Sequence[int],
                               "overflows the float range") from None
 
 
-def _require_moments(moments: "MomentVector", top: int) -> None:
+def _require_moments(moments: MomentVector, top: int) -> None:
     """Raise ``MomentShortfallError`` unless ``moments`` reach exponent ``top``."""
     if moments.order < top:
         raise MomentShortfallError(
@@ -335,7 +381,7 @@ def _require_moments(moments: "MomentVector", top: int) -> None:
             f"got {moments.order}")
 
 
-def _scaled_moments(fam: FamilySpec, moments: "MomentVector"
+def _scaled_moments(fam: FamilySpec, moments: MomentVector
                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """D mu for the whole vector: integer numerators over the lcm L of
     all its denominators, and the prefix lcms L_0..L_n (L_n = L)."""
@@ -344,8 +390,7 @@ def _scaled_moments(fam: FamilySpec, moments: "MomentVector"
     return tuple(x.numerator * (lcms[-1] // x.denominator) for x in nu), lcms
 
 
-#: one slot: (weak reference to a moment vector, family, ``_scaled_moments``
-#: of the two, and (k, q, numerators) of the last full set projected or None)
+#: (weak reference to a moment vector, its ``_scaled_moments``, (k, q, y) or None)
 _slot = None
 
 
@@ -370,7 +415,7 @@ def _carry(s: BiorthSet, nums: tuple[int, ...], lcms: tuple[int, ...],
     return tuple(y), q_prev
 
 
-def project(s: BiorthSet, moments: "MomentVector") -> FitModel:
+def project(s: BiorthSet, moments: MomentVector) -> FitModel:
     """Least-squares coefficients <f, beta_n> for all active n.
 
     The dot products are exact (float moments are promoted to the
@@ -382,25 +427,23 @@ def project(s: BiorthSet, moments: "MomentVector") -> FitModel:
     neither K nor q: its numerators and q are folded forward from the last
     full-set projection of the same moments at an order no higher, or from
     order -1 (``_carry``).  A pruned set takes one integer dot product per
-    row of its K.  The integers are the same either way.  Moments taken in another space
-    than the family's raise ``MomentSpaceError``.
+    row of its K.  The integers are the same either way.  Moments taken in
+    another space than the family's raise ``MomentSpaceError``.
     """
     global _slot
-    top = max(s.active)
+    top = s.active[-1]
     _require_moments(moments, top)
+    if moments.space != s.family.space:
+        raise MomentSpaceError(
+            f"{s.family.describe()} needs moments on its own space, "
+            f"got moments on {moments.space}")
     slot = _slot
-    if slot is None or slot[0]() is not moments or slot[1] != s.family:
-        # checked here once per moment vector and family
-        if moments.space != s.family.space:
-            raise MomentSpaceError(
-                f"{s.family.describe()} needs moments on its own space, "
-                f"got moments on {moments.space}")
-        slot = (weakref.ref(moments), s.family,
-                *_scaled_moments(s.family, moments), None)
-    _, _, nums, lcms, last = slot
+    if slot is None or slot[0]() is not moments:
+        slot = (weakref.ref(moments), *_scaled_moments(s.family, moments), None)
+    _, nums, lcms, last = slot
     if len(s.active) == s.k + 1:
         numerators, q = _carry(s, nums, lcms, last)
-        slot = slot[:4] + ((s.k, q, numerators),)
+        slot = slot[:3] + ((s.k, q, numerators),)
     else:
         # entries past the largest active exponent are zero, so rows stop
         # at top; nu / L_top == D mu, c_n = D_n (K_n . nu) / (q L_top)
@@ -427,14 +470,14 @@ def cheapest_removal(s: BiorthSet, numerators: Sequence[int]) -> int:
     return min(scores, key=by_score)[2]
 
 
-def select_removal(s: BiorthSet, moments: "MomentVector") -> int:
+def select_removal(s: BiorthSet, moments: MomentVector) -> int:
     """``cheapest_removal`` on the projection of ``moments`` onto ``s``."""
     if len(s.active) == 1:
         raise LastElementError("cannot select a removal from a single element")
     return cheapest_removal(s, project(s, moments).numerators)
 
 
-def fit(fam: FamilySpec, k: int, moments: "MomentVector",
+def fit(fam: FamilySpec, k: int, moments: MomentVector,
         removals: int = 0) -> FitModel:
     """Project onto order k, then greedily remove ``removals`` exponents,
     each the cheapest on the set pruned so far, by the integer step of

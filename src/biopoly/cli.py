@@ -158,15 +158,17 @@ def load_model(source: str | Path | dict) -> FitModel:
 
     Only the float coefficient strings are consulted; they are written
     with 17 significant digits, so the rebuilt model evaluates bit for
-    bit like the one that was saved.
+    bit like the one that was saved.  A document that lacks a key, or whose
+    exponents and coefficients do not make a model, raises ``ValueError``.
     """
     if not isinstance(source, dict):
         source = json.loads(Path(source).read_text(encoding="utf-8"))
-    fam = _family_from_args(source["family"], source["params"].get("b"))
-    coeffs = tuple(float(s) for s in source["coeffs"])
-    return FitModel(family=fam, k=int(source["k"]),
-                    exponents=tuple(int(e) for e in source["exponents"]),
-                    coeffs=coeffs)
+    try:
+        fam = _family_from_args(source["family"], source["params"].get("b"))
+        k, exponents, coeffs = source["k"], source["exponents"], source["coeffs"]
+    except KeyError as exc:
+        raise ValueError(f"model document has no key {exc}") from None
+    return FitModel(fam, int(k), tuple(map(int, exponents)), tuple(map(float, coeffs)))
 
 
 # ----------------------------------------------------------------------
@@ -202,9 +204,9 @@ def _cmd_fit(args) -> int:
         raise CliError(EXIT_DOMAIN, f"family {_where(fam, args.b)}: {exc}")
     except (NonUniformGridError, EvenPanelParityError) as exc:
         raise CliError(EXIT_BAD_INPUT, f"{args.input}: {exc}")
-    except OverflowError:
+    except OverflowError as exc:    # a FloatRangeError names the moment or order
         raise CliError(EXIT_BAD_INPUT, f"{args.input}: moments or coefficients "
-                       f"of order {args.k} overflow the float range")
+                       f"of order {args.k} overflow the float range: {exc}")
     with np.errstate(over="ignore", invalid="ignore"):
         fitted, errors = error_figures(model, samples)
     l2, max_abs, bic = errors["l2_error"], errors["max_abs_error"], errors["bic"]

@@ -22,22 +22,10 @@ the table :data:`PI_FLOAT` of pi**p by the ``pi_power`` p in {-1, 0, 1} of a
 :class:`ScaleTag` or :class:`SpaceSpec`: a fitted model's 1/pi, the naive
 Gram matrix's pi and a space's measure all index it.  Floats enter as
 quadrature moments, as exact moments and coefficients rounded to double
-once (:class:`FloatRangeError` past the double range), and in ``horner_many``,
-which uses compensated Horner summation, as accurate as Horner in twice
-the working precision: about 1 ulp while the condition number of p at x
-stays below about 2**53, and worse beyond.  The cancelling monomial
-coefficients of a high-order fit on [0, b] go past that, and there the
-limit is the rounding of the coefficients to double before evaluation, not
-the summation.  Per block of points, ``horner_many`` runs only the two
-true recurrences, the Horner sum and its correction, one term at a time;
-the error terms of a whole chunk of terms take one ufunc call per
-operation in between.  Every operation keeps its operands, so the bits
-are those of the one-term-at-a-time loop.  From two blocks of points on,
-``horner_many`` shares its blocks out dynamically among one thread per
-CPU this process may run on, the helpers on a
-``concurrent.futures.ThreadPoolExecutor`` that lives for one call.  The
-result bits do not depend on the thread count, every thread runs under the
-caller's ``np.errstate``, and nothing sets the count but the CPUs.
+once (:class:`FloatRangeError` past the double range), and in
+``horner_many``, compensated Horner summation; its docstring tells its
+accuracy and how it blocks, chunks and threads the points, none of which
+moves a result bit.
 """
 
 from __future__ import annotations
@@ -187,12 +175,10 @@ _SPLITTER = 134217729.0  # 2**27 + 1
 
 #: points per block of ``horner_many``; its nine work arrays of this length
 #: (128 KB each) stay in a 2 MB per-core L2 cache across all the terms.
+#: Also the point-terms per chunk: a block of m points takes its terms
+#: r = min(k, max(1, _BLOCK // m)) at a time, in 6r + 3 work rows of m
+#: floats, which is never more than a full block's nine
 _BLOCK = 16384
-
-#: point-terms per chunk: a block of m points takes its terms
-#: r = min(k, max(1, _CHUNK // m)) at a time, in 6r + 3 work rows of m
-#: floats, which with _CHUNK <= _BLOCK is never more than a full block's nine
-_CHUNK = _BLOCK
 
 #: CPUs this process may run on: ``horner_many`` shares its blocks among
 #: at most this many threads, the caller's included.
@@ -223,7 +209,7 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     of x is computed once.  Only two of the recurrences are sequential in
     the terms: the Horner sum acc <- acc*x + c and the correction
     comp <- comp*x + e.  So a block of m points takes its k terms in chunks
-    of r = min(k, max(1, _CHUNK // m)), in two passes over each.  The first
+    of r = min(k, max(1, _BLOCK // m)), in two passes over each.  The first
     runs the plain Horner sum term by term, p_i = acc_i*x and
     acc_{i+1} = p_i + c_i, and keeps every acc and p row.  Then the 18
     operations of the error terms, TwoProd(acc_i, x), TwoSum(p_i, c_i) and
@@ -315,7 +301,7 @@ def _horner_blocks(top: float, rest: list[np.ndarray], flat: np.ndarray,
     work = None
     for lo in starts:
         x = flat[lo:lo + _BLOCK]
-        r = max(1, min(k, _CHUNK // x.size))  # terms per chunk
+        r = max(1, min(k, _BLOCK // x.size))  # terms per chunk
         if work is None or work.size != (6 * r + 3) * x.size:
             # the first block, or the last and shorter one: the old array
             # goes first (its views die with _horner_block's frame), so no

@@ -189,14 +189,9 @@ def verify_orthonormal(fam: FamilySpec, kmax: int) -> list[tuple[int, int, Fract
     for n in range(kmax + 1):
         for m in range(n, kmax + 1):
             total = inner_poly(space, tagged[n], plain[m])
-            if n == m:
-                value = total * norm_sq(fam, n)
-                expect = Fraction(1)
-            else:
-                # s_n * s_m is irrational; orthogonality must come from the
-                # rational bilinear part vanishing identically
-                value = total
-                expect = Fraction(0)
-            if value != expect:
-                bad.append((n, m, value - expect))
+            # s_n * s_m (n != m) is irrational: orthogonality must come from
+            # the rational bilinear part vanishing identically
+            defect = total * norm_sq(fam, n) - 1 if n == m else total
+            if defect:
+                bad.append((n, m, defect))
     return bad

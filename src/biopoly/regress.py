@@ -41,7 +41,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .biorth import FitModel, MomentShortfallError, fit
+from .biorth import FitModel, MomentShortfallError, MomentVector, fit
 from .exact import (PI_FLOAT, FloatRangeError, RationalLike, SpaceSpec, Weight,
                     inner_monomial)
 
@@ -93,34 +93,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.xs)
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Generalised moments mu_0..mu_k of one target in one space.
-
-    ``mu`` is the float contract every consumer can rely on; ``mu_exact``
-    is kept alongside whenever the source allows and is preferred by the
-    projection to avoid re-rounding.
-    """
-
-    mu: tuple[float, ...]
-    space: SpaceSpec
-    provenance: str
-    mu_exact: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self):
-        if self.mu_exact is not None and len(self.mu_exact) != len(self.mu):
-            raise ValueError("mu_exact must match mu in length")
-
-    @property
-    def order(self) -> int:
-        return len(self.mu) - 1
-
-    def exact_values(self) -> tuple[Fraction, ...]:
-        if self.mu_exact is not None:
-            return self.mu_exact
-        return tuple(Fraction(m) for m in self.mu)
 
 
 # ----------------------------------------------------------------------
@@ -278,10 +250,11 @@ def moments_quadrature(fn: Callable[[np.ndarray], np.ndarray],
     w = w * (h / 3.0)
     mu = []
     pw = np.ones_like(xs)
-    for i in range(k + 1):
-        if i:
-            pw = pw * xs
-        mu.append(float(np.dot(w, pw * base)))
+    with np.errstate(over="ignore", invalid="ignore"):  # MomentVector refuses nan, inf
+        for i in range(k + 1):
+            if i:
+                pw = pw * xs
+            mu.append(float(np.dot(w, pw * base)))
     return MomentVector(mu=tuple(mu), space=space,
                         provenance=f"simpson-function(panels={DEFAULT_PANELS})")
 

@@ -8,6 +8,7 @@ kernel (G = D K D / q, fraction-free downgrade) is also checked against
 the plain ``Fraction`` rank-one sum and Schur-complement step.
 """
 
+import ast
 import dataclasses
 import inspect
 import math
@@ -15,14 +16,18 @@ import sys
 import threading
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biopoly.biorth import (BiorthSet, LastElementError, NotActiveError,
-                            _integer_row, build, cheapest_removal, downgrade,
-                            project, select_removal, upgrade)
+import biopoly
+from biopoly import biorth, regress
+from biopoly.biorth import (BiorthSet, FitModel, LastElementError,
+                            MomentSpaceError, NotActiveError, _integer_row,
+                            build, cheapest_removal, downgrade, project,
+                            select_removal, upgrade)
 from biopoly.exact import ScaleTag, inner_monomial, inner_poly
 from biopoly.families import FamilySpec, norm_sq, rat_coeff
 from biopoly.regress import MomentShortfallError, MomentVector, fit
@@ -673,3 +678,99 @@ def test_select_removal_needs_two_elements():
     s = downgrade(s, 0)
     with pytest.raises(LastElementError):
         select_removal(s, exact_moments(FamilySpec.laguerre(), [1, 1]))
+
+
+# ----------------------------------------------------------------------
+# exponent tuples, the projection slot and the module boundary
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("k, exponents", [
+    (2, (2, 0, 1)),     # coefficients went to the wrong exponents
+    (2, (1, 1, 2)),     # a fit on a repeated exponent
+    (2, ()),            # max() of an empty sequence
+    (3, (0, 5)),        # a misleading MomentShortfallError
+    (2, (-1, 0, 1)),
+], ids=["unordered", "repeated", "empty", "past-k", "negative"])
+def test_sets_and_models_refuse_malformed_exponents(k, exponents):
+    fam = FamilySpec.laguerre()
+    with pytest.raises(ValueError, match=f"strictly increasing tuple within 0..{k}"):
+        BiorthSet(fam, k, exponents)
+    with pytest.raises(ValueError, match=f"strictly increasing tuple within 0..{k}"):
+        FitModel(fam, k, exponents, (1.0,) * len(exponents))
+
+
+def test_model_needs_one_coefficient_per_exponent():
+    with pytest.raises(ValueError, match="2 coeffs for 3 exponents"):
+        FitModel(FamilySpec.laguerre(), 2, (0, 1, 2), (1.0, 0.5))
+
+
+def test_biorth_names_its_own_input_type():
+    """``biorth`` imports nothing from ``regress``, not even for type
+    checking; ``MomentVector`` is one class wherever it is imported from."""
+    source = Path(biorth.__file__).read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              for alias in node.names}
+    assert not any("regress" in m for m in modules if m)
+    assert "TYPE_CHECKING" not in names
+    assert "regress" not in source
+    assert biorth.MomentVector is regress.MomentVector is biopoly.MomentVector
+
+
+def test_held_vector_onto_another_space_is_refused():
+    """The slot holds the vector just projected; projecting it onto a
+    family on another space is still refused, and the vector's own
+    family still gets the fresh projection."""
+    leg = FamilySpec.legendre_sym()
+    mv = exact_moments(leg, [Fraction(1, i + 2) for i in range(7)])
+    first = project(build(leg, 6), mv)
+    for other in (FamilySpec.chebyshev(), FamilySpec.legendre_shifted(1),
+                  FamilySpec.laguerre()):
+        with pytest.raises(MomentSpaceError):
+            project(build(other, 6), mv)
+    assert project(build(leg, 6), mv) == first
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=IDS)
+def test_alternating_vectors_project_as_fresh(monkeypatch, fam):
+    """Two vectors projected in turn along one upgrade scan, with a pruned
+    set in between: each projection equals one made from an empty slot."""
+    vectors = [exact_moments(fam, [Fraction(1, i + 2) for i in range(13)]),
+               exact_moments(fam, [Fraction((-1) ** i, 3 * i + 1)
+                                   for i in range(13)])]
+    scan = [build(fam, 0)]
+    for _ in range(12):
+        scan.append(upgrade(scan[-1]))
+    sets = [t for s in scan for t in ((s, downgrade(s, 0)) if s.k else (s,))]
+    fresh = {}
+    for s in sets:
+        for i, mv in enumerate(vectors):
+            monkeypatch.setattr(biorth, "_slot", None)
+            fresh[s, i] = project(s, mv)
+    monkeypatch.setattr(biorth, "_slot", None)
+    for s in sets:
+        for i in (0, 1, 0):
+            assert project(s, vectors[i]) == fresh[s, i]
+
+
+FAMILIES_WITH_B = st.one_of(
+    st.sampled_from([FamilySpec.laguerre(), FamilySpec.legendre_sym(),
+                     FamilySpec.chebyshev()]),
+    st.builds(FamilySpec.legendre_shifted,
+              st.fractions(min_value=Fraction(1, 4), max_value=4,
+                           max_denominator=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=FAMILIES_WITH_B, b=FAMILIES_WITH_B)
+def test_a_family_space_names_the_family(a, b):
+    """``project`` keys its slot by the vector alone and checks the space
+    on every call: that is sound because distinct families have distinct
+    spaces."""
+    assert (a.space == b.space) == (a == b)

@@ -119,6 +119,28 @@ def test_load_model_accepts_dict(sym_csv, tmp_path):
     assert [f"{c:.17g}" for c in model.coeffs] == doc["coeffs"]
 
 
+LEGENDRE_K2 = {"family": "legendre", "params": {}, "k": 2,
+               "exponents": [0, 1, 2], "coeffs": ["1", "-0.5", "0.25"]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    # exponent 5 has no place in an order-2 model: it failed at evaluation
+    ({"exponents": [0, 1, 5]}, "strictly increasing tuple within 0..2"),
+    ({"exponents": [1, 0, 2]}, "strictly increasing tuple within 0..2"),
+    # two coefficients for three exponents silently dropped the x^2 term
+    ({"coeffs": ["1", "-0.5"]}, "2 coeffs for 3 exponents"),
+    # a missing key raised KeyError
+    ({"coeffs": None}, "no key 'coeffs'"),
+    ({"family": None}, "no key 'family'"),
+], ids=["exponent-past-k", "unordered", "short-coeffs", "no-coeffs", "no-family"])
+def test_load_model_refuses_malformed_documents(edit, message):
+    assert load_model(LEGENDRE_K2)(0.5) == 1 - 0.25 + 0.0625
+    doc = {key: value for key, value in {**LEGENDRE_K2, **edit}.items()
+           if value is not None}
+    with pytest.raises(ValueError, match=message):
+        load_model(doc)
+
+
 def test_fit_with_removals_drops_terms(sym_csv, tmp_path):
     out = tmp_path / "out"
     rc = main(["fit", "--family", "legendre", "--k", "9", "--removals", "3",
@@ -257,6 +279,17 @@ def test_float_overflow_is_bad_input(tmp_path, capsys, b, k, ys, message):
     assert rc == EXIT_BAD_INPUT
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_float_overflow_names_the_moment(tmp_path, capsys):
+    """The exit-2 message carries ``FloatRangeError``'s own text."""
+    path = tmp_path / "huge.csv"
+    _write_samples(path, np.linspace(0.0, 10.0, 101), np.full(101, 1e300))
+    rc = main(["fit", "--family", "legendre0b", "--b", "10", "--k", "10",
+               "--input", str(path), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_BAD_INPUT
+    assert ("overflow the float range: moment mu_9 of simpson-samples(n=101) "
+            "overflows the float range") in capsys.readouterr().err
 
 
 def test_fit_too_many_digits_is_bad_input(tmp_path, capsys):

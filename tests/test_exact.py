@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from biopoly import exact
-from biopoly.exact import (_BLOCK, _CHUNK, _SPLITTER, ExactPoly,
+from biopoly.exact import (_BLOCK, _SPLITTER, ExactPoly,
                            ScaleMismatchError, ScaleTag, SpaceSpec, Weight,
                            horner_many, inner_monomial, inner_poly)
 from biopoly.families import FamilySpec
@@ -326,12 +326,12 @@ def _assert_same_bits(coeffs, xs):
 
 magnitudes = st.builds(lambda m, e, neg: (-m if neg else m) * 10.0 ** e,
                        st.floats(1.0, 9.999), st.integers(-12, 19), st.booleans())
-# A block of m points takes r = min(k, max(1, _CHUNK // m)) terms a chunk:
+# A block of m points takes r = min(k, max(1, _BLOCK // m)) terms a chunk:
 # r >= k at 1, 2 and 201 points (k <= 81), 1 < r < k at 2001 points (r = 8)
-# and 201 points (k > 81), r = 1 from _CHUNK // 2 + 1 points on; m * r
-# crosses _CHUNK between _CHUNK // 3 (r = 3) and _CHUNK // 3 + 1 (r = 2).
-SIZES = [0, 1, 2, 201, 2001, _CHUNK // 3, _CHUNK // 3 + 1, _CHUNK // 2,
-         _CHUNK // 2 + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+# and 201 points (k > 81), r = 1 from _BLOCK // 2 + 1 points on; m * r
+# crosses _BLOCK between _BLOCK // 3 (r = 3) and _BLOCK // 3 + 1 (r = 2).
+SIZES = [0, 1, 2, 201, 2001, _BLOCK // 3, _BLOCK // 3 + 1, _BLOCK // 2,
+         _BLOCK // 2 + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
 
 
 def _points(seed, n, half_width):
@@ -364,9 +364,9 @@ def _edge(n, k):
 @_edge(201, 48)                 # r = k: the whole sum in one chunk
 @_edge(201, 99)                 # r = 81, k mod r = 18
 @_edge(2001, 36)                # r = 8, k mod r = 4
-@_edge(_CHUNK // 3, 64)         # r = 3, k mod r = 1
-@_edge(_CHUNK // 3 + 1, 64)     # r = 2
-@_edge(_CHUNK // 2 + 1, 17)     # r = 1 below a full block
+@_edge(_BLOCK // 3, 64)         # r = 3, k mod r = 1
+@_edge(_BLOCK // 3 + 1, 64)     # r = 2
+@_edge(_BLOCK // 2 + 1, 17)     # r = 1 below a full block
 @_edge(2 * _BLOCK + 3, 64)      # r = 1 on full blocks, r = k on the last
 def test_horner_many_bit_identical_to_reference(coeffs, form, n, layout,
                                                 read_only, half_width, seed):

@@ -309,6 +309,25 @@ def test_moment_vector_exact_values_must_match_in_length():
                      mu_exact=(Fraction(1),))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e308],
+                         ids=["nan", "inf", "simpson-sum-overflows"])
+def test_non_finite_quadrature_moments_are_refused(value):
+    """A target of nan, inf or 1e308 (whose Simpson sum over [-1, 1]
+    overflows) gives no moment vector, where ``fit`` used to raise
+    "cannot convert ... to integer ratio"."""
+    space = FamilySpec.legendre_sym().space
+    with pytest.raises(ValueError, match=re.escape(
+            "moment mu_0 of simpson-function(panels=10000) is")):
+        moments_quadrature(lambda x: np.full_like(x, value), space, 3)
+
+
+def test_moment_vector_names_its_first_non_finite_moment():
+    space = SpaceSpec.bounded(0, 1)
+    with pytest.raises(ValueError, match=r"mu_2 of hand-made is nan, not finite"):
+        MomentVector(mu=(1.0, 0.5, math.nan, -math.inf), space=space,
+                     provenance="hand-made")
+
+
 # ----------------------------------------------------------------------
 # the fitting path end to end
 # ----------------------------------------------------------------------
@@ -605,7 +624,8 @@ def test_project_numerators_match_fraction_reference(data):
 @given(data=st.data())
 def test_integer_pruning_matches_fraction_update(data):
     """fit's integer pruning gives the removals, ``Fraction``s and float
-    bits of the loop it replaced: scores from float(G_nn) and the update
+    bits of the loop it replaced, on exact scores c_n^2 / G_nn (float
+    scores underflow to ties for tiny moments) and the update
     c_n <- c_n - G_ln c_l / G_ll on normalised ``Fraction``s."""
     fam = data.draw(st.sampled_from(ORACLE_FAMILIES))
     k = data.draw(st.integers(0, 24))
@@ -618,9 +638,7 @@ def test_integer_pruning_matches_fraction_update(data):
     exact = project(s, mom).coeffs_exact
     removed = []
     for _ in range(r):
-        floats = [float(c) * factor for c in exact]
-        scores = [c * c / float(s.gram_entry(n, n))
-                  for n, c in zip(s.active, floats)]
+        scores = [c * c / s.gram_entry(n, n) for n, c in zip(s.active, exact)]
         ell = s.active[scores.index(min(scores))]
         ratio = exact[s.active.index(ell)] / s.gram_entry(ell, ell)
         exact = tuple(c - s.gram_entry(ell, n) * ratio
