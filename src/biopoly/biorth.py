@@ -139,9 +139,9 @@ class MomentVector:
     """Generalised moments mu_0..mu_k of one target in one space.
 
     ``mu`` is the float contract every consumer can rely on, and each of
-    its values must be finite; ``mu_exact`` is kept alongside whenever
-    the source allows and is preferred by the projection to avoid
-    re-rounding.
+    its values must be finite; ``mu_exact``, the ``Fraction``s that ints and
+    floats given there convert to exactly, is kept alongside whenever the
+    source allows and is preferred by the projection to avoid re-rounding.
     """
 
     mu: tuple[float, ...]
@@ -150,6 +150,9 @@ class MomentVector:
     mu_exact: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
+        exact = None if self.mu_exact is None else tuple(
+            m if isinstance(m, Fraction) else Fraction(m) for m in self.mu_exact)
+        vars(self).update(mu=tuple(map(float, self.mu)), mu_exact=exact)
         if self.mu_exact is not None and len(self.mu_exact) != len(self.mu):
             raise ValueError("mu_exact must match mu in length")
         for i, m in enumerate(self.mu):
@@ -161,9 +164,7 @@ class MomentVector:
         return len(self.mu) - 1
 
     def exact_values(self) -> tuple[Fraction, ...]:
-        if self.mu_exact is not None:
-            return self.mu_exact
-        return tuple(Fraction(m) for m in self.mu)
+        return tuple(map(Fraction, self.mu)) if self.mu_exact is None else self.mu_exact
 
 
 def _check_exponents(exponents: tuple[int, ...], k: int) -> None:

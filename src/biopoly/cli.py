@@ -32,7 +32,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -68,13 +68,10 @@ class CliError(Exception):
 def _family_from_args(name: str, b: str | None) -> FamilySpec:
     try:
         kind = FamilyKind(name)
-        if b is None and kind is FamilyKind.LEGENDRE_SHIFTED:
-            b = "1"
-        return FamilySpec(kind, None if b is None else Fraction(b))
-    except (ValueError, ZeroDivisionError) as exc:
-        why = "its denominator is zero" if isinstance(exc, ZeroDivisionError) else exc
-        raise CliError(EXIT_BAD_INPUT,
-                       f"--family {name} --b {b}: {why}") from None
+        b = "1" if b is None and kind is FamilyKind.LEGENDRE_SHIFTED else b
+        return FamilySpec(kind, b)
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_INPUT, f"--family {name} --b {b}: {exc}") from None
 
 
 def _read_samples(path: Path) -> SampleSet:
@@ -156,19 +153,20 @@ def _model_to_json(model: FitModel, figures: dict) -> dict:
 def load_model(source: str | Path | dict) -> FitModel:
     """Rebuild an evaluable FitModel from model.json (path or parsed dict).
 
-    Only the float coefficient strings are consulted; they are written
-    with 17 significant digits, so the rebuilt model evaluates bit for
-    bit like the one that was saved.  A document that lacks a key, or whose
-    exponents and coefficients do not make a model, raises ``ValueError``.
+    Only the float coefficient strings are consulted; they are written with 17
+    significant digits, so the rebuilt model evaluates bit for bit like the one
+    that was saved.  Any document that does not make a model raises ``ValueError``.
     """
     if not isinstance(source, dict):
         source = json.loads(Path(source).read_text(encoding="utf-8"))
     try:
-        fam = _family_from_args(source["family"], source["params"].get("b"))
-        k, exponents, coeffs = source["k"], source["exponents"], source["coeffs"]
+        fam = FamilySpec(FamilyKind(source["family"]), source["params"].get("b"))
+        return FitModel(fam, index(source["k"]), tuple(map(index, source["exponents"])),
+                        tuple(map(float, source["coeffs"])))
     except KeyError as exc:
         raise ValueError(f"model document has no key {exc}") from None
-    return FitModel(fam, int(k), tuple(map(int, exponents)), tuple(map(float, coeffs)))
+    except (AttributeError, TypeError) as exc:  # not an object, or k not an integer
+        raise ValueError(f"not a model document: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -184,9 +182,8 @@ def _where(fam: FamilySpec, b: str | None) -> str:
     """
     if b is not None:
         return f"{fam.kind.value}(b={b}) lives on [0, {b}]"
-    space = fam.space
-    hi = "inf" if space.hi is None else f"{float(space.hi):g}"
-    return f"{fam.describe()} lives on [{float(space.lo):g}, {hi}]"
+    hi = "inf" if fam.space.hi is None else f"{float(fam.space.hi):g}"
+    return f"{fam.describe()} lives on [{float(fam.space.lo):g}, {hi}]"
 
 
 def _cmd_fit(args) -> int:

@@ -76,29 +76,34 @@ class Weight(enum.Enum):
 class SpaceSpec:
     """An integration domain plus weight function.
 
-    Three combinations are supported: a bounded interval with unit weight,
-    the half line [0, inf) with weight e^{-x}, and [-1, 1] with the
-    Chebyshev weight 1/sqrt(1-x^2).
+    Supported, with finite ends stored as ``Fraction``s (anything else raises
+    ``ValueError``): a bounded interval with unit weight, the half line [0, inf)
+    with weight e^{-x}, and [-1, 1] with the Chebyshev weight 1/sqrt(1-x^2).
     """
 
     weight: Weight
     lo: Fraction | None
     hi: Fraction | None
 
+    def __post_init__(self):
+        lo, hi = (None if v is None else Fraction(v) for v in (self.lo, self.hi))
+        if not (self.weight is Weight.UNIT and None not in (lo, hi) and lo < hi
+                or (self.weight, lo, hi) in ((Weight.EXP_NEG, 0, None),
+                                             (Weight.CHEBYSHEV, -1, 1))):
+            raise ValueError(f"unsupported space: {self.weight} on [{lo}, {hi}]")
+        vars(self).update(lo=lo, hi=hi)
+
     @classmethod
     def bounded(cls, lo: RationalLike, hi: RationalLike) -> "SpaceSpec":
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not lo < hi:
-            raise ValueError(f"bounded interval needs lo < hi, got [{lo}, {hi}]")
         return cls(Weight.UNIT, lo, hi)
 
     @classmethod
     def half_line(cls) -> "SpaceSpec":
-        return cls(Weight.EXP_NEG, Fraction(0), None)
+        return cls(Weight.EXP_NEG, 0, None)
 
     @classmethod
     def chebyshev(cls) -> "SpaceSpec":
-        return cls(Weight.CHEBYSHEV, Fraction(-1), Fraction(1))
+        return cls(Weight.CHEBYSHEV, -1, 1)
 
     @property
     def pi_power(self) -> int:

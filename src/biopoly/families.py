@@ -20,13 +20,14 @@ stays rational.  For Chebyshev, ``norm_sq_j`` follows the module-wide pi
 convention: the stored rational c means c / pi.
 
 The integer rows come from one three-term recurrence per family
-(``_RECURRENCE``, DLMF 18.9); the test suite asserts them against the
-classical closed forms, signs included.
+(``_RECURRENCE``, DLMF 18.9), checked against the classical closed forms in the
+tests.  Memos key on the spec, whose ``b`` is a ``Fraction`` however it is built.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,24 +47,32 @@ class FamilyKind(enum.Enum):
 class FamilySpec:
     """One of the four supported orthonormal families.
 
-    ``b`` is the right endpoint of the interval for the shifted Legendre
-    family and must be omitted (None) for the other three.
+    ``b`` is the right end of the shifted Legendre interval, stored as the exact
+    ``Fraction`` of an int, str, float or ``Fraction``; None for the other three.
     """
 
     kind: FamilyKind
     b: Fraction | None = None
 
     def __post_init__(self):
-        if self.kind is FamilyKind.LEGENDRE_SHIFTED:
-            if self.b is None or self.b <= 0:
-                raise ValueError("legendre0b needs a rational b > 0")
-        elif self.b is not None:
-            raise ValueError(f"family {self.kind.value} takes no b parameter; "
-                             "only legendre0b does")
+        if self.kind is not FamilyKind.LEGENDRE_SHIFTED:
+            if self.b is not None:
+                raise ValueError(f"family {self.kind.value} takes no b parameter; "
+                                 "only legendre0b does")
+            return
+        try:    # a str is parsed; None, nan, inf and non-numbers are no b > 0
+            b = Fraction(self.b) if isinstance(self.b, str) or 0 < self.b < math.inf else 0
+        except ZeroDivisionError:
+            raise ValueError("its denominator is zero") from None
+        except TypeError:
+            b = 0
+        if b <= 0:
+            raise ValueError("legendre0b needs a rational b > 0")
+        vars(self)["b"] = b
 
     @classmethod
-    def legendre_shifted(cls, b: RationalLike) -> "FamilySpec":
-        return cls(FamilyKind.LEGENDRE_SHIFTED, Fraction(b))
+    def legendre_shifted(cls, b: RationalLike | str | float) -> "FamilySpec":
+        return cls(FamilyKind.LEGENDRE_SHIFTED, b)
 
     @classmethod
     def laguerre(cls) -> "FamilySpec":
@@ -77,7 +86,7 @@ class FamilySpec:
     def chebyshev(cls) -> "FamilySpec":
         return cls(FamilyKind.CHEBYSHEV)
 
-    @property
+    @functools.cached_property
     def space(self) -> SpaceSpec:
         if self.kind is FamilyKind.LEGENDRE_SHIFTED:
             return SpaceSpec.bounded(0, self.b)
@@ -97,9 +106,7 @@ class FamilySpec:
         return self.kind.value
 
     def describe(self) -> str:
-        if self.kind is FamilyKind.LEGENDRE_SHIFTED:
-            return f"legendre0b(b={self.b})"
-        return self.kind.value
+        return self.kind.value if self.b is None else f"legendre0b(b={self.b})"
 
 
 def norm_sq(fam: FamilySpec, j: int) -> Fraction:

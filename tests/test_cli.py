@@ -132,13 +132,29 @@ LEGENDRE_K2 = {"family": "legendre", "params": {}, "k": 2,
     # a missing key raised KeyError
     ({"coeffs": None}, "no key 'coeffs'"),
     ({"family": None}, "no key 'family'"),
-], ids=["exponent-past-k", "unordered", "short-coeffs", "no-coeffs", "no-family"])
-def test_load_model_refuses_malformed_documents(edit, message):
+    # a document or params that is not an object raised TypeError or
+    # AttributeError
+    ([LEGENDRE_K2], "not a model document: list indices"),
+    ({"params": ["b", "2"]}, "not a model document: 'list' object has no attribute"),
+    # a string of exponents was read digit by digit; a list k raised TypeError
+    ({"exponents": "012"}, "not a model document: 'str' object cannot be interpreted"),
+    ({"k": [2]}, "not a model document: 'list' object cannot be interpreted"),
+    # an unknown family or a bad b raised the command line's CliError
+    ({"family": "legendre1"}, "not a valid FamilyKind"),
+    ({"family": "legendre0b", "params": {"b": "0"}}, "needs a rational b > 0"),
+    ({"family": "legendre0b", "params": {"b": "1/0"}}, "its denominator is zero"),
+], ids=["exponent-past-k", "unordered", "short-coeffs", "no-coeffs", "no-family",
+        "not-an-object", "params-not-an-object", "exponents-not-a-list",
+        "k-not-an-integer", "unknown-family", "b-zero", "b-zero-denominator"])
+def test_load_model_refuses_malformed_documents(tmp_path, edit, message):
     assert load_model(LEGENDRE_K2)(0.5) == 1 - 0.25 + 0.0625
-    doc = {key: value for key, value in {**LEGENDRE_K2, **edit}.items()
-           if value is not None}
-    with pytest.raises(ValueError, match=message):
-        load_model(doc)
+    doc = ({key: value for key, value in {**LEGENDRE_K2, **edit}.items()
+            if value is not None} if isinstance(edit, dict) else edit)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    for source in (path, doc) if isinstance(doc, dict) else (path,):
+        with pytest.raises(ValueError, match=message):
+            load_model(source)
 
 
 def test_fit_with_removals_drops_terms(sym_csv, tmp_path):
@@ -483,10 +499,15 @@ def test_b_rejected_outside_legendre0b(sym_csv, tmp_path, capsys):
     assert "legendre0b" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad_b", ["zero?", "0", "-3"])
-def test_bad_endpoint_values(tmp_path, bad_b):
+@pytest.mark.parametrize("bad_b, why", [
+    ("zero?", "Invalid literal for Fraction: 'zero?'"),
+    ("0", "legendre0b needs a rational b > 0"),
+    ("-3", "legendre0b needs a rational b > 0"),
+], ids=["zero?", "0", "-3"])
+def test_bad_endpoint_values(capsys, bad_b, why):
     rc = main(["tables", "--family", "legendre0b", "--b", bad_b, "--k", "1"])
     assert rc == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"biopoly: --family legendre0b --b {bad_b}: {why}\n"
 
 
 @pytest.mark.parametrize("verb", ["fit", "tables"])

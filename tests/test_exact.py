@@ -94,6 +94,26 @@ def test_bounded_interval_requires_order():
         SpaceSpec.bounded(2, -3)
 
 
+def test_space_spec_stores_its_ends_as_fractions():
+    """Every constructor gives the same exact space: int ends built
+    directly made ``inner_monomial`` return the float 0.333..."""
+    space = SpaceSpec(Weight.UNIT, 0, 1)
+    assert space == SpaceSpec.bounded(0, 1)
+    assert type(space.lo) is Fraction and type(space.hi) is Fraction
+    value = inner_monomial(space, 1, 1)
+    assert type(value) is Fraction and value == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("weight, lo, hi", [
+    (Weight.UNIT, 1, 0), (Weight.UNIT, 1, 1), (Weight.UNIT, 0, None),
+    (Weight.EXP_NEG, 3, 5), (Weight.EXP_NEG, 0, 1), (Weight.EXP_NEG, -1, None),
+    (Weight.CHEBYSHEV, 0, 1), (Weight.CHEBYSHEV, -1, None),
+])
+def test_space_spec_refuses_unsupported_combinations(weight, lo, hi):
+    with pytest.raises(ValueError, match="unsupported space"):
+        SpaceSpec(weight, lo, hi)
+
+
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError):
         inner_monomial(BOUNDED, -1, 0)

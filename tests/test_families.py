@@ -8,13 +8,18 @@ representation.
 """
 
 import math
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biopoly import families
+from biopoly.biorth import build
 from biopoly.cli import MAX_ORDER
 from biopoly.exact import SpaceSpec, Weight
 from biopoly.families import (FamilyKind, FamilySpec, _integer_row, int_coeff,
@@ -174,6 +179,60 @@ def test_family_validation():
         FamilySpec.legendre_shifted(0)
     with pytest.raises(ValueError):
         FamilySpec.legendre_shifted(-2)
+    # every bad b raises ValueError, whichever constructor it reaches
+    for b, message in [("1/0", "its denominator is zero"), ("-3", "b > 0"),
+                       (None, "b > 0"), (math.nan, "b > 0"), (math.inf, "b > 0"),
+                       ([2], "b > 0"), ("zero?", "Invalid literal for Fraction")]:
+        with pytest.raises(ValueError, match=message):
+            FamilySpec(FamilyKind.LEGENDRE_SHIFTED, b)
+    with pytest.raises(ValueError, match="takes no b parameter"):
+        FamilySpec(FamilyKind.LAGUERRE, 2)
+
+
+#: b as each accepted type: an int, a str, a dyadic float and a Fraction
+positive_b = st.one_of(
+    st.integers(1, 40),
+    st.fractions(min_value=Fraction(1, 64), max_value=40,
+                 max_denominator=64).map(str),
+    st.builds(lambda n, e: n / 2 ** e, st.integers(1, 640), st.integers(0, 6)),
+    st.fractions(min_value=Fraction(1, 64), max_value=40, max_denominator=64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_b)
+def test_family_stores_b_as_the_fraction_every_constructor_gives(b):
+    """``FamilySpec(LEGENDRE_SHIFTED, b)`` and ``legendre_shifted(b)`` are
+    one exact value: an int b once gave float scales to the memoised
+    ``build`` that every equal family shares."""
+    direct = FamilySpec(FamilyKind.LEGENDRE_SHIFTED, b)
+    assert type(direct.b) is Fraction and direct.b == FamilySpec.legendre_shifted(b).b
+    assert direct.b == Fraction(b)
+    rows = [build(direct, 3).beta(n).coeffs for n in range(4)]
+    assert all(type(c) is Fraction for row in rows for c in row)
+    assert rows == [build(FamilySpec.legendre_shifted(b), 3).beta(n).coeffs
+                    for n in range(4)]
+
+
+_FIT = """
+from biopoly.families import FamilyKind, FamilySpec
+from biopoly.regress import fit, moments_expdecay
+if {first_direct}:
+    from biopoly.biorth import build
+    build(FamilySpec(FamilyKind.LEGENDRE_SHIFTED, 2), 3).beta(1)
+fam = FamilySpec.legendre_shifted(2)
+print(fit(fam, 3, moments_expdecay(fam.space, 3)).coeffs_exact)
+"""
+
+
+def test_direct_family_first_does_not_change_a_later_fit():
+    """An int-b family built first once filled ``build`` and ``_scales``
+    with floats, and the fit after it raised "'float' object has no
+    attribute 'denominator'"; it must print what a fresh process prints."""
+    src = Path(families.__file__).resolve().parents[1]
+    out = [subprocess.run([sys.executable, "-c", _FIT.format(first_direct=first)],
+                          cwd=src, capture_output=True, text=True, check=True).stdout
+           for first in (True, False)]
+    assert out[0] == out[1] and "Fraction(" in out[0]
 
 
 def test_family_spaces():

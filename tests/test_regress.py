@@ -309,6 +309,22 @@ def test_moment_vector_exact_values_must_match_in_length():
                      mu_exact=(Fraction(1),))
 
 
+def test_moment_vector_stores_fractions_and_floats():
+    """Int and float exact moments are converted exactly: float ones
+    once made ``project`` raise "'float' object has no attribute
+    'denominator'"."""
+    fam = FamilySpec.legendre_shifted(1)
+    mixed = MomentVector(mu=(1, Fraction(1, 2), 0.1), space=fam.space,
+                          provenance="test", mu_exact=(1, Fraction(1, 2), 0.1))
+    assert mixed.mu == (1.0, 0.5, 0.1) and all(type(m) is float for m in mixed.mu)
+    assert mixed.mu_exact == (1, Fraction(1, 2), Fraction(0.1))
+    assert all(type(m) is Fraction for m in mixed.mu_exact)
+    fractions = MomentVector(mu=mixed.mu, space=fam.space, provenance="test",
+                             mu_exact=mixed.mu_exact)
+    assert (project(build(fam, 2), mixed).coeffs_exact
+            == project(build(fam, 2), fractions).coeffs_exact)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, 1e308],
                          ids=["nan", "inf", "simpson-sum-overflows"])
 def test_non_finite_quadrature_moments_are_refused(value):
