@@ -76,12 +76,11 @@ operations stay in integers:
   with z = c . nu' one dot product.  The fold starts from the last
   full-set projection of the same moments at an order no higher, or from
   the empty set of order -1 when there is none; the integers are those of
-  K nu.  One module-level slot holds what that needs: a weak reference to
-  the last moment vector projected, its D mu over one denominator with
-  the prefix lcms, and the last full-set projection of it with its q.  It
-  is keyed by the vector alone: every call checks the vector's space, and
-  a space names its family.  A pruned set takes one integer dot product
-  per row of its K.
+  K nu.  Each moment vector carries what that needs in one private entry,
+  ``_carry``, of its ``vars``: its D mu over one denominator with the
+  prefix lcms, and its last full-set projection with its q.  The entry is
+  read only after the vector's space is checked, and a space names its
+  family.  A pruned set takes one integer dot product per row of its K.
 
 Removing l changes every remaining coefficient by the same exact identity,
 c_n <- c_n - (G[l][n] / G[l][l]) c_l, which on the numerators is the
@@ -105,7 +104,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -391,10 +389,6 @@ def _scaled_moments(fam: FamilySpec, moments: MomentVector
     return tuple(x.numerator * (lcms[-1] // x.denominator) for x in nu), lcms
 
 
-#: (weak reference to a moment vector, its ``_scaled_moments``, (k, q, y) or None)
-_slot = None
-
-
 def _carry(s: BiorthSet, nums: tuple[int, ...], lcms: tuple[int, ...],
            last: tuple[int, int, tuple[int, ...]] | None
            ) -> tuple[tuple[int, ...], int]:
@@ -425,26 +419,24 @@ def project(s: BiorthSet, moments: MomentVector) -> FitModel:
     over one shared denominator.  So the huge cancellations inside
     high-order beta rows cost no precision: order ~36 fits come out clean
     where solved normal equations lose everything.  A full set reads
-    neither K nor q: its numerators and q are folded forward from the last
-    full-set projection of the same moments at an order no higher, or from
-    order -1 (``_carry``).  A pruned set takes one integer dot product per
-    row of its K.  The integers are the same either way.  Moments taken in
-    another space than the family's raise ``MomentSpaceError``.
+    neither K nor q: its numerators and q are folded forward from the
+    vector's last full-set projection at an order no higher, or from
+    order -1 (``_carry``); each vector carries its own.  A pruned set
+    takes one integer dot product per row of its K.  The integers are the
+    same either way.  Moments taken in another space than the family's
+    raise ``MomentSpaceError``.
     """
-    global _slot
     top = s.active[-1]
     _require_moments(moments, top)
     if moments.space != s.family.space:
         raise MomentSpaceError(
             f"{s.family.describe()} needs moments on its own space, "
             f"got moments on {moments.space}")
-    slot = _slot
-    if slot is None or slot[0]() is not moments:
-        slot = (weakref.ref(moments), *_scaled_moments(s.family, moments), None)
-    _, nums, lcms, last = slot
+    nums, lcms, last = vars(moments).get("_carry") or (
+        *_scaled_moments(s.family, moments), None)
     if len(s.active) == s.k + 1:
         numerators, q = _carry(s, nums, lcms, last)
-        slot = slot[:3] + ((s.k, q, numerators),)
+        last = s.k, q, numerators
     else:
         # entries past the largest active exponent are zero, so rows stop
         # at top; nu / L_top == D mu, c_n = D_n (K_n . nu) / (q L_top)
@@ -452,7 +444,7 @@ def project(s: BiorthSet, moments: MomentVector) -> FitModel:
         nu = nums[:top + 1] if r == 1 else [x // r for x in nums[:top + 1]]
         numerators = tuple(sum(map(mul, s.kmat[n], nu)) for n in s.active)
         q = s.q
-    _slot = slot
+    vars(moments)["_carry"] = nums, lcms, last
     den = Fraction(q * lcms[top])
     return FitModel(s.family, s.k, s.active, _float_coeffs(s, numerators, den),
                     (), numerators, den)

@@ -161,11 +161,17 @@ def load_model(source: str | Path | dict) -> FitModel:
         source = json.loads(Path(source).read_text(encoding="utf-8"))
     try:
         fam = FamilySpec(FamilyKind(source["family"]), source["params"].get("b"))
+        coeffs = source["coeffs"]
+        if not isinstance(coeffs, list):
+            raise TypeError(f"coeffs is a {type(coeffs).__name__}, not a list")
+        coeffs = tuple(map(float, coeffs))
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"model coefficients {coeffs} are not all finite")
         return FitModel(fam, index(source["k"]), tuple(map(index, source["exponents"])),
-                        tuple(map(float, source["coeffs"])))
+                        coeffs)
     except KeyError as exc:
         raise ValueError(f"model document has no key {exc}") from None
-    except (AttributeError, TypeError) as exc:  # not an object, or k not an integer
+    except (AttributeError, TypeError) as exc:  # not an object, k or coeffs mistyped
         raise ValueError(f"not a model document: {exc}") from None
 
 

@@ -86,11 +86,14 @@ class SpaceSpec:
     hi: Fraction | None
 
     def __post_init__(self):
-        lo, hi = (None if v is None else Fraction(v) for v in (self.lo, self.hi))
+        try:
+            lo, hi = (None if v is None else Fraction(v) for v in (self.lo, self.hi))
+        except (OverflowError, ValueError):     # an infinite or nan end
+            lo = hi = None                      # matches no space below
         if not (self.weight is Weight.UNIT and None not in (lo, hi) and lo < hi
                 or (self.weight, lo, hi) in ((Weight.EXP_NEG, 0, None),
                                              (Weight.CHEBYSHEV, -1, 1))):
-            raise ValueError(f"unsupported space: {self.weight} on [{lo}, {hi}]")
+            raise ValueError(f"unsupported space: {self.weight} on [{self.lo}, {self.hi}]")
         vars(self).update(lo=lo, hi=hi)
 
     @classmethod

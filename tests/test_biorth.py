@@ -681,7 +681,7 @@ def test_select_removal_needs_two_elements():
 
 
 # ----------------------------------------------------------------------
-# exponent tuples, the projection slot and the module boundary
+# exponent tuples, the projection carry and the module boundary
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("k, exponents", [
@@ -724,9 +724,9 @@ def test_biorth_names_its_own_input_type():
 
 
 def test_held_vector_onto_another_space_is_refused():
-    """The slot holds the vector just projected; projecting it onto a
-    family on another space is still refused, and the vector's own
-    family still gets the fresh projection."""
+    """A vector carries its last projection; projecting it onto a family
+    on another space is still refused, and the vector's own family still
+    gets the fresh projection."""
     leg = FamilySpec.legendre_sym()
     mv = exact_moments(leg, [Fraction(1, i + 2) for i in range(7)])
     first = project(build(leg, 6), mv)
@@ -737,26 +737,87 @@ def test_held_vector_onto_another_space_is_refused():
     assert project(build(leg, 6), mv) == first
 
 
-@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=IDS)
-def test_alternating_vectors_project_as_fresh(monkeypatch, fam):
-    """Two vectors projected in turn along one upgrade scan, with a pruned
-    set in between: each projection equals one made from an empty slot."""
-    vectors = [exact_moments(fam, [Fraction(1, i + 2) for i in range(13)]),
-               exact_moments(fam, [Fraction((-1) ** i, 3 * i + 1)
-                                   for i in range(13)])]
+def _two_vectors(fam: FamilySpec) -> list[MomentVector]:
+    return [exact_moments(fam, [Fraction(1, i + 2) for i in range(13)]),
+            exact_moments(fam, [Fraction((-1) ** i, 3 * i + 1)
+                                for i in range(13)])]
+
+
+def _scan(fam: FamilySpec, k: int) -> list[BiorthSet]:
     scan = [build(fam, 0)]
-    for _ in range(12):
+    for _ in range(k):
         scan.append(upgrade(scan[-1]))
-    sets = [t for s in scan for t in ((s, downgrade(s, 0)) if s.k else (s,))]
-    fresh = {}
-    for s in sets:
-        for i, mv in enumerate(vectors):
-            monkeypatch.setattr(biorth, "_slot", None)
-            fresh[s, i] = project(s, mv)
-    monkeypatch.setattr(biorth, "_slot", None)
+    return scan
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=IDS)
+def test_alternating_vectors_project_as_fresh(fam):
+    """Two vectors projected in turn along one upgrade scan, with a pruned
+    set in between: each projection equals that of a new, equal vector."""
+    vectors = _two_vectors(fam)
+    sets = [t for s in _scan(fam, 12)
+            for t in ((s, downgrade(s, 0)) if s.k else (s,))]
+    fresh = {(s, i): project(s, dataclasses.replace(mv))
+             for s in sets for i, mv in enumerate(vectors)}
     for s in sets:
         for i in (0, 1, 0):
             assert project(s, vectors[i]) == fresh[s, i]
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=IDS)
+def test_each_vector_keeps_its_own_carry(monkeypatch, fam):
+    """Vector A projected along an upgrade scan to order 12, with vector B
+    projected between every two of A's projections: neither throws the
+    other's carry away, so D mu is scaled once per vector, and every
+    projection equals that of a new, equal vector."""
+    vectors = _two_vectors(fam)
+    scan = _scan(fam, 12)
+    fresh = {(s, i): project(s, dataclasses.replace(mv))
+             for s in scan for i, mv in enumerate(vectors)}
+    calls = []
+    scaled = biorth._scaled_moments
+    monkeypatch.setattr(biorth, "_scaled_moments",
+                        lambda *args: calls.append(args) or scaled(*args))
+    for s in scan:
+        for i, mv in enumerate(vectors):
+            assert project(s, mv) == fresh[s, i]
+    assert len(calls) == 2
+
+
+def test_threads_sharing_a_vector_project_as_fresh():
+    """Threads that project one shared vector along one upgrade scan, in
+    different orders, each get the projection of a new, equal vector:
+    whichever thread stored the vector's carry last, it is a projection of
+    that vector."""
+    fam = FamilySpec.legendre_shifted(1)
+    scan = _scan(fam, 12)
+    fresh = {s: project(s, _two_vectors(fam)[0]) for s in scan}
+    orders = [range(13), range(12, -1, -1), range(0, 13, 3), range(6, 13)] * 2
+    errors, seen = [], []
+
+    def projector(mv, order):
+        try:
+            seen.extend((scan[j], project(scan[j], mv)) for j in order)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            mv = _two_vectors(fam)[0]
+            threads = [threading.Thread(target=projector, args=(mv, o))
+                       for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(seen) == 4 * sum(map(len, orders))
+    assert all(model == fresh[s] for s, model in seen)
 
 
 FAMILIES_WITH_B = st.one_of(
@@ -770,7 +831,7 @@ FAMILIES_WITH_B = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(a=FAMILIES_WITH_B, b=FAMILIES_WITH_B)
 def test_a_family_space_names_the_family(a, b):
-    """``project`` keys its slot by the vector alone and checks the space
-    on every call: that is sound because distinct families have distinct
-    spaces."""
+    """``project`` reads a vector's carry after checking the vector's
+    space, whatever family scaled it: that is sound because distinct
+    families have distinct spaces."""
     assert (a.space == b.space) == (a == b)

@@ -143,9 +143,13 @@ LEGENDRE_K2 = {"family": "legendre", "params": {}, "k": 2,
     ({"family": "legendre1"}, "not a valid FamilyKind"),
     ({"family": "legendre0b", "params": {"b": "0"}}, "needs a rational b > 0"),
     ({"family": "legendre0b", "params": {"b": "1/0"}}, "its denominator is zero"),
+    # a string of coefficients loaded as 1 + 2x + 3x^2; a nan one evaluated nan
+    ({"coeffs": "123"}, "not a model document: coeffs is a str, not a list"),
+    ({"coeffs": ["nan", "0", "0"]}, r"model coefficients \(nan, 0.0, 0.0\) are not all finite"),
 ], ids=["exponent-past-k", "unordered", "short-coeffs", "no-coeffs", "no-family",
         "not-an-object", "params-not-an-object", "exponents-not-a-list",
-        "k-not-an-integer", "unknown-family", "b-zero", "b-zero-denominator"])
+        "k-not-an-integer", "unknown-family", "b-zero", "b-zero-denominator",
+        "coeffs-not-a-list", "coeffs-not-finite"])
 def test_load_model_refuses_malformed_documents(tmp_path, edit, message):
     assert load_model(LEGENDRE_K2)(0.5) == 1 - 0.25 + 0.0625
     doc = ({key: value for key, value in {**LEGENDRE_K2, **edit}.items()

@@ -108,6 +108,10 @@ def test_space_spec_stores_its_ends_as_fractions():
     (Weight.UNIT, 1, 0), (Weight.UNIT, 1, 1), (Weight.UNIT, 0, None),
     (Weight.EXP_NEG, 3, 5), (Weight.EXP_NEG, 0, 1), (Weight.EXP_NEG, -1, None),
     (Weight.CHEBYSHEV, 0, 1), (Weight.CHEBYSHEV, -1, None),
+    # a non-finite end raised Fraction's OverflowError or its own ValueError
+    pytest.param(Weight.UNIT, 0, math.inf, id="inf"),
+    pytest.param(Weight.UNIT, -math.inf, 0, id="-inf"),
+    pytest.param(Weight.UNIT, 0, math.nan, id="nan"),
 ])
 def test_space_spec_refuses_unsupported_combinations(weight, lo, hi):
     with pytest.raises(ValueError, match="unsupported space"):
