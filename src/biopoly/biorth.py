@@ -107,7 +107,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from operator import lt, mul
+from operator import index, lt, mul
 from typing import Sequence
 
 import numpy as np
@@ -136,10 +136,12 @@ class MomentSpaceError(ValueError):
 class MomentVector:
     """Generalised moments mu_0..mu_k of one target in one space.
 
-    ``mu`` is the float contract every consumer can rely on, and each of
-    its values must be finite; ``mu_exact``, the ``Fraction``s that ints and
-    floats given there convert to exactly, is kept alongside whenever the
-    source allows and is preferred by the projection to avoid re-rounding.
+    ``mu`` is the float contract every consumer can rely on: each value is
+    rounded to float here, and one past the float range raises
+    ``FloatRangeError``, one that is not finite ``ValueError``.  ``mu_exact``,
+    the ``Fraction``s that ints and floats given there convert to exactly, is
+    kept alongside whenever the source allows and is preferred by the
+    projection to avoid re-rounding.
     """
 
     mu: tuple[float, ...]
@@ -150,12 +152,18 @@ class MomentVector:
     def __post_init__(self):
         exact = None if self.mu_exact is None else tuple(
             m if isinstance(m, Fraction) else Fraction(m) for m in self.mu_exact)
-        vars(self).update(mu=tuple(map(float, self.mu)), mu_exact=exact)
-        if self.mu_exact is not None and len(self.mu_exact) != len(self.mu):
-            raise ValueError("mu_exact must match mu in length")
+        mu = []
         for i, m in enumerate(self.mu):
-            if not math.isfinite(m):
-                raise ValueError(f"moment mu_{i} of {self.provenance} is {m}, not finite")
+            try:
+                mu.append(float(m))
+            except OverflowError:
+                raise FloatRangeError(f"moment mu_{i} of {self.provenance} "
+                                      "overflows the float range") from None
+            if not math.isfinite(mu[i]):
+                raise ValueError(f"moment mu_{i} of {self.provenance} is {mu[i]}, not finite")
+        vars(self).update(mu=tuple(mu), mu_exact=exact)
+        if exact is not None and len(exact) != len(mu):
+            raise ValueError("mu_exact must match mu in length")
 
     @property
     def order(self) -> int:
@@ -165,12 +173,15 @@ class MomentVector:
         return tuple(map(Fraction, self.mu)) if self.mu_exact is None else self.mu_exact
 
 
-def _check_exponents(exponents: tuple[int, ...], k: int) -> None:
-    """Refuse an exponent tuple that is empty, unordered, repeated or off 0..k."""
+def _check_exponents(exponents: Sequence[int], k: int) -> tuple[int, ...]:
+    """The exponents as a tuple of ints; a non-integer raises ``TypeError``,
+    and a tuple that is empty, unordered, repeated or off 0..k ``ValueError``."""
+    exponents = tuple(map(index, exponents))
     if not (exponents and 0 <= exponents[0] and exponents[-1] <= k
             and all(map(lt, exponents, exponents[1:]))):
         raise ValueError(f"exponents {exponents} are not a non-empty, "
                          f"strictly increasing tuple within 0..{k}")
+    return exponents
 
 
 @dataclass(frozen=True)
@@ -193,7 +204,7 @@ class BiorthSet:
     active: tuple[int, ...]
 
     def __post_init__(self):
-        _check_exponents(self.active, self.k)
+        vars(self)["active"] = _check_exponents(self.active, self.k)
 
     @functools.cached_property
     def _kq(self) -> tuple[tuple[tuple[int, ...], ...], Fraction]:
@@ -310,7 +321,8 @@ class FitModel:
     """A fitted polynomial sum(c_n x^n over active exponents n).
 
     ``coeffs`` are floats ready for evaluation (the family's 1/pi scale,
-    if any, applied from ``exact.PI_FLOAT``).  The exact rational parts
+    if any, applied from ``exact.PI_FLOAT``); each is stored as a float, and
+    a non-finite one raises ``ValueError``.  The exact rational parts
     behind them are kept as integer ``numerators`` y_n over one positive
     ``denominator`` den, c_n = D_n y_n / den with D_n the family's
     monomial scale; each float is one correctly rounded integer division.
@@ -329,9 +341,12 @@ class FitModel:
     denominator: Fraction | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        _check_exponents(self.exponents, self.k)
+        vars(self).update(exponents=_check_exponents(self.exponents, self.k),
+                          coeffs=tuple(map(float, self.coeffs)))
         if len(self.coeffs) != self.n_params:
             raise ValueError(f"{len(self.coeffs)} coeffs for {self.n_params} exponents")
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError(f"model coefficients {self.coeffs} are not all finite")
 
     @functools.cached_property
     def coeffs_exact(self) -> tuple[Fraction, ...] | None:

@@ -155,7 +155,8 @@ def load_model(source: str | Path | dict) -> FitModel:
 
     Only the float coefficient strings are consulted; they are written with 17
     significant digits, so the rebuilt model evaluates bit for bit like the one
-    that was saved.  Any document that does not make a model raises ``ValueError``.
+    that was saved.  Any document that does not make a model raises ``ValueError``:
+    ``coeffs`` must be a list, and ``FitModel`` checks the values in it.
     """
     if not isinstance(source, dict):
         source = json.loads(Path(source).read_text(encoding="utf-8"))
@@ -164,14 +165,10 @@ def load_model(source: str | Path | dict) -> FitModel:
         coeffs = source["coeffs"]
         if not isinstance(coeffs, list):
             raise TypeError(f"coeffs is a {type(coeffs).__name__}, not a list")
-        coeffs = tuple(map(float, coeffs))
-        if not all(map(math.isfinite, coeffs)):
-            raise ValueError(f"model coefficients {coeffs} are not all finite")
-        return FitModel(fam, index(source["k"]), tuple(map(index, source["exponents"])),
-                        coeffs)
+        return FitModel(fam, index(source["k"]), source["exponents"], coeffs)
     except KeyError as exc:
         raise ValueError(f"model document has no key {exc}") from None
-    except (AttributeError, TypeError) as exc:  # not an object, k or coeffs mistyped
+    except (AttributeError, TypeError) as exc:  # not an object, or a value mistyped
         raise ValueError(f"not a model document: {exc}") from None
 
 

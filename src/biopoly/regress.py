@@ -7,7 +7,8 @@ as a vector of generalised moments
 
 and the fitted coefficients are the dot products of the moment vector with
 the exact biorthogonal rows from :mod:`biopoly.biorth`.  Moments can come
-from three sources, recorded in the vector's provenance:
+from three sources, recorded in the vector's provenance; each hands its
+moments, exact where it can, to ``MomentVector``, which rounds and checks them:
 
 * sampled data on a uniform grid (composite Simpson, carried out exactly
   over the binary values the floats already are: integer sums over one
@@ -42,8 +43,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .biorth import FitModel, MomentShortfallError, MomentVector, fit
-from .exact import (PI_FLOAT, FloatRangeError, RationalLike, SpaceSpec, Weight,
-                    inner_monomial)
+from .exact import PI_FLOAT, RationalLike, SpaceSpec, Weight, inner_monomial
 
 #: panel count of the composite Simpson rule over a bounded or Chebyshev space
 DEFAULT_PANELS = 10_000
@@ -119,9 +119,6 @@ def moments_from_samples(samples: SampleSet, space: SpaceSpec,
             "sampled moments need a bounded interval with unit weight")
     xs, w, h = _simpson(samples)
     n = len(xs)
-    if not np.allclose(np.diff(xs), h, rtol=UNIFORM_GRID_RTOL,
-                       atol=abs(h) * UNIFORM_GRID_RTOL):
-        raise NonUniformGridError("sample grid is not uniform")
     tol = abs(h) * UNIFORM_GRID_RTOL       # compared exactly, even for a huge b
     if max(abs(Fraction(xs[0]) - space.lo), abs(Fraction(xs[-1]) - space.hi)) > tol:
         raise UnsupportedSpaceError(
@@ -140,22 +137,7 @@ def moments_from_samples(samples: SampleSet, space: SpaceSpec,
         # (h/3) * sum_j w_j y_j x_j^i, with h = span / ((n - 1) * 2**ex)
         exact.append(Fraction(span * sum(terms),
                               (3 * (n - 1)) << (ey + (i + 1) * ex)))
-    return _exact_moments(exact, space, f"simpson-samples(n={n})")
-
-
-def _exact_moments(exact: list[Fraction], space: SpaceSpec,
-                   provenance: str) -> MomentVector:
-    """The vector of the exact moments and their floats; a moment past the
-    float range raises ``FloatRangeError`` naming its order."""
-    mu = []
-    for i, e in enumerate(exact):
-        try:
-            mu.append(float(e))
-        except OverflowError:
-            raise FloatRangeError(f"moment mu_{i} of {provenance} overflows "
-                                  "the float range") from None
-    return MomentVector(mu=tuple(mu), space=space, provenance=provenance,
-                        mu_exact=tuple(exact))
+    return MomentVector(exact, space, f"simpson-samples(n={n})", exact)
 
 
 def _dyadic(values: np.ndarray) -> tuple[list[int], int]:
@@ -198,8 +180,8 @@ def moments_expdecay(space: SpaceSpec, k: int,
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return _exact_moments(_decay_ladder(space, alpha, k), space,
-                          f"analytic-expdecay(alpha={alpha})")
+    exact = _decay_ladder(space, alpha, k)
+    return MomentVector(exact, space, f"analytic-expdecay(alpha={alpha})", exact)
 
 
 def moments_gamma(space: SpaceSpec, k: int) -> MomentVector:
@@ -208,15 +190,17 @@ def moments_gamma(space: SpaceSpec, k: int) -> MomentVector:
     These are the alpha = 1 decay moments shifted up one power; on the
     half line they collapse to mu_i = (i+1)! / 2^{i+2}.
     """
-    return _exact_moments(_decay_ladder(space, Fraction(1), k + 1)[1:], space,
-                          "analytic-gamma")
+    exact = _decay_ladder(space, Fraction(1), k + 1)[1:]
+    return MomentVector(exact, space, "analytic-gamma", exact)
 
 
 def _simpson(where: SpaceSpec | SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
     """Composite-Simpson nodes, weights 1, 4, 2, ..., 4, 1 and step h: over
     a sample set's own abscissae, or DEFAULT_PANELS equal panels over a
     bounded space (in theta, x = cos(theta), for the Chebyshev weight, which
-    removes both endpoint singularities)."""
+    removes both endpoint singularities).  A sample set raises
+    ``EvenPanelParityError`` for an even count, then ``NonUniformGridError``
+    for a step off h by more than ``UNIFORM_GRID_RTOL``: one h cannot sum it."""
     if isinstance(where, SampleSet):
         xs = where.xs
         h = (xs[-1] - xs[0]) / (len(xs) - 1)
@@ -232,6 +216,9 @@ def _simpson(where: SpaceSpec | SampleSet) -> tuple[np.ndarray, np.ndarray, floa
     if len(xs) % 2 == 0:
         raise EvenPanelParityError(
             f"composite Simpson needs an odd point count, got {len(xs)}")
+    if isinstance(where, SampleSet) and not np.allclose(
+            np.diff(xs), h, rtol=UNIFORM_GRID_RTOL, atol=abs(h) * UNIFORM_GRID_RTOL):
+        raise NonUniformGridError("sample grid is not uniform")
     w = np.full(len(xs), 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0

@@ -704,6 +704,27 @@ def test_model_needs_one_coefficient_per_exponent():
         FitModel(FamilySpec.laguerre(), 2, (0, 1, 2), (1.0, 0.5))
 
 
+def test_sets_and_models_refuse_non_integer_exponents():
+    """Float exponents constructed a model that raised numpy's IndexError
+    only when called; integer-like ones are stored as ints."""
+    fam = FamilySpec.laguerre()
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+        BiorthSet(fam, 2, (0.0, 1.0, 2.0))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+        FitModel(fam, 2, (0.0, 1.0, 2.0), (1.0, 2.0, 3.0))
+    assert BiorthSet(fam, 2, [0, 2]).active == (0, 2)
+    model = FitModel(fam, 2, [0, 1, 2], (1, Fraction(1, 2), "0.25"))
+    assert model.exponents == (0, 1, 2) and set(map(type, model.exponents)) == {int}
+    assert model.coeffs == (1.0, 0.5, 0.25) and set(map(type, model.coeffs)) == {float}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_models_refuse_non_finite_coefficients(bad):
+    """A nan coefficient built directly gave a model that evaluated nan."""
+    with pytest.raises(ValueError, match=r"model coefficients \(.*\) are not all finite"):
+        FitModel(FamilySpec.laguerre(), 1, (0, 1), (bad, 1.0))
+
+
 def test_biorth_names_its_own_input_type():
     """``biorth`` imports nothing from ``regress``, not even for type
     checking; ``MomentVector`` is one class wherever it is imported from."""

@@ -225,6 +225,21 @@ def test_sample_moment_input_validation():
         moments_from_samples(SampleSet(xs, xs), SpaceSpec.half_line(), 1)
 
 
+def test_simpson_figures_refuse_a_non_uniform_grid():
+    """Simpson's one step gave l2_error 8.5e-6 on the squared grid, where
+    the uniform grid gives 6.1e-6; the figures that integrate now refuse
+    it, and those that do not still take any grid."""
+    fam = FamilySpec.legendre_shifted(1)
+    model = fit(fam, 4, moments_expdecay(fam.space, 4))
+    xs = np.linspace(0.0, 1.0, 101) ** 2
+    squared = SampleSet(xs, np.exp(-xs))
+    for figure in (l2_error, rms_error, error_figures):
+        with pytest.raises(NonUniformGridError, match="sample grid is not uniform"):
+            figure(model, squared)
+    assert math.isfinite(bic_score(model, squared))
+    assert max_abs_error(model, squared) < 1e-4
+
+
 @pytest.mark.parametrize("fam, lo, hi", [
     (FamilySpec.legendre_shifted(1), 0.25, 0.75),
     (FamilySpec.legendre_shifted(1), 0.0, 0.75),
@@ -342,6 +357,18 @@ def test_moment_vector_names_its_first_non_finite_moment():
     with pytest.raises(ValueError, match=r"mu_2 of hand-made is nan, not finite"):
         MomentVector(mu=(1.0, 0.5, math.nan, -math.inf), space=space,
                      provenance="hand-made")
+
+
+@pytest.mark.parametrize("mu, message", [
+    ((10 ** 400,), "moment mu_0 of hand-made overflows the float range"),
+    ((1, Fraction(-10 ** 400, 3), math.nan),
+     "moment mu_1 of hand-made overflows the float range"),
+], ids=["int", "fraction"])
+def test_moment_vector_past_the_float_range_names_the_moment(mu, message):
+    """An exact moment past the float range raised a bare ``OverflowError``
+    when the vector was built directly; the first bad moment is named."""
+    with pytest.raises(biopoly.FloatRangeError, match=re.escape(message)):
+        MomentVector(mu=mu, space=SpaceSpec.bounded(0, 1), provenance="hand-made")
 
 
 # ----------------------------------------------------------------------
