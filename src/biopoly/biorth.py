@@ -110,8 +110,6 @@ from itertools import accumulate
 from operator import index, lt, mul
 from typing import Sequence
 
-import numpy as np
-
 from .exact import PI_FLOAT, ExactPoly, FloatRangeError, SpaceSpec, horner_many
 from .families import FamilySpec, _integer_row, coeff_scale, norm_sq
 
@@ -190,11 +188,13 @@ class BiorthSet:
 
     A set is the value (family, k, active): it compares, hashes and prints
     by those three fields, and ``active`` is non-empty and strictly
-    increasing within 0..k.  ``kmat`` is the symmetric (k+1) x (k+1) integer
-    matrix K and ``q`` the positive rational with G = D K D / q, where
-    D_n = ``_scales(family, k)[n]``.  Row n of G holds the monomial
-    coefficients of beta_n, which are also its Gram entries
-    <beta_n, beta_m>; the rows and columns of removed exponents are zero.
+    increasing within 0..k (``k`` and the exponents are ints: a
+    non-integer raises ``TypeError``).  ``kmat`` is the symmetric
+    (k+1) x (k+1) integer matrix K and ``q`` the positive rational with
+    G = D K D / q, where D_n = ``_scales(family, k)[n]``.  Row n of G
+    holds the monomial coefficients of beta_n, which are also its Gram
+    entries <beta_n, beta_m>; the rows and columns of removed exponents
+    are zero.
     K and q are one pair, ``_kq``, formed on the first read of either
     (``downgrade`` stores the pair of the set it returns).
     """
@@ -204,7 +204,8 @@ class BiorthSet:
     active: tuple[int, ...]
 
     def __post_init__(self):
-        vars(self)["active"] = _check_exponents(self.active, self.k)
+        k = index(self.k)
+        vars(self).update(k=k, active=_check_exponents(self.active, k))
 
     @functools.cached_property
     def _kq(self) -> tuple[tuple[tuple[int, ...], ...], Fraction]:
@@ -320,16 +321,19 @@ def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
 class FitModel:
     """A fitted polynomial sum(c_n x^n over active exponents n).
 
+    ``k`` and the ``exponents`` are ints, as in ``BiorthSet``.
     ``coeffs`` are floats ready for evaluation (the family's 1/pi scale,
-    if any, applied from ``exact.PI_FLOAT``); each is stored as a float, and
-    a non-finite one raises ``ValueError``.  The exact rational parts
-    behind them are kept as integer ``numerators`` y_n over one positive
+    if any, applied from ``exact.PI_FLOAT``); each is stored as a float:
+    one past the float range raises ``OverflowError``, a non-finite one
+    ``ValueError``.  The exact rational parts behind them are kept as
+    integer ``numerators`` y_n over one positive
     ``denominator`` den, c_n = D_n y_n / den with D_n the family's
     monomial scale; each float is one correctly rounded integer division.
     ``coeffs_exact`` normalises them to ``Fraction``s on first read
     (``None`` for a float-only model such as ``cli.load_model`` returns).
     A model is immutable and hashable; error figures are computed from
-    it, not kept on it.
+    it, not kept on it.  Evaluation, ``__call__`` and ``dense_coeffs``,
+    imports numpy when it runs; nothing else here needs it.
     """
 
     family: FamilySpec
@@ -341,7 +345,8 @@ class FitModel:
     denominator: Fraction | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        vars(self).update(exponents=_check_exponents(self.exponents, self.k),
+        k = index(self.k)
+        vars(self).update(k=k, exponents=_check_exponents(self.exponents, k),
                           coeffs=tuple(map(float, self.coeffs)))
         if len(self.coeffs) != self.n_params:
             raise ValueError(f"{len(self.coeffs)} coeffs for {self.n_params} exponents")
@@ -364,11 +369,13 @@ class FitModel:
 
     def dense_coeffs(self) -> np.ndarray:
         """Float coefficients on the full 0..k exponent range (zeros filled)."""
+        import numpy as np
         dense = np.zeros(self.k + 1)
         dense[list(self.exponents)] = self.coeffs
         return dense
 
     def __call__(self, xs) -> np.ndarray:
+        import numpy as np
         return horner_many(self.dense_coeffs(), np.asarray(xs, dtype=float))
 
 

@@ -10,8 +10,11 @@ Three verbs:
                biorthogonal polynomials, for inspection.
 
 ``fit`` and ``example`` write all of their files or none, through the
-one writer in ``demos``, and create the output directory only then, after
-the computation.
+one writer here, ``_write_all``, and create the output directory only
+then, after the computation.  Each verb imports what it computes with
+when it runs: ``tables`` needs only the exact layer and loads no numpy,
+``fit`` loads ``regress`` (and numpy) once its CSV has parsed, and only
+``example`` loads ``demos``.
 
 Exit codes: 0 success, 2 unusable input (malformed or non-UTF-8 CSV,
 non-finite values, bad flags, a sample grid that is not uniform or has
@@ -35,16 +38,9 @@ from contextlib import contextmanager
 from operator import index
 from pathlib import Path
 
-import numpy as np
-
-from .biorth import build
-from .demos import (_csv_text, _json_text, _write_all, run_closed_form_decay,
-                    run_high_order_wiggle, run_noisy_chirp)
+from .biorth import FitModel, build, fit
 from .exact import ExactPoly, ScaleTag
 from .families import FamilyKind, FamilySpec
-from .regress import (EvenPanelParityError, FitModel, NonUniformGridError,
-                      SampleSet, UnsupportedSpaceError, error_figures, fit,
-                      moments_from_samples)
 
 __all__ = ["main", "load_model", "format_beta_row"]
 
@@ -74,7 +70,8 @@ def _family_from_args(name: str, b: str | None) -> FamilySpec:
         raise CliError(EXIT_BAD_INPUT, f"--family {name} --b {b}: {exc}") from None
 
 
-def _read_samples(path: Path) -> SampleSet:
+def _read_samples(path: Path):
+    """The ``SampleSet`` of a CSV with header ``x,y``."""
     if not path.exists():
         raise CliError(EXIT_BAD_INPUT, f"input file not found: {path}")
     try:
@@ -104,8 +101,9 @@ def _read_samples(path: Path) -> SampleSet:
         raise CliError(EXIT_BAD_INPUT, f"{path}: {exc}")
     if not xs:
         raise CliError(EXIT_BAD_INPUT, f"{path}: no data rows")
+    from .regress import SampleSet
     try:
-        return SampleSet(np.asarray(xs), np.asarray(ys))
+        return SampleSet(xs, ys)
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"{path}: {exc}")
 
@@ -132,6 +130,37 @@ def _writing(out_dir: Path):
         yield
     except OSError as exc:
         raise CliError(EXIT_BAD_INPUT, f"--out {out_dir}: {exc}") from None
+
+
+def _json_text(doc: dict) -> str:
+    """Strict JSON (no NaN or infinity), sorted keys, two-space indent."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _csv_text(header: list[str], columns: list) -> str:
+    """A header line, then one row per index of the equal-length numpy
+    ``columns``, each value in ``%.17g`` so it reads back bit for bit."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(header) + "\n" + "".join(
+        row % values for values in zip(*(c.tolist() for c in columns)))
+
+
+def _write_all(out_dir: str | Path, texts: dict[str, str]) -> None:
+    """Create ``out_dir`` and write every named text into it, or none of
+    them: when one write fails, the files this call opened are removed
+    again.  Every file ``biopoly`` writes goes through here."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    opened = []
+    try:
+        for name, text in texts.items():
+            with (out_dir / name).open("w", encoding="utf-8") as fh:
+                opened.append(out_dir / name)
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _model_to_json(model: FitModel, figures: dict) -> dict:
@@ -168,7 +197,8 @@ def load_model(source: str | Path | dict) -> FitModel:
         return FitModel(fam, index(source["k"]), source["exponents"], coeffs)
     except KeyError as exc:
         raise ValueError(f"model document has no key {exc}") from None
-    except (AttributeError, TypeError) as exc:  # not an object, or a value mistyped
+    except (AttributeError, TypeError, OverflowError) as exc:
+        # not an object, a value mistyped, or a coefficient past the float range
         raise ValueError(f"not a model document: {exc}") from None
 
 
@@ -197,6 +227,10 @@ def _cmd_fit(args) -> int:
         raise CliError(EXIT_BAD_INPUT,
                        "--removals must leave at least one active exponent")
     samples = _read_samples(Path(args.input))
+    import numpy as np
+    from .regress import (EvenPanelParityError, NonUniformGridError,
+                          UnsupportedSpaceError, error_figures,
+                          moments_from_samples)
     try:
         mom = moments_from_samples(samples, fam.space, args.k)
         model = fit(fam, args.k, mom, removals=args.removals)
@@ -242,6 +276,7 @@ def _cmd_fit(args) -> int:
 def _cmd_example(args) -> int:
     if args.seed < 0:
         raise CliError(EXIT_BAD_INPUT, f"--seed must be >= 0, got {args.seed}")
+    from .demos import run_closed_form_decay, run_high_order_wiggle, run_noisy_chirp
     out_dir = Path(args.out)
     if args.number == 1:
         with _writing(out_dir):

@@ -8,18 +8,19 @@ deterministic (seeded noise, exact moments, sorted keys), so running a
 scenario twice produces byte-identical files; wall-clock timings are
 deliberately left out of the reports for the same reason.
 
-The private text and file helpers here write the command line's ``fit``
-outputs too, so every file the package writes takes one path.
+The files are written by the command line's private text and file
+helpers in ``cli``, the ones ``fit`` writes with, so every file the
+package writes takes one path.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .baseline import condition_estimate, determinant, gram, solve_normal_equations
+from .cli import _csv_text, _json_text, _write_all
 from .exact import horner_many
 from .families import FamilySpec
 from .regress import (FitModel, SampleSet, error_figures, fit, l2_error,
@@ -28,37 +29,6 @@ from .regress import (FitModel, SampleSet, error_figures, fit, l2_error,
 from .targets import chirp, damped_wiggle, exp_decay, gamma_density
 
 __all__ = ["run_noisy_chirp", "run_closed_form_decay", "run_high_order_wiggle"]
-
-
-def _json_text(doc: dict) -> str:
-    """Strict JSON (no NaN or infinity), sorted keys, two-space indent."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
-    """A header line, then one row per index of the equal-length
-    ``columns``, each value in ``%.17g`` so it reads back bit for bit."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    return ",".join(header) + "\n" + "".join(
-        row % values for values in zip(*(c.tolist() for c in columns)))
-
-
-def _write_all(out_dir: str | Path, texts: dict[str, str]) -> None:
-    """Create ``out_dir`` and write every named text into it, or none of
-    them: when one write fails, the files this call opened are removed
-    again.  Every file ``biopoly`` writes goes through here."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    opened = []
-    try:
-        for name, text in texts.items():
-            with (out_dir / name).open("w", encoding="utf-8") as fh:
-                opened.append(out_dir / name)
-                fh.write(text)
-    except OSError:
-        for path in opened:
-            path.unlink(missing_ok=True)
-        raise
 
 
 def run_noisy_chirp(out_dir: str | Path, seed: int = 42) -> dict:

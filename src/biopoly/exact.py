@@ -4,7 +4,10 @@ float evaluator of fitted monomial sums.
 The inner products and polynomials here are built on ``fractions.Fraction``
 so that the algebraic identities the rest of the package relies on
 (biorthogonality, recursion consistency, Gram updates) hold exactly, not
-merely to rounding.  ``horner_many`` is the one float routine.
+merely to rounding.  ``horner_many`` is the one float routine, and the
+one here that needs numpy: it and its block helpers import numpy when
+they run, so this module, and ``families`` and ``biorth`` above it, load
+without numpy.
 
 The one irrational constant the library ever meets is pi, introduced by the
 Chebyshev weight 1/sqrt(1-x^2).  It is never materialised inside rational
@@ -37,8 +40,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
-
-import numpy as np
 
 RationalLike = Union[Fraction, int]
 
@@ -250,6 +251,7 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     first helper's in submission order, is raised here.  The result is a new float64
     array of ``xs``'s shape; ``xs`` is not written.
     """
+    import numpy as np
     xs = np.asarray(xs, dtype=float)
     if len(coeffs) == 0:
         coeffs = [0.0]                       # the empty sum
@@ -275,6 +277,7 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
 
 def _horner_shared(task: tuple, helpers: int) -> None:
     """Run ``_horner_blocks(*task)`` on this thread and ``helpers`` more."""
+    import numpy as np
     state, call = np.geterr(), np.geterrcall()
 
     def helper():
@@ -304,6 +307,7 @@ def _horner_blocks(top: float, rest: list[np.ndarray], flat: np.ndarray,
                    out_flat: np.ndarray, starts) -> None:
     """Evaluate the blocks of ``flat`` whose starts this call takes from
     ``starts`` into ``out_flat``, with a work array of its own."""
+    import numpy as np
     k = len(rest)
     cols = np.fromiter(rest, float, k).reshape(k, 1)  # as a column
     work = None
@@ -324,6 +328,7 @@ def _horner_block(top: float, rest: list[np.ndarray], cols: np.ndarray,
                   work: np.ndarray) -> None:
     """Evaluate one block of points ``x`` into ``comp``, r terms a chunk, in
     the 6r + 3 rows of ``work``."""
+    import numpy as np
     split = np.array(_SPLITTER)
     mul, sub, add = np.multiply, np.subtract, np.add
     k, m = len(rest), x.size

@@ -718,6 +718,16 @@ def test_sets_and_models_refuse_non_integer_exponents():
     assert model.coeffs == (1.0, 0.5, 0.25) and set(map(type, model.coeffs)) == {float}
 
 
+def test_sets_and_models_refuse_a_non_integer_k():
+    """A float k constructed a set whose K raised on first read and a
+    model that raised numpy's TypeError only when called."""
+    fam = FamilySpec.laguerre()
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+        BiorthSet(fam, 2.0, (0, 1, 2))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+        FitModel(fam, 2.0, (0, 1, 2), (1.0, 2.0, 3.0))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_models_refuse_non_finite_coefficients(bad):
     """A nan coefficient built directly gave a model that evaluated nan."""

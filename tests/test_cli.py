@@ -2,6 +2,7 @@
 round-tripping a saved model, and the exact coefficient tables."""
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biopoly
 from biopoly import biorth, cli, demos
-from biopoly.cli import EXIT_BAD_INPUT, EXIT_DOMAIN, load_model, main
-from biopoly.demos import _csv_text
+from biopoly.cli import EXIT_BAD_INPUT, EXIT_DOMAIN, _csv_text, load_model, main
 from biopoly.exact import horner_many
 from biopoly.regress import UNIFORM_GRID_RTOL
 
@@ -146,10 +147,12 @@ LEGENDRE_K2 = {"family": "legendre", "params": {}, "k": 2,
     # a string of coefficients loaded as 1 + 2x + 3x^2; a nan one evaluated nan
     ({"coeffs": "123"}, "not a model document: coeffs is a str, not a list"),
     ({"coeffs": ["nan", "0", "0"]}, r"model coefficients \(nan, 0.0, 0.0\) are not all finite"),
+    # a JSON integer past the double range raised OverflowError
+    ({"coeffs": [10**400, 0, 0]}, "not a model document: int too large to convert to float"),
 ], ids=["exponent-past-k", "unordered", "short-coeffs", "no-coeffs", "no-family",
         "not-an-object", "params-not-an-object", "exponents-not-a-list",
         "k-not-an-integer", "unknown-family", "b-zero", "b-zero-denominator",
-        "coeffs-not-a-list", "coeffs-not-finite"])
+        "coeffs-not-a-list", "coeffs-not-finite", "coeffs-past-float-range"])
 def test_load_model_refuses_malformed_documents(tmp_path, edit, message):
     assert load_model(LEGENDRE_K2)(0.5) == 1 - 0.25 + 0.0625
     doc = ({key: value for key, value in {**LEGENDRE_K2, **edit}.items()
@@ -734,3 +737,63 @@ def test_the_package_needs_only_its_runtime_dependencies(sym_csv, tmp_path):
                           cwd=src, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert sorted(p.name for p in out.iterdir()) == ["model.json", "residuals.csv"]
+
+
+def test_the_exact_layer_and_tables_need_no_numpy():
+    """numpy is loaded only where floats are computed: with it blocked,
+    the package and its CLI import, ``tables`` and ``--help`` exit 0, a
+    fit from exact moments runs, and a saved model loads."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import math, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import biopoly, biopoly.cli\n"
+        "from biopoly import cli\n"
+        "assert cli.main(['tables', '--family', 'laguerre', '--k', '3']) == 0\n"
+        "try:\n"
+        "    cli.main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "fam = biopoly.FamilySpec.laguerre()\n"
+        "mu = [math.factorial(n) + math.factorial(n + 1) for n in range(7)]\n"
+        "mv = biopoly.MomentVector(mu, fam.space, 'exact', mu)\n"
+        "model = biopoly.fit(fam, 6, mv, removals=5)\n"
+        "assert (model.exponents, model.coeffs_exact) == ((0, 1), (1, 1)), model\n"
+        "doc = {'family': 'laguerre', 'params': {}, 'k': 2,\n"
+        "       'exponents': [0, 2], 'coeffs': ['1', '0.5']}\n"
+        "assert isinstance(cli.load_model(doc), biopoly.FitModel)\n")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("laguerre, order 3:")
+
+
+def test_fit_loads_numpy_but_not_the_demos(sym_csv, tmp_path):
+    """``import biopoly, biopoly.cli`` loads no numpy, and a ``biopoly
+    fit`` run loads neither the demos nor what only they use."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys\n"
+             "import biopoly, biopoly.cli\n"
+             "print('numpy' in sys.modules)\n"
+             "assert biopoly.cli.main(['fit', '--family', 'legendre', '--k', '6',"
+             " '--input', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+             "print(sorted(m for m in ('numpy', 'biopoly.demos', 'biopoly.baseline',"
+             " 'biopoly.targets') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe, str(sym_csv),
+                           str(tmp_path / "out")],
+                          cwd=src, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "False"
+    assert done.stdout.splitlines()[-1] == "['numpy']"
+
+
+def test_the_package_resolves_its_names_on_first_access():
+    """Each name in ``__all__`` is its submodule's object, ``dir`` lists
+    them, and an unknown name is an ``AttributeError``."""
+    for name in biopoly.__all__:
+        home = importlib.import_module(f"biopoly.{biopoly._HOME[name]}")
+        assert getattr(biopoly, name) is getattr(home, name), name
+    assert set(biopoly.__all__) <= set(dir(biopoly))
+    assert "__version__" in dir(biopoly)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        biopoly.no_such_name
