@@ -61,15 +61,12 @@ operations stay in integers:
   a minor of the full set's K that gains about K's bit size per removal;
   dividing out the whole content removes most of that growth.
 * ``project``  - c_n = D_n y_n / den with y = K nu, where nu / nu_den = D mu
-  brings the moments to one denominator and den = q nu_den.  The
-  ``FitModel`` keeps the integer numerators y_n and their one
-  denominator, rounds c_n to float by one correctly rounded integer
-  division, and normalises the ``Fraction`` coefficients only when they
-  are read.  A full set never reads K: its y is folded forward by one
-  upgrade's rank-one step per order.  From order j-1 to j, with f = q'/q
-  and w c c^T the upgrade's rescale and new term (c the integer row of
-  degree j), and g = nu_den'/nu_den the growth of the prefix lcm of the
-  denominators of D mu,
+  brings the moments to one denominator and den = q nu_den; the ``FitModel``
+  is made from y and den alone and rounds its own floats.  A full set never
+  reads K: its y is folded forward by one upgrade's rank-one step per order.
+  From order j-1 to j, with f = q'/q and w c c^T the upgrade's rescale and
+  new term (c the integer row of degree j), and g = nu_den'/nu_den the
+  growth of the prefix lcm of the denominators of D mu,
 
       y_n' = f g y_n + w c_n z  (n < j),   y_j' = w c_j z,
 
@@ -134,12 +131,13 @@ class MomentSpaceError(ValueError):
 class MomentVector:
     """Generalised moments mu_0..mu_k of one target in one space.
 
-    ``mu`` is the float contract every consumer can rely on: each value is
-    rounded to float here, and one past the float range raises
-    ``FloatRangeError``, one that is not finite ``ValueError``.  ``mu_exact``,
-    the ``Fraction``s that ints and floats given there convert to exactly, is
-    kept alongside whenever the source allows and is preferred by the
-    projection to avoid re-rounding.
+    ``mu`` is the float contract every consumer can rely on.  ``mu_exact``,
+    the ``Fraction``s that ints and floats given there convert to exactly,
+    is kept whenever the source allows, and the projection reads it.
+    Given, it is where each moment is taken from, and each ``mu`` entry
+    must be its float, or ``ValueError`` is raised.  A moment past the
+    float range raises ``FloatRangeError``, one that is not finite
+    ``ValueError`` before any ``Fraction`` is formed, both naming it.
     """
 
     mu: tuple[float, ...]
@@ -148,20 +146,24 @@ class MomentVector:
     mu_exact: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        exact = None if self.mu_exact is None else tuple(
-            m if isinstance(m, Fraction) else Fraction(m) for m in self.mu_exact)
+        given = self.mu if self.mu_exact is None else self.mu_exact
+        if len(given) != len(self.mu):
+            raise ValueError("mu_exact must match mu in length")
         mu = []
-        for i, m in enumerate(self.mu):
+        for i, (m, given_mu) in enumerate(zip(given, self.mu)):
+            name = f"moment mu_{i} of {self.provenance}"
             try:
                 mu.append(float(m))
+                if not math.isfinite(mu[i]):
+                    raise ValueError(f"{name} is {mu[i]}, not finite")
+                if given_mu is not m and float(given_mu) != mu[i]:
+                    raise ValueError(f"{name} is {given_mu!r} in mu, not "
+                                     f"{mu[i]!r}, the float of its exact value")
             except OverflowError:
-                raise FloatRangeError(f"moment mu_{i} of {self.provenance} "
-                                      "overflows the float range") from None
-            if not math.isfinite(mu[i]):
-                raise ValueError(f"moment mu_{i} of {self.provenance} is {mu[i]}, not finite")
+                raise FloatRangeError(f"{name} overflows the float range") from None
+        exact = None if self.mu_exact is None else tuple(
+            m if isinstance(m, Fraction) else Fraction(m) for m in given)
         vars(self).update(mu=tuple(mu), mu_exact=exact)
-        if exact is not None and len(exact) != len(mu):
-            raise ValueError("mu_exact must match mu in length")
 
     @property
     def order(self) -> int:
@@ -321,47 +323,65 @@ def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
 class FitModel:
     """A fitted polynomial sum(c_n x^n over active exponents n).
 
-    ``k`` and the ``exponents`` are ints, as in ``BiorthSet``.
-    ``coeffs`` are floats ready for evaluation (the family's 1/pi scale,
-    if any, applied from ``exact.PI_FLOAT``); each is stored as a float:
-    one past the float range raises ``OverflowError``, a non-finite one
-    ``ValueError``.  The exact rational parts behind them are kept as
-    integer ``numerators`` y_n over one positive
-    ``denominator`` den, c_n = D_n y_n / den with D_n the family's
-    monomial scale; each float is one correctly rounded integer division.
-    ``coeffs_exact`` normalises them to ``Fraction``s on first read
-    (``None`` for a float-only model such as ``cli.load_model`` returns).
-    A model is immutable and hashable; error figures are computed from
-    it, not kept on it.  Evaluation, ``__call__`` and ``dense_coeffs``,
-    imports numpy when it runs; nothing else here needs it.
+    ``k`` and the ``exponents`` are ints, as in ``BiorthSet``.  The exact
+    coefficients are integer ``numerators`` y_n over one positive
+    ``denominator`` den, c_n = D_n y_n / den with D_n the family's monomial
+    scale, normalised to ``Fraction``s on first read of ``coeffs_exact``.
+    The model rounds its own ``coeffs`` from them, by one correctly rounded
+    integer division each, times the family's 1/pi from ``exact.PI_FLOAT``
+    (``FloatRangeError`` past the float range); ``coeffs`` given beside
+    them must be exactly those floats, or ``ValueError`` is raised.  A
+    float-only model (``cli.load_model``) has finite ``coeffs`` alone and
+    ``coeffs_exact`` ``None``.  A model is immutable and hashable.  Only
+    evaluation, ``__call__`` and ``dense_coeffs``, imports numpy.
     """
 
     family: FamilySpec
     k: int
     exponents: tuple[int, ...]
-    coeffs: tuple[float, ...]
+    coeffs: tuple[float, ...] | None = None
     removed: tuple[int, ...] = ()
     numerators: tuple[int, ...] | None = field(default=None, repr=False)
     denominator: Fraction | None = field(default=None, repr=False)
 
     def __post_init__(self):
         k = index(self.k)
-        vars(self).update(k=k, exponents=_check_exponents(self.exponents, k),
-                          coeffs=tuple(map(float, self.coeffs)))
-        if len(self.coeffs) != self.n_params:
-            raise ValueError(f"{len(self.coeffs)} coeffs for {self.n_params} exponents")
-        if not all(map(math.isfinite, self.coeffs)):
-            raise ValueError(f"model coefficients {self.coeffs} are not all finite")
+        vars(self).update(k=k, exponents=_check_exponents(self.exponents, k))
+        coeffs = None if self.coeffs is None else tuple(map(float, self.coeffs))
+        if self.numerators is not None:
+            if not isinstance(self.denominator, (int, Fraction)) or self.denominator <= 0:
+                raise ValueError(f"denominator {self.denominator!r} is not a positive rational")
+            vars(self)["numerators"] = tuple(map(index, self.numerators))
+            factor = PI_FLOAT[self.family.poly_scale.pi_power]
+            try:    # int / int is correctly rounded: the same float as float(c_n)
+                rounded = tuple(a / b * factor for a, b in self._ratios())
+            except OverflowError:
+                raise FloatRangeError(f"a coefficient of the order-{k} fit "
+                                      "overflows the float range") from None
+            if coeffs not in (None, rounded):
+                raise ValueError(f"model coefficients {coeffs} are not the "
+                                 f"floats {rounded} of its numerators")
+            coeffs = rounded
+        elif coeffs is None:
+            raise ValueError("a model needs its coeffs or its numerators")
+        vars(self)["coeffs"] = coeffs
+        if len(coeffs) != self.n_params:
+            raise ValueError(f"{len(coeffs)} coeffs for {self.n_params} exponents")
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"model coefficients {coeffs} are not all finite")
+
+    def _ratios(self) -> list[tuple[int, int]]:
+        """c_n = D_n y_n / den as one integer ratio per exponent."""
+        d = _scales(self.family, self.exponents[-1])
+        den_n, den_d = self.denominator.numerator, self.denominator.denominator
+        return [(y * d[n].numerator * den_d, d[n].denominator * den_n)
+                for n, y in zip(self.exponents, self.numerators, strict=True)]
 
     @functools.cached_property
     def coeffs_exact(self) -> tuple[Fraction, ...] | None:
         """c_n as normalised ``Fraction``s, built on first read."""
-        if self.numerators is None:
-            return None
-        d = _scales(self.family, self.k)
-        den_n, den_d = self.denominator.numerator, self.denominator.denominator
-        return tuple(Fraction(y * d[n].numerator * den_d, d[n].denominator * den_n)
-                     for n, y in zip(self.exponents, self.numerators))
+        return None if self.numerators is None else tuple(
+            Fraction(a, b) for a, b in self._ratios())
 
     @property
     def n_params(self) -> int:
@@ -379,27 +399,11 @@ class FitModel:
         return horner_many(self.dense_coeffs(), np.asarray(xs, dtype=float))
 
 
-def _float_coeffs(s: BiorthSet, numerators: Sequence[int],
-                  denominator: Fraction) -> tuple[float, ...]:
-    """The floats of c_n = D_n y_n / den over the active exponents of
-    ``s``, times the family's 1/pi from ``exact.PI_FLOAT``."""
-    factor = PI_FLOAT[s.family.poly_scale.pi_power]
-    d = _scales(s.family, s.k)
-    den_n, den_d = denominator.numerator, denominator.denominator
-    try:    # int / int is correctly rounded: the same float as float(c_n)
-        return tuple((y * d[n].numerator * den_d) / (d[n].denominator * den_n)
-                     * factor for n, y in zip(s.active, numerators))
-    except OverflowError:
-        raise FloatRangeError(f"a coefficient of the order-{s.k} fit "
-                              "overflows the float range") from None
-
-
 def _require_moments(moments: MomentVector, top: int) -> None:
     """Raise ``MomentShortfallError`` unless ``moments`` reach exponent ``top``."""
     if moments.order < top:
         raise MomentShortfallError(
-            f"exponents up to {top} need moments up to {top}, "
-            f"got {moments.order}")
+            f"exponents up to {top} need moments up to {top}, got {moments.order}")
 
 
 def _scaled_moments(fam: FamilySpec, moments: MomentVector
@@ -441,12 +445,10 @@ def project(s: BiorthSet, moments: MomentVector) -> FitModel:
     over one shared denominator.  So the huge cancellations inside
     high-order beta rows cost no precision: order ~36 fits come out clean
     where solved normal equations lose everything.  A full set reads
-    neither K nor q: its numerators and q are folded forward from the
-    vector's last full-set projection at an order no higher, or from
-    order -1 (``_carry``); each vector carries its own.  A pruned set
-    takes one integer dot product per row of its K.  The integers are the
-    same either way.  Moments taken in another space than the family's
-    raise ``MomentSpaceError``.
+    neither K nor q, but folds its numerators forward from the vector's
+    own carry (``_carry``); a pruned set takes one integer dot product per
+    row of its K; the integers are the same either way.  Moments taken in
+    another space than the family's raise ``MomentSpaceError``.
     """
     top = s.active[-1]
     _require_moments(moments, top)
@@ -468,8 +470,7 @@ def project(s: BiorthSet, moments: MomentVector) -> FitModel:
         q = s.q
     vars(moments)["_carry"] = nums, lcms, last
     den = Fraction(q * lcms[top])
-    return FitModel(s.family, s.k, s.active, _float_coeffs(s, numerators, den),
-                    (), numerators, den)
+    return FitModel(s.family, s.k, s.active, numerators=numerators, denominator=den)
 
 
 def cheapest_removal(s: BiorthSet, numerators: Sequence[int]) -> int:
@@ -514,5 +515,4 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
                   for n, yn in zip(s.active, y) if n != ell)
         s, den = pruned, den * a / c
         removed.append(ell)
-    return FitModel(fam, k, s.active, _float_coeffs(s, y, den),
-                    tuple(removed), y, den)
+    return FitModel(fam, k, s.active, None, tuple(removed), y, den)

@@ -185,7 +185,8 @@ def load_model(source: str | Path | dict) -> FitModel:
     Only the float coefficient strings are consulted; they are written with 17
     significant digits, so the rebuilt model evaluates bit for bit like the one
     that was saved.  Any document that does not make a model raises ``ValueError``:
-    ``coeffs`` must be a list, and ``FitModel`` checks the values in it.
+    ``k`` must lie in 0..``MAX_ORDER``, as ``fit`` writes it, ``coeffs`` must be a
+    list, and ``FitModel`` checks the values in it.
     """
     if not isinstance(source, dict):
         source = json.loads(Path(source).read_text(encoding="utf-8"))
@@ -194,7 +195,10 @@ def load_model(source: str | Path | dict) -> FitModel:
         coeffs = source["coeffs"]
         if not isinstance(coeffs, list):
             raise TypeError(f"coeffs is a {type(coeffs).__name__}, not a list")
-        return FitModel(fam, index(source["k"]), source["exponents"], coeffs)
+        k = index(source["k"])
+        if not 0 <= k <= MAX_ORDER:
+            raise ValueError(f"model order {k} is outside 0..{MAX_ORDER}")
+        return FitModel(fam, k, source["exponents"], coeffs)
     except KeyError as exc:
         raise ValueError(f"model document has no key {exc}") from None
     except (AttributeError, TypeError, OverflowError) as exc:
@@ -405,4 +409,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # under ``python -m``, ``demos`` imports its writers from this run, not
+    # from a second copy of the module
+    sys.modules[__spec__.name] = sys.modules[__name__]
     sys.exit(main())

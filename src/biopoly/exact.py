@@ -89,8 +89,8 @@ class SpaceSpec:
     def __post_init__(self):
         try:
             lo, hi = (None if v is None else Fraction(v) for v in (self.lo, self.hi))
-        except (OverflowError, ValueError):     # an infinite or nan end
-            lo = hi = None                      # matches no space below
+        except (ArithmeticError, TypeError, ValueError):   # infinite, nan, 1/0, no number
+            lo = hi = None                                  # matches no space below
         if not (self.weight is Weight.UNIT and None not in (lo, hi) and lo < hi
                 or (self.weight, lo, hi) in ((Weight.EXP_NEG, 0, None),
                                              (Weight.CHEBYSHEV, -1, 1))):

@@ -47,14 +47,17 @@ class FamilyKind(enum.Enum):
 class FamilySpec:
     """One of the four supported orthonormal families.
 
-    ``b`` is the right end of the shifted Legendre interval, stored as the exact
-    ``Fraction`` of an int, str, float or ``Fraction``; None for the other three.
+    ``kind`` is a ``FamilyKind`` or its value (anything else raises
+    ``ValueError``).  ``b`` is the right end of the shifted Legendre interval,
+    stored as the exact ``Fraction`` of an int, str, float or ``Fraction``; None
+    for the other three.
     """
 
     kind: FamilyKind
     b: Fraction | None = None
 
     def __post_init__(self):
+        vars(self)["kind"] = FamilyKind(self.kind)
         if self.kind is not FamilyKind.LEGENDRE_SHIFTED:
             if self.b is not None:
                 raise ValueError(f"family {self.kind.value} takes no b parameter; "

@@ -12,6 +12,7 @@ import ast
 import dataclasses
 import inspect
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -735,6 +736,25 @@ def test_models_refuse_non_finite_coefficients(bad):
         FitModel(FamilySpec.laguerre(), 1, (0, 1), (bad, 1.0))
 
 
+def test_model_rounds_its_own_coefficients():
+    """A model given coeffs (1.0,) beside numerators (5,) evaluated 1.0
+    while its ``coeffs_exact`` read 5; its floats now come from the
+    numerators alone, and given ones must be those floats."""
+    fam = FamilySpec.laguerre()
+    with pytest.raises(ValueError, match=re.escape(
+            "model coefficients (1.0,) are not the floats (5.0,) of its numerators")):
+        FitModel(fam, 0, (0,), coeffs=(1.0,), numerators=(5,), denominator=Fraction(1))
+    model = FitModel(fam, 0, (0,), numerators=(5,), denominator=Fraction(1))
+    assert model.coeffs == (5.0,) and model.coeffs_exact == (5,)
+    assert dataclasses.replace(model) == model
+    cheb = FitModel(FamilySpec.chebyshev(), 1, (1,), numerators=(3,), denominator=2)
+    assert cheb.coeffs == (1.5 * (1 / math.pi),)
+    with pytest.raises(ValueError, match="denominator 0.5 is not a positive rational"):
+        FitModel(fam, 0, (0,), numerators=(5,), denominator=0.5)
+    with pytest.raises(ValueError, match="needs its coeffs or its numerators"):
+        FitModel(fam, 0, (0,))
+
+
 def test_biorth_names_its_own_input_type():
     """``biorth`` imports nothing from ``regress``, not even for type
     checking; ``MomentVector`` is one class wherever it is imported from."""
@@ -866,3 +886,82 @@ def test_a_family_space_names_the_family(a, b):
     space, whatever family scaled it: that is sound because distinct
     families have distinct spaces."""
     assert (a.space == b.space) == (a == b)
+
+
+# ----------------------------------------------------------------------
+# exact invariances: expectations from closed forms alone
+# ----------------------------------------------------------------------
+
+# <x^j, 1> on each family's space, written out here and not read from
+# the package: [0, b] and [-1, 1] with unit weight, [0, inf) with e^{-x}
+MONOMIAL_MOMENTS = [
+    (FamilySpec.legendre_shifted(1), lambda j: Fraction(1, j + 1)),
+    (FamilySpec.legendre_shifted(Fraction(7, 3)),
+     lambda j: Fraction(7, 3) ** (j + 1) / (j + 1)),
+    (FamilySpec.legendre_sym(), lambda j: Fraction(1 + (-1) ** j, j + 1)),
+    (FamilySpec.laguerre(), lambda j: Fraction(math.factorial(j))),
+]
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(MONOMIAL_MOMENTS), k=st.integers(0, 10), data=st.data())
+def test_fit_reproduces_a_polynomial_and_prunes_its_zero_support(case, k, data):
+    """The moments of a polynomial p of degree <= k fit p exactly, and
+    greedy pruning of as many terms as p has zero coefficients removes
+    exactly those: each costs nothing, and leaves the others as they are."""
+    fam, moment = case
+    p = data.draw(st.lists(st.one_of(st.just(Fraction(0)), RATIONALS),
+                           min_size=k + 1, max_size=k + 1).filter(any), label="p")
+    zeros = {e for e, c in enumerate(p) if c == 0}
+    mu = [sum(c * moment(i + e) for e, c in enumerate(p)) for i in range(k + 1)]
+    model = fit(fam, k, exact_moments(fam, mu), removals=len(zeros))
+    assert set(model.removed) == zeros
+    assert dict(zip(model.exponents, model.coeffs_exact)) == {
+        e: c for e, c in enumerate(p) if c}
+
+
+@settings(max_examples=30, deadline=None)
+@given(b=st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+       k=st.integers(0, 12), data=st.data())
+def test_coefficients_scale_as_b_to_the_minus_e(b, k, data):
+    """g(x / b) on [0, b] has moments b^(i+1) mu_i, where mu are those of
+    g on [0, 1], and its fit is the fit of g at x / b: c_e(b) = c_e(1) b^-e.
+    Every removal score scales by b alike, so pruning picks the same terms."""
+    mu = data.draw(st.lists(RATIONALS, min_size=k + 1, max_size=k + 1), label="mu")
+    removals = data.draw(st.integers(0, k), label="removals")
+    unit_fam, fam = FamilySpec.legendre_shifted(1), FamilySpec.legendre_shifted(b)
+    unit = fit(unit_fam, k, exact_moments(unit_fam, mu), removals)
+    scaled = fit(fam, k, exact_moments(fam, [m * b ** (i + 1) for i, m in enumerate(mu)]),
+                 removals)
+    assert (scaled.exponents, scaled.removed) == (unit.exponents, unit.removed)
+    assert scaled.coeffs_exact == tuple(
+        c / b ** e for e, c in zip(unit.exponents, unit.coeffs_exact))
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(0, 12), data=st.data())
+def test_fits_on_0_2_and_on_minus_1_1_are_one_shift_apart(k, data):
+    """With x = u + 1, f(x) on [0, 2] is g(u) = f(u + 1) on [-1, 1], whose
+    moments are sum_j C(i, j) (-1)^(i-j) mu_j; V_k is shift-invariant, so
+    the fit of g is the fit of f at u + 1."""
+    mu = data.draw(st.lists(RATIONALS, min_size=k + 1, max_size=k + 1), label="mu")
+    shifted, sym = FamilySpec.legendre_shifted(2), FamilySpec.legendre_sym()
+    on_0_2 = fit(shifted, k, exact_moments(shifted, mu))
+    on_sym = fit(sym, k, exact_moments(sym, [
+        sum(comb(i, j) * (-1) ** (i - j) * mu[j] for j in range(i + 1))
+        for i in range(k + 1)]))
+    assert on_sym.coeffs_exact == tuple(
+        sum(c * comb(e, m) for e, c in zip(on_0_2.exponents, on_0_2.coeffs_exact))
+        for m in range(k + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(b=st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30),
+       k=st.integers(0, 12))
+def test_shifted_legendre_kernel_is_the_unit_kernel_scaled(b, k):
+    """For b = p / r in lowest terms, K = r K(1) and q = p q(1)."""
+    s, unit = build(FamilySpec.legendre_shifted(b), k), build(FamilySpec.legendre_shifted(1), k)
+    assert s.q == b.numerator * unit.q
+    assert s.kmat == tuple(tuple(b.denominator * x for x in row) for row in unit.kmat)

@@ -140,6 +140,9 @@ LEGENDRE_K2 = {"family": "legendre", "params": {}, "k": 2,
     # a string of exponents was read digit by digit; a list k raised TypeError
     ({"exponents": "012"}, "not a model document: 'str' object cannot be interpreted"),
     ({"k": [2]}, "not a model document: 'list' object cannot be interpreted"),
+    # an order fit never writes constructed a model whose call would
+    # allocate k + 1 floats
+    ({"k": 2 ** 40}, "model order 1099511627776 is outside 0..64"),
     # an unknown family or a bad b raised the command line's CliError
     ({"family": "legendre1"}, "not a valid FamilyKind"),
     ({"family": "legendre0b", "params": {"b": "0"}}, "needs a rational b > 0"),
@@ -151,7 +154,7 @@ LEGENDRE_K2 = {"family": "legendre", "params": {}, "k": 2,
     ({"coeffs": [10**400, 0, 0]}, "not a model document: int too large to convert to float"),
 ], ids=["exponent-past-k", "unordered", "short-coeffs", "no-coeffs", "no-family",
         "not-an-object", "params-not-an-object", "exponents-not-a-list",
-        "k-not-an-integer", "unknown-family", "b-zero", "b-zero-denominator",
+        "k-not-an-integer", "k-past-max-order", "unknown-family", "b-zero", "b-zero-denominator",
         "coeffs-not-a-list", "coeffs-not-finite", "coeffs-past-float-range"])
 def test_load_model_refuses_malformed_documents(tmp_path, edit, message):
     assert load_model(LEGENDRE_K2)(0.5) == 1 - 0.25 + 0.0625
@@ -785,6 +788,22 @@ def test_fit_loads_numpy_but_not_the_demos(sym_csv, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "False"
     assert done.stdout.splitlines()[-1] == "['numpy']"
+
+
+def test_module_run_loads_one_cli_module(tmp_path):
+    """``python -m biopoly.cli example N``, the form the benchmark runs,
+    executes the module as ``__main__``; ``demos`` takes its writers from
+    that run, where it once made the import system load a second
+    ``biopoly.cli`` beside it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "biopoly.cli",
+                           "example", "2", "--out", str(tmp_path / "out")],
+                          cwd=src, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "biopoly.demos" in imported
+    assert "biopoly.cli" not in imported
 
 
 def test_the_package_resolves_its_names_on_first_access():

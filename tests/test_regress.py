@@ -359,6 +359,35 @@ def test_moment_vector_names_its_first_non_finite_moment():
                      provenance="hand-made")
 
 
+def test_one_sequence_given_as_mu_and_mu_exact_keeps_its_exact_values():
+    """The closed-form and sampled moments pass one list as both ``mu``
+    and ``mu_exact``: the vector keeps the exact values, not their floats."""
+    exact = [Fraction(1, 3), Fraction(1, 7)]
+    mv = MomentVector(exact, SpaceSpec.bounded(0, 1), "hand-made", exact)
+    assert (mv.mu, mv.mu_exact) == ((1 / 3, 1 / 7), (Fraction(1, 3), Fraction(1, 7)))
+    assert moments_expdecay(SpaceSpec.half_line(), 3).mu_exact == (
+        Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(3, 8))
+
+
+def test_moment_vector_mu_must_be_the_float_of_mu_exact():
+    """A vector whose ``mu`` disagreed with ``mu_exact`` was built: the
+    projection fitted (1, 2) while readers of ``mu`` saw (0.5, 0.25)."""
+    with pytest.raises(ValueError, match=re.escape(
+            "moment mu_0 of hand-made is 0.5 in mu, not 1.0, the float of its exact value")):
+        MomentVector(mu=(0.5, 0.25), space=SpaceSpec.bounded(0, 1),
+                     provenance="hand-made", mu_exact=(1, 2))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_exact_moment_is_named(bad):
+    """An infinite exact moment raised "cannot convert Infinity to integer
+    ratio" (an ``OverflowError``), a nan one a ``ValueError`` naming no
+    moment: each is checked before it becomes a ``Fraction``."""
+    with pytest.raises(ValueError, match=f"moment mu_1 of hand-made is {bad}, not finite"):
+        MomentVector(mu=(1.0, 1.0), space=SpaceSpec.bounded(0, 1),
+                     provenance="hand-made", mu_exact=(1, bad))
+
+
 @pytest.mark.parametrize("mu, message", [
     ((10 ** 400,), "moment mu_0 of hand-made overflows the float range"),
     ((1, Fraction(-10 ** 400, 3), math.nan),
