@@ -110,6 +110,8 @@ from typing import Sequence
 from .exact import PI_FLOAT, ExactPoly, FloatRangeError, SpaceSpec, horner_many
 from .families import FamilySpec, _integer_row, coeff_scale, norm_sq
 
+ORDER_BOUND = 256
+
 
 class NotActiveError(KeyError):
     """The requested exponent is not in the active set."""
@@ -147,6 +149,8 @@ class MomentVector:
 
     def __post_init__(self):
         given = self.mu if self.mu_exact is None else self.mu_exact
+        if any(isinstance(seq, (str, bytes, dict)) for seq in (self.mu, self.mu_exact)):
+            raise TypeError(f"moments of {self.provenance} are no sequence of numbers")
         if len(given) != len(self.mu):
             raise ValueError("mu_exact must match mu in length")
         mu = []
@@ -175,7 +179,10 @@ class MomentVector:
 
 def _check_exponents(exponents: Sequence[int], k: int) -> tuple[int, ...]:
     """The exponents as a tuple of ints; a non-integer raises ``TypeError``,
-    and a tuple that is empty, unordered, repeated or off 0..k ``ValueError``."""
+    and an order k outside 0..``ORDER_BOUND``, or a tuple that is empty,
+    unordered, repeated or off 0..k ``ValueError``."""
+    if not 0 <= k <= ORDER_BOUND:
+        raise ValueError(f"order k = {k} is outside 0..{ORDER_BOUND}")
     exponents = tuple(map(index, exponents))
     if not (exponents and 0 <= exponents[0] and exponents[-1] <= k
             and all(map(lt, exponents, exponents[1:]))):
@@ -189,16 +196,14 @@ class BiorthSet:
     """The rows beta_n of order k for the active exponents n.
 
     A set is the value (family, k, active): it compares, hashes and prints
-    by those three fields, and ``active`` is non-empty and strictly
-    increasing within 0..k (``k`` and the exponents are ints: a
-    non-integer raises ``TypeError``).  ``kmat`` is the symmetric
-    (k+1) x (k+1) integer matrix K and ``q`` the positive rational with
-    G = D K D / q, where D_n = ``_scales(family, k)[n]``.  Row n of G
-    holds the monomial coefficients of beta_n, which are also its Gram
-    entries <beta_n, beta_m>; the rows and columns of removed exponents
-    are zero.
-    K and q are one pair, ``_kq``, formed on the first read of either
-    (``downgrade`` stores the pair of the set it returns).
+    by those three fields, k lies within 0..``ORDER_BOUND``, and ``active``
+    is non-empty and strictly increasing within 0..k (``k`` and the
+    exponents are ints: a non-integer raises ``TypeError``).  ``kmat`` is
+    the symmetric (k+1) x (k+1) integer matrix K and ``q`` the positive
+    rational with G = D K D / q, where D_n = ``_scales(family, k)[n]``, one
+    pair ``_kq`` formed on the first read of either.  Row n of G holds the
+    monomial coefficients of beta_n, which are also its Gram entries
+    <beta_n, beta_m>; the rows and columns of removed exponents are zero.
     """
 
     family: FamilySpec
@@ -271,9 +276,7 @@ def _add_term(kmat: list[list[int]], w: int, c: Sequence[int]) -> None:
 def build(fam: FamilySpec, k: int) -> BiorthSet:
     """The full set of order k (memoised); its K and q are formed on the
     first read of ``kmat`` or ``q``."""
-    if k < 0:
-        raise ValueError("order k must be nonnegative")
-    return BiorthSet(fam, k, tuple(range(k + 1)))
+    return BiorthSet(fam, k, range(k + 1))      # checked before it is formed
 
 
 def upgrade(s: BiorthSet) -> BiorthSet:
@@ -323,17 +326,16 @@ def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
 class FitModel:
     """A fitted polynomial sum(c_n x^n over active exponents n).
 
-    ``k`` and the ``exponents`` are ints, as in ``BiorthSet``.  The exact
-    coefficients are integer ``numerators`` y_n over one positive
-    ``denominator`` den, c_n = D_n y_n / den with D_n the family's monomial
-    scale, normalised to ``Fraction``s on first read of ``coeffs_exact``.
-    The model rounds its own ``coeffs`` from them, by one correctly rounded
-    integer division each, times the family's 1/pi from ``exact.PI_FLOAT``
+    ``k`` and the ``exponents`` are ints, as in ``BiorthSet``.  A model is
+    made from its exact coefficients only: integer ``numerators`` y_n over
+    one positive ``denominator`` den, c_n = D_n y_n / den with D_n the
+    family's monomial scale (``coeffs_exact`` normalises them on first
+    read).  It rounds its own ``coeffs``, one correctly rounded integer
+    division each, times the family's 1/pi from ``exact.PI_FLOAT``
     (``FloatRangeError`` past the float range); ``coeffs`` given beside
-    them must be exactly those floats, or ``ValueError`` is raised.  A
-    float-only model (``cli.load_model``) has finite ``coeffs`` alone and
-    ``coeffs_exact`` ``None``.  A model is immutable and hashable.  Only
-    evaluation, ``__call__`` and ``dense_coeffs``, imports numpy.
+    them (``dataclasses.replace``, ``cli.load_model``) must equal those
+    floats as given, or ``ValueError`` is raised.  A model is immutable
+    and hashable; only evaluation imports numpy.
     """
 
     family: FamilySpec
@@ -347,28 +349,21 @@ class FitModel:
     def __post_init__(self):
         k = index(self.k)
         vars(self).update(k=k, exponents=_check_exponents(self.exponents, k))
-        coeffs = None if self.coeffs is None else tuple(map(float, self.coeffs))
-        if self.numerators is not None:
-            if not isinstance(self.denominator, (int, Fraction)) or self.denominator <= 0:
-                raise ValueError(f"denominator {self.denominator!r} is not a positive rational")
-            vars(self)["numerators"] = tuple(map(index, self.numerators))
-            factor = PI_FLOAT[self.family.poly_scale.pi_power]
-            try:    # int / int is correctly rounded: the same float as float(c_n)
-                rounded = tuple(a / b * factor for a, b in self._ratios())
-            except OverflowError:
-                raise FloatRangeError(f"a coefficient of the order-{k} fit "
-                                      "overflows the float range") from None
-            if coeffs not in (None, rounded):
-                raise ValueError(f"model coefficients {coeffs} are not the "
-                                 f"floats {rounded} of its numerators")
-            coeffs = rounded
-        elif coeffs is None:
-            raise ValueError("a model needs its coeffs or its numerators")
+        if self.numerators is None:
+            raise ValueError("a model needs its numerators and denominator")
+        if not isinstance(self.denominator, (int, Fraction)) or self.denominator <= 0:
+            raise ValueError(f"denominator {self.denominator!r} is not a positive rational")
+        vars(self)["numerators"] = tuple(map(index, self.numerators))
+        factor = PI_FLOAT[self.family.poly_scale.pi_power]
+        try:    # int / int is correctly rounded: the same float as float(c_n)
+            coeffs = tuple(a / b * factor for a, b in self._ratios())
+        except OverflowError:
+            raise FloatRangeError(f"a coefficient of the order-{k} fit "
+                                  "overflows the float range") from None
+        if self.coeffs not in (None, coeffs):
+            raise ValueError(f"model coefficients {self.coeffs!r} are not the "
+                             f"floats {coeffs} of its numerators")
         vars(self)["coeffs"] = coeffs
-        if len(coeffs) != self.n_params:
-            raise ValueError(f"{len(coeffs)} coeffs for {self.n_params} exponents")
-        if not all(map(math.isfinite, coeffs)):
-            raise ValueError(f"model coefficients {coeffs} are not all finite")
 
     def _ratios(self) -> list[tuple[int, int]]:
         """c_n = D_n y_n / den as one integer ratio per exponent."""
@@ -378,10 +373,9 @@ class FitModel:
                 for n, y in zip(self.exponents, self.numerators, strict=True)]
 
     @functools.cached_property
-    def coeffs_exact(self) -> tuple[Fraction, ...] | None:
+    def coeffs_exact(self) -> tuple[Fraction, ...]:
         """c_n as normalised ``Fraction``s, built on first read."""
-        return None if self.numerators is None else tuple(
-            Fraction(a, b) for a, b in self._ratios())
+        return tuple(Fraction(a, b) for a, b in self._ratios())
 
     @property
     def n_params(self) -> int:
@@ -499,7 +493,7 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
     each the cheapest on the set pruned so far, by the integer step of
     the module docstring; ``removed`` lists them in that order."""
     _require_moments(moments, k)
-    s = build(fam, k)           # a negative k is refused here, before removals
+    s = build(fam, k)           # an order off 0..ORDER_BOUND is refused here
     if not 0 <= removals <= k:
         raise ValueError("removals must leave at least one active exponent")
     model = project(s, moments)

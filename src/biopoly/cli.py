@@ -35,12 +35,13 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from operator import index
 from pathlib import Path
 
-from .biorth import FitModel, build, fit
+from .biorth import FitModel, _check_exponents, build, fit
 from .exact import ExactPoly, ScaleTag
-from .families import FamilyKind, FamilySpec
+from .families import FamilyKind, FamilySpec, coeff_scale
 
 __all__ = ["main", "load_model", "format_beta_row"]
 
@@ -164,45 +165,48 @@ def _write_all(out_dir: str | Path, texts: dict[str, str]) -> None:
 
 
 def _model_to_json(model: FitModel, figures: dict) -> dict:
-    params: dict[str, str] = {}
-    if model.family.kind is FamilyKind.LEGENDRE_SHIFTED:
-        params["b"] = str(model.family.b)
-    exact = model.coeffs_exact
+    b = model.family.b            # None but for legendre0b
     return {
         "family": model.family.kind.value,
-        "params": params,
+        "params": {} if b is None else {"b": str(b)},
         "k": model.k,
         "exponents": list(model.exponents),
         "coeffs": [f"{c:.17g}" for c in model.coeffs],
-        "coeffs_exact": [str(c) for c in exact] if exact is not None else None,
+        "coeffs_exact": [str(c) for c in model.coeffs_exact],
         "diagnostics": figures,
     }
 
 
 def load_model(source: str | Path | dict) -> FitModel:
-    """Rebuild an evaluable FitModel from model.json (path or parsed dict).
+    """Rebuild the exact FitModel of a model.json (path or parsed dict).
 
-    Only the float coefficient strings are consulted; they are written with 17
-    significant digits, so the rebuilt model evaluates bit for bit like the one
-    that was saved.  Any document that does not make a model raises ``ValueError``:
-    ``k`` must lie in 0..``MAX_ORDER``, as ``fit`` writes it, ``coeffs`` must be a
-    list, and ``FitModel`` checks the values in it.
+    Its numerators are the ``coeffs_exact`` c_n over the family's scales
+    D_n, over their lcm.  The float ``coeffs``, written with 17 significant
+    digits, must be the floats of c_n, so the model evaluates bit for bit
+    like the one saved.  A document that makes no model raises ``ValueError``:
+    ``k`` must lie in 0..``MAX_ORDER``, as ``fit`` writes it, ``coeffs`` and
+    ``coeffs_exact`` must be lists, and ``FitModel`` checks the rest.
     """
     if not isinstance(source, dict):
         source = json.loads(Path(source).read_text(encoding="utf-8"))
     try:
         fam = FamilySpec(FamilyKind(source["family"]), source["params"].get("b"))
-        coeffs = source["coeffs"]
-        if not isinstance(coeffs, list):
-            raise TypeError(f"coeffs is a {type(coeffs).__name__}, not a list")
         k = index(source["k"])
         if not 0 <= k <= MAX_ORDER:
             raise ValueError(f"model order {k} is outside 0..{MAX_ORDER}")
-        return FitModel(fam, k, source["exponents"], coeffs)
+        exponents = _check_exponents(source["exponents"], k)
+        for name in ("coeffs", "coeffs_exact"):
+            if not isinstance(source[name], list):
+                raise TypeError(f"{name} is a {type(source[name]).__name__}, not a list")
+        ratios = [Fraction(c) / coeff_scale(fam, n)
+                  for n, c in zip(exponents, source["coeffs_exact"], strict=True)]
+        den = math.lcm(*(r.denominator for r in ratios))
+        return FitModel(fam, k, exponents, tuple(map(float, source["coeffs"])), (),
+                        [r.numerator * (den // r.denominator) for r in ratios], den)
     except KeyError as exc:
         raise ValueError(f"model document has no key {exc}") from None
-    except (AttributeError, TypeError, OverflowError) as exc:
-        # not an object, a value mistyped, or a coefficient past the float range
+    except (AttributeError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        # not an object, a value mistyped, past the float range, or 1/0
         raise ValueError(f"not a model document: {exc}") from None
 
 

@@ -701,8 +701,8 @@ def test_sets_and_models_refuse_malformed_exponents(k, exponents):
 
 
 def test_model_needs_one_coefficient_per_exponent():
-    with pytest.raises(ValueError, match="2 coeffs for 3 exponents"):
-        FitModel(FamilySpec.laguerre(), 2, (0, 1, 2), (1.0, 0.5))
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is shorter than argument 1"):
+        FitModel(FamilySpec.laguerre(), 2, (0, 1, 2), numerators=(1, 2), denominator=1)
 
 
 def test_sets_and_models_refuse_non_integer_exponents():
@@ -714,8 +714,9 @@ def test_sets_and_models_refuse_non_integer_exponents():
     with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
         FitModel(fam, 2, (0.0, 1.0, 2.0), (1.0, 2.0, 3.0))
     assert BiorthSet(fam, 2, [0, 2]).active == (0, 2)
-    model = FitModel(fam, 2, [0, 1, 2], (1, Fraction(1, 2), "0.25"))
+    model = FitModel(fam, 2, [0, 1, 2], numerators=[2, 1, 1], denominator=2)
     assert model.exponents == (0, 1, 2) and set(map(type, model.exponents)) == {int}
+    assert model.numerators == (2, 1, 1)
     assert model.coeffs == (1.0, 0.5, 0.25) and set(map(type, model.coeffs)) == {float}
 
 
@@ -727,13 +728,6 @@ def test_sets_and_models_refuse_a_non_integer_k():
         BiorthSet(fam, 2.0, (0, 1, 2))
     with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
         FitModel(fam, 2.0, (0, 1, 2), (1.0, 2.0, 3.0))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_models_refuse_non_finite_coefficients(bad):
-    """A nan coefficient built directly gave a model that evaluated nan."""
-    with pytest.raises(ValueError, match=r"model coefficients \(.*\) are not all finite"):
-        FitModel(FamilySpec.laguerre(), 1, (0, 1), (bad, 1.0))
 
 
 def test_model_rounds_its_own_coefficients():
@@ -751,8 +745,46 @@ def test_model_rounds_its_own_coefficients():
     assert cheb.coeffs == (1.5 * (1 / math.pi),)
     with pytest.raises(ValueError, match="denominator 0.5 is not a positive rational"):
         FitModel(fam, 0, (0,), numerators=(5,), denominator=0.5)
-    with pytest.raises(ValueError, match="needs its coeffs or its numerators"):
+    with pytest.raises(ValueError, match="needs its numerators and denominator"):
         FitModel(fam, 0, (0,))
+
+
+@pytest.mark.parametrize("coeffs, numerators", [
+    ((10 ** 400,), None),   # raised a bare OverflowError naming no coefficient
+    ("12", None),           # constructed with coeffs (1.0, 2.0)
+    ({"7": 1}, None),       # constructed with coeffs (7.0,)
+    ((2.5,), None),         # a float-only model, with coeffs_exact None
+    ((10 ** 400,), (1,)),
+    ("1", (1,)),            # constructed: the str was read as the float 1.0
+    ({"7": 1}, (7,)),
+], ids=["huge-int", "str", "dict", "floats-only", "huge-int-beside-numerators",
+        "str-beside-numerators", "dict-beside-numerators"])
+def test_a_model_is_made_from_its_numerators_alone(coeffs, numerators):
+    """A model has one construction path, from its exact numerators;
+    ``coeffs`` given beside them are compared as given, not converted."""
+    exponents = tuple(range(len(numerators or coeffs)))
+    with pytest.raises(ValueError, match="needs its numerators|are not the floats"):
+        FitModel(FamilySpec.laguerre(), len(exponents) - 1, exponents, coeffs,
+                 numerators=numerators, denominator=1)
+
+
+def test_sets_and_models_refuse_an_order_past_the_bound():
+    """``BiorthSet(laguerre, 10**9, (0, 1))`` constructed, and reading its K
+    would run for hours; an order-2**40 model's call allocated 8 TiB.  Both
+    are refused at construction, as is ``build``'s, before any range is
+    formed; order ``ORDER_BOUND`` itself still constructs."""
+    fam = FamilySpec.laguerre()
+    assert biorth.ORDER_BOUND == 256
+    for k in (10 ** 9, 2 ** 40, biorth.ORDER_BOUND + 1, -1):
+        message = re.escape(f"order k = {k} is outside 0..256")
+        with pytest.raises(ValueError, match=message):
+            BiorthSet(fam, k, (0, 1))
+        with pytest.raises(ValueError, match=message):
+            FitModel(fam, k, (0,), numerators=(1,), denominator=1)
+        with pytest.raises(ValueError, match=message):
+            build(fam, k)
+    assert BiorthSet(fam, 256, (0, 256)).k == 256
+    assert FitModel(fam, 256, (0,), numerators=(1,), denominator=1).coeffs == (1.0,)
 
 
 def test_biorth_names_its_own_input_type():
@@ -965,3 +997,27 @@ def test_shifted_legendre_kernel_is_the_unit_kernel_scaled(b, k):
     s, unit = build(FamilySpec.legendre_shifted(b), k), build(FamilySpec.legendre_shifted(1), k)
     assert s.q == b.numerator * unit.q
     assert s.kmat == tuple(tuple(b.denominator * x for x in row) for row in unit.kmat)
+
+
+@settings(max_examples=25, deadline=None)
+@given(e=st.integers(-8, 8), panels=st.sampled_from([2, 8, 64]),
+       k=st.integers(0, 8), data=st.data())
+def test_sampled_fits_on_a_grid_scaled_by_a_power_of_two_scale_alike(e, panels, k, data):
+    """Samples y_j at x_j = j / panels on [0, 1], and the same y_j at
+    2**e x_j on [0, 2**e]: every abscissa stays an exact float, so each
+    Simpson moment scales by exactly 2**(e (i + 1)) and the fit on
+    [0, 2**e] is the unit fit at x / 2**e: the same exponents and
+    removals, and c_n(2**e) = c_n(1) 2**(-e n)."""
+    ys = data.draw(st.lists(st.floats(-8, 8), min_size=panels + 1,
+                            max_size=panels + 1), label="ys")
+    removals = data.draw(st.integers(0, k), label="removals")
+    xs = [j / panels for j in range(panels + 1)]
+    fits = [fit(fam, k, regress.moments_from_samples(
+                regress.SampleSet([x * 2.0 ** exp for x in xs], ys), fam.space, k),
+                removals)
+            for exp, fam in ((0, FamilySpec.legendre_shifted(1)),
+                             (e, FamilySpec.legendre_shifted(Fraction(2) ** e)))]
+    unit, scaled = fits
+    assert (scaled.exponents, scaled.removed) == (unit.exponents, unit.removed)
+    assert scaled.coeffs_exact == tuple(
+        c * Fraction(2) ** (-e * n) for n, c in zip(unit.exponents, unit.coeffs_exact))

@@ -27,6 +27,20 @@ def _write_samples(path: Path, xs, ys):
             fh.write(f"{x:.17g},{y:.17g}\n")
 
 
+@pytest.fixture(autouse=True)
+def fits_reload_exactly(tmp_path):
+    """After each test, every model.json a fit wrote (one beside a
+    residuals.csv) reloads with the document's own values: ``coeffs`` its
+    17-digit floats, bit for bit, and ``coeffs_exact`` its rationals."""
+    yield
+    for path in tmp_path.rglob("model.json"):
+        if (path.parent / "residuals.csv").exists():
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            model = load_model(path)
+            assert [f"{c:.17g}" for c in model.coeffs] == doc["coeffs"]
+            assert [str(c) for c in model.coeffs_exact] == doc["coeffs_exact"]
+
+
 @pytest.fixture
 def sym_csv(tmp_path):
     xs = np.linspace(-1.0, 1.0, 201)
@@ -116,12 +130,13 @@ def test_load_model_accepts_dict(sym_csv, tmp_path):
     doc = json.loads((out / "model.json").read_text())
     model = load_model(doc)
     assert model.k == 6
-    # float strings round-trip bit-exactly
+    # float strings round-trip bit-exactly, and the exact model is rebuilt
     assert [f"{c:.17g}" for c in model.coeffs] == doc["coeffs"]
+    assert list(map(str, model.coeffs_exact)) == doc["coeffs_exact"]
 
 
-LEGENDRE_K2 = {"family": "legendre", "params": {}, "k": 2,
-               "exponents": [0, 1, 2], "coeffs": ["1", "-0.5", "0.25"]}
+LEGENDRE_K2 = {"family": "legendre", "params": {}, "k": 2, "exponents": [0, 1, 2],
+               "coeffs": ["1", "-0.5", "0.25"], "coeffs_exact": ["1", "-1/2", "1/4"]}
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -129,9 +144,12 @@ LEGENDRE_K2 = {"family": "legendre", "params": {}, "k": 2,
     ({"exponents": [0, 1, 5]}, "strictly increasing tuple within 0..2"),
     ({"exponents": [1, 0, 2]}, "strictly increasing tuple within 0..2"),
     # two coefficients for three exponents silently dropped the x^2 term
-    ({"coeffs": ["1", "-0.5"]}, "2 coeffs for 3 exponents"),
+    ({"coeffs": ["1", "-0.5"]}, r"model coefficients \(1.0, -0.5\) are not the floats"),
+    ({"coeffs_exact": ["1", "-1/2"]}, r"zip\(\) argument 2 is shorter than argument 1"),
     # a missing key raised KeyError
     ({"coeffs": None}, "no key 'coeffs'"),
+    # a document without exact coefficients loaded as a float-only model
+    ({"coeffs_exact": None}, "no key 'coeffs_exact'"),
     ({"family": None}, "no key 'family'"),
     # a document or params that is not an object raised TypeError or
     # AttributeError
@@ -149,13 +167,24 @@ LEGENDRE_K2 = {"family": "legendre", "params": {}, "k": 2,
     ({"family": "legendre0b", "params": {"b": "1/0"}}, "its denominator is zero"),
     # a string of coefficients loaded as 1 + 2x + 3x^2; a nan one evaluated nan
     ({"coeffs": "123"}, "not a model document: coeffs is a str, not a list"),
-    ({"coeffs": ["nan", "0", "0"]}, r"model coefficients \(nan, 0.0, 0.0\) are not all finite"),
+    ({"coeffs": ["nan", "0", "0"]}, r"model coefficients \(nan, 0.0, 0.0\) are not the floats"),
     # a JSON integer past the double range raised OverflowError
     ({"coeffs": [10**400, 0, 0]}, "not a model document: int too large to convert to float"),
-], ids=["exponent-past-k", "unordered", "short-coeffs", "no-coeffs", "no-family",
-        "not-an-object", "params-not-an-object", "exponents-not-a-list",
-        "k-not-an-integer", "k-past-max-order", "unknown-family", "b-zero", "b-zero-denominator",
-        "coeffs-not-a-list", "coeffs-not-finite", "coeffs-past-float-range"])
+    # the floats must be those of the exact coefficients, which must be rationals
+    ({"coeffs": ["1", "-0.5", "0.5"]}, r"are not the floats \(1.0, -0.5, 0.25\)"),
+    ({"coeffs_exact": "1"}, "not a model document: coeffs_exact is a str, not a list"),
+    ({"coeffs_exact": ["1", "x", "1/4"]}, "Invalid literal for Fraction: 'x'"),
+    ({"coeffs_exact": ["1", None, "1/4"]}, "not a model document: "),
+    ({"coeffs_exact": ["1", "-1/2", "1/0"]}, r"not a model document: Fraction\(1, 0\)"),
+    ({"coeffs_exact": ["1", "-1/2", "1e400"]},
+     "a coefficient of the order-2 fit overflows the float range"),
+], ids=["exponent-past-k", "unordered", "short-coeffs", "short-coeffs-exact", "no-coeffs",
+        "no-coeffs-exact", "no-family", "not-an-object", "params-not-an-object",
+        "exponents-not-a-list", "k-not-an-integer", "k-past-max-order", "unknown-family",
+        "b-zero", "b-zero-denominator", "coeffs-not-a-list", "coeffs-not-finite",
+        "coeffs-past-float-range", "coeffs-not-those-of-coeffs-exact",
+        "coeffs-exact-not-a-list", "coeffs-exact-not-rational", "coeffs-exact-not-a-number",
+        "coeffs-exact-zero-denominator", "coeffs-exact-past-float-range"])
 def test_load_model_refuses_malformed_documents(tmp_path, edit, message):
     assert load_model(LEGENDRE_K2)(0.5) == 1 - 0.25 + 0.0625
     doc = ({key: value for key, value in {**LEGENDRE_K2, **edit}.items()
@@ -763,7 +792,8 @@ def test_the_exact_layer_and_tables_need_no_numpy():
         "model = biopoly.fit(fam, 6, mv, removals=5)\n"
         "assert (model.exponents, model.coeffs_exact) == ((0, 1), (1, 1)), model\n"
         "doc = {'family': 'laguerre', 'params': {}, 'k': 2,\n"
-        "       'exponents': [0, 2], 'coeffs': ['1', '0.5']}\n"
+        "       'exponents': [0, 2], 'coeffs': ['1', '0.5'],\n"
+        "       'coeffs_exact': ['1', '1/2']}\n"
         "assert isinstance(cli.load_model(doc), biopoly.FitModel)\n")
     done = subprocess.run([sys.executable, "-c", probe], cwd=src,
                           capture_output=True, text=True)

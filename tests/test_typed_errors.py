@@ -3,23 +3,29 @@
 Every input the constructors of ``SpaceSpec``, ``FamilySpec``,
 ``MomentVector``, ``BiorthSet`` and ``FitModel``, and ``cli.load_model``,
 are given ends in one of two ways: a value that keeps its invariants, or
-an error of a type its docstring names.  Orders are capped, so no input
+an error of a type its docstring names; every ``biopoly fit`` run through
+``cli.main`` ends in exit 0 with both files written, or exit 2 or 3 with
+a message and no output directory.  Orders are capped, so no input
 allocates anything large, and the invariants are checked here from the
 value's own fields, not through the package's helpers.  The ``@example``s
 are constructions that once gave a value that broke an invariant (a float
 that did not stand for its exact value, a family on another's space, an
-order past ``MAX_ORDER``) or raised an error that its docstring does not
-name, or that named no moment.
+order past ``MAX_ORDER``, a model without exact coefficients) or raised an
+error that its docstring does not name, or that named no moment.
 """
 
+import contextlib
+import io
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biopoly.biorth import BiorthSet, FitModel, MomentVector
-from biopoly.cli import MAX_ORDER, load_model
+from biopoly.cli import MAX_ORDER, load_model, main
 from biopoly.exact import FloatRangeError, SpaceSpec, Weight
 from biopoly.families import FamilyKind, FamilySpec
 
@@ -143,26 +149,31 @@ def test_biorth_set_is_a_set_or_a_typed_error(fam, k, active):
        derived=st.booleans())
 @example(fam=FamilySpec.laguerre(), k=0, exponents=[0], coeffs=[1.0], numerators=[5],
          denominator=Fraction(1), derived=False)
+# a bare OverflowError, and two float-only models read from a str and a dict
+@example(fam=FamilySpec.laguerre(), k=0, exponents=[0], coeffs=(10 ** 400,),
+         numerators=None, denominator=None, derived=False)
+@example(fam=FamilySpec.laguerre(), k=1, exponents=[0, 1], coeffs="12",
+         numerators=None, denominator=None, derived=False)
+@example(fam=FamilySpec.laguerre(), k=0, exponents=[0], coeffs={"7": 1},
+         numerators=[7], denominator=1, derived=False)
 def test_fit_model_coefficients_stand_for_their_exact_values(
         fam, k, exponents, coeffs, numerators, denominator, derived):
-    """A model's float coefficients are finite, one per exponent, and,
-    when it has exact ones, their floats (times 1/pi for Chebyshev)."""
+    """A model's float coefficients are finite, one per exponent, and the
+    floats of its exact ones (times 1/pi for Chebyshev)."""
     def construct():
         model = FitModel(fam, k, exponents, coeffs, (), numerators, denominator)
         # the floats a model derives pass back in, as ``dataclasses.replace`` does
         return FitModel(fam, k, exponents, model.coeffs, (), numerators,
                         denominator) if derived else model
-    # OverflowError: a float-only coefficient past the float range
-    model = _outcome(construct, TypeError, ValueError, OverflowError)
+    model = _outcome(construct, TypeError, ValueError, FloatRangeError)
     if model is None:
         return
     _check_ints_and_exponents(model.k, model.exponents)
     assert len(model.coeffs) == len(model.exponents)
     assert all(type(c) is float and math.isfinite(c) for c in model.coeffs)
-    if model.coeffs_exact is not None:
-        factor = 1 / math.pi if fam.kind is FamilyKind.CHEBYSHEV else 1.0
-        assert model.coeffs == tuple(c.numerator / c.denominator * factor
-                                     for c in model.coeffs_exact)
+    factor = 1 / math.pi if fam.kind is FamilyKind.CHEBYSHEV else 1.0
+    assert model.coeffs == tuple(c.numerator / c.denominator * factor
+                                 for c in model.coeffs_exact)
 
 
 JSON_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
@@ -170,24 +181,124 @@ JSON_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
 
 
+def _mostly(valid, junk):
+    """``valid`` seven times in eight, else ``junk``: most inputs get past
+    the first check, so the later ones are reached too."""
+    return st.sampled_from([True] * 7 + [False]).flatmap(
+        lambda ok: valid if ok else junk)
+
+
+def _float_text(fam_name, c):
+    """The 17-digit float text that ``fit`` writes for the exact ``c``,
+    or ``c`` itself when it is no rational or its float is no number."""
+    try:
+        c = Fraction(c)
+        factor = 1 / math.pi if fam_name == FamilyKind.CHEBYSHEV.value else 1.0
+        return f"{c.numerator / c.denominator * factor:.17g}"
+    except (ArithmeticError, TypeError, ValueError):
+        return c
+
+
+MODEL_KEYS = ["family", "params", "k", "exponents", "coeffs", "coeffs_exact"]
+
+
 @settings(max_examples=300, deadline=None)
-@given(doc=st.fixed_dictionaries({}, optional={
-    "family": st.one_of(st.sampled_from([k.value for k in FamilyKind]), JSON_JUNK),
-    "params": st.one_of(st.just({}), st.fixed_dictionaries(
+@given(doc=st.fixed_dictionaries({
+    "family": _mostly(st.sampled_from([k.value for k in FamilyKind]), JSON_JUNK),
+    # "fit's" stands for the params that ``fit`` writes for the family
+    "params": _mostly(st.just("fit's"), st.one_of(st.fixed_dictionaries(
         {"b": st.one_of(st.sampled_from(["2", "1/3", "0", "-1", "1/0"]), JSON_JUNK)}),
-        JSON_JUNK),
-    "k": st.one_of(st.integers(-2, MAX_ORDER + 2), st.sampled_from([2 ** 40, -2 ** 40]),
-                   JSON_JUNK),
-    "exponents": EXPONENTS,
+        JSON_JUNK)),
+    "k": _mostly(st.integers(0, MAX_ORDER), st.one_of(
+        st.sampled_from([-1, MAX_ORDER + 1, 2 ** 40, -2 ** 40]), JSON_JUNK)),
+    "exponents": _mostly(st.lists(st.integers(0, 6), unique=True, min_size=1,
+                                  max_size=4).map(sorted), EXPONENTS),
     "coeffs": st.one_of(st.lists(st.one_of(
         st.sampled_from(["1", "-0.5", "nan", "1e400", "x"]), NUMBERS), max_size=4),
-        JSON_JUNK)}))
+        JSON_JUNK),
+    "coeffs_exact": _mostly(st.lists(st.one_of(
+        st.sampled_from(["1", "-1/2", "1/3", "1e400", "1/0", "x"]), NUMBERS),
+        max_size=4), JSON_JUNK)}),
+    drop=_mostly(st.none(), st.sampled_from(MODEL_KEYS)), consistent=_mostly(
+        st.just(True), st.just(False)))
 @example(doc={"family": "laguerre", "params": {}, "k": 2 ** 40, "exponents": [0],
-              "coeffs": ["1"]})
-def test_load_model_returns_a_model_within_the_order_bound_or_a_value_error(doc):
+              "coeffs": ["1"], "coeffs_exact": ["1"]}, drop=None, consistent=False)
+@example(doc={"family": "chebyshev", "params": {}, "k": 3, "exponents": [1, 3],
+              "coeffs": [], "coeffs_exact": ["1/3", "-2"]}, drop=None, consistent=True)
+def test_load_model_returns_a_model_within_the_order_bound_or_a_value_error(
+        doc, drop, consistent):
+    """With ``consistent`` the document has one exact coefficient per
+    exponent (padded with 1 or cut), and its ``coeffs`` are the floats that
+    ``fit`` would write for them, so documents reach models; ``drop``
+    names a key the document lacks."""
+    if doc["params"] == "fit's":
+        doc["params"] = {"b": "2"} if doc["family"] == "legendre0b" else {}
+    exact, exponents = doc["coeffs_exact"], doc["exponents"]
+    if consistent and isinstance(exact, list) and isinstance(exponents, list):
+        doc["coeffs_exact"] = exact = (exact + ["1"] * len(exponents))[:len(exponents)]
+        doc["coeffs"] = [_float_text(doc["family"], c) for c in exact]
+    doc.pop(drop, None)
     model = _outcome(lambda: load_model(doc), ValueError)
     if model is not None:
         assert 0 <= model.k <= MAX_ORDER
         _check_ints_and_exponents(model.k, model.exponents)
-        assert len(model.coeffs) == len(model.exponents)
-        assert all(math.isfinite(c) for c in model.coeffs)
+        assert [f"{c:.17g}" for c in model.coeffs] == [
+            f"{float(c):.17g}" for c in doc["coeffs"]]
+        assert model.coeffs_exact == tuple(map(Fraction, doc["coeffs_exact"]))
+
+
+FAMILY_NAMES = [k.value for k in FamilyKind]
+CELLS = st.one_of(st.floats(), st.sampled_from(["nan", "1e400", "1e300", "x", "", "1/2"]))
+
+
+def _interval(family, b):
+    """The ends of the family's interval, or (0, 1) where it has none."""
+    try:
+        hi = float(Fraction(b or 1)) if family == FamilyKind.LEGENDRE_SHIFTED.value else 1.0
+    except (ArithmeticError, ValueError):
+        hi = 1.0
+    return (-1.0 if family == FamilyKind.LEGENDRE_SYM.value else 0.0), hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=_mostly(st.sampled_from(FAMILY_NAMES), st.just("legendre1")),
+       b=_mostly(st.none(), st.sampled_from(["1", "2", "1/2", "0", "-1", "x", "1/0", "1e-400"])),
+       k=_mostly(st.integers(0, 6).map(str), st.sampled_from(
+           ["-1", "x", "1.5", str(MAX_ORDER + 1)])),
+       removals=st.one_of(st.none(), st.integers(-1, 7)),
+       header=_mostly(st.just("x,y"), st.sampled_from(["X, Y", "x,z", "", "x,y,z"])),
+       grid=_mostly(st.none(), st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (0.25, 1.0)])),
+       n=_mostly(st.sampled_from([3, 5, 9, 17, 33]), st.sampled_from([0, 1, 2, 8])),
+       data=st.data())
+def test_cli_fit_exits_0_with_both_files_or_2_or_3_with_none(
+        family, b, k, removals, header, grid, n, data):
+    """A ``biopoly fit`` argument vector and CSV either fit, writing
+    model.json (which reloads with its own values) and residuals.csv, or
+    exit 2 or 3 with a message on stderr and no output directory.  The
+    grid is the family's own interval unless one is drawn."""
+    lo, hi = grid or _interval(family, b)
+    ys = data.draw(_mostly(st.lists(st.floats(-4, 4), min_size=n, max_size=n),
+                           st.lists(CELLS, min_size=n, max_size=n)), label="ys")
+    rows = [f"{lo + (hi - lo) * j / max(n - 1, 1)!r},{y}" for j, y in enumerate(ys)]
+    for _ in range(data.draw(_mostly(st.just(0), st.integers(1, 2)), label="junk rows")):
+        rows.insert(data.draw(st.integers(0, len(rows)), label="at"),
+                    data.draw(st.sampled_from(["1,2,3", "a", "", "1e400,0"])))
+    argv = ["fit", "--family", family, "--k", k]
+    argv += [] if b is None else ["--b", b]
+    argv += [] if removals is None else ["--removals", str(removals)]
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "samples.csv", Path(tmp) / "out"
+        src.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv + ["--input", str(src), "--out", str(out)])
+            except SystemExit as exc:       # argparse refuses a flag
+                code = exc.code
+        if code == 0:
+            assert sorted(p.name for p in out.iterdir()) == ["model.json", "residuals.csv"]
+            model = load_model(out / "model.json")
+            assert (model.family.kind.value, model.k) == (family, int(k))
+        else:
+            assert code in (2, 3) and stderr.getvalue().strip()
+            assert not out.exists()
