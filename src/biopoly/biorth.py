@@ -133,13 +133,13 @@ class MomentSpaceError(ValueError):
 class MomentVector:
     """Generalised moments mu_0..mu_k of one target in one space.
 
-    ``mu`` is the float contract every consumer can rely on.  ``mu_exact``,
-    the ``Fraction``s that ints and floats given there convert to exactly,
-    is kept whenever the source allows, and the projection reads it.
-    Given, it is where each moment is taken from, and each ``mu`` entry
-    must be its float, or ``ValueError`` is raised.  A moment past the
-    float range raises ``FloatRangeError``, one that is not finite
-    ``ValueError`` before any ``Fraction`` is formed, both naming it.
+    ``mu`` is the float contract every consumer can rely on, and
+    ``mu_exact``, always stored as ``Fraction``s, is what the projection
+    reads: the exact values of the ints and floats given there, whose
+    ``mu`` entries must be their floats (else ``ValueError``), or without
+    it the values of the floats in ``mu``.  A moment past the float range
+    raises ``FloatRangeError``, one that is not finite ``ValueError``
+    before any ``Fraction`` is formed, both naming it.
     """
 
     mu: tuple[float, ...]
@@ -165,16 +165,16 @@ class MomentVector:
                                      f"{mu[i]!r}, the float of its exact value")
             except OverflowError:
                 raise FloatRangeError(f"{name} overflows the float range") from None
-        exact = None if self.mu_exact is None else tuple(
-            m if isinstance(m, Fraction) else Fraction(m) for m in given)
-        vars(self).update(mu=tuple(mu), mu_exact=exact)
+        exact = mu if self.mu_exact is None else given  # floats stand for themselves
+        vars(self).update(mu=tuple(mu), mu_exact=tuple(
+            m if isinstance(m, Fraction) else Fraction(m) for m in exact))
 
     @property
     def order(self) -> int:
         return len(self.mu) - 1
 
     def exact_values(self) -> tuple[Fraction, ...]:
-        return tuple(map(Fraction, self.mu)) if self.mu_exact is None else self.mu_exact
+        return self.mu_exact
 
 
 def _check_exponents(exponents: Sequence[int], k: int) -> tuple[int, ...]:
@@ -322,20 +322,21 @@ def downgrade(s: BiorthSet, ell: int) -> BiorthSet:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitModel:
     """A fitted polynomial sum(c_n x^n over active exponents n).
 
     ``k`` and the ``exponents`` are ints, as in ``BiorthSet``.  A model is
-    made from its exact coefficients only: integer ``numerators`` y_n over
-    one positive ``denominator`` den, c_n = D_n y_n / den with D_n the
-    family's monomial scale (``coeffs_exact`` normalises them on first
-    read).  It rounds its own ``coeffs``, one correctly rounded integer
-    division each, times the family's 1/pi from ``exact.PI_FLOAT``
-    (``FloatRangeError`` past the float range); ``coeffs`` given beside
-    them (``dataclasses.replace``, ``cli.load_model``) must equal those
-    floats as given, or ``ValueError`` is raised.  A model is immutable
-    and hashable; only evaluation imports numpy.
+    made from one integer ``numerators`` y_n per exponent over a positive
+    ``denominator`` den, c_n = D_n y_n / den (D_n the family's monomial
+    scale), and rounds its own ``coeffs``, times the family's 1/pi from
+    ``exact.PI_FLOAT`` (``FloatRangeError`` past the float range); another
+    count, or given ``coeffs`` that are not those floats, raise ``ValueError``.
+    A model is its exact value: it equals and hashes like any model with the
+    same family, order, exponents and ``coeffs_exact`` (normalised on first
+    read), so ``cli.load_model`` returns one equal to the fit that wrote it;
+    the numerators' scale and ``removed`` are not part of it.  Only
+    evaluation imports numpy.
     """
 
     family: FamilySpec
@@ -354,6 +355,8 @@ class FitModel:
         if not isinstance(self.denominator, (int, Fraction)) or self.denominator <= 0:
             raise ValueError(f"denominator {self.denominator!r} is not a positive rational")
         vars(self)["numerators"] = tuple(map(index, self.numerators))
+        if (count := len(self.numerators)) != len(self.exponents):
+            raise ValueError(f"{count} numerators for {len(self.exponents)} exponents")
         factor = PI_FLOAT[self.family.poly_scale.pi_power]
         try:    # int / int is correctly rounded: the same float as float(c_n)
             coeffs = tuple(a / b * factor for a, b in self._ratios())
@@ -370,12 +373,21 @@ class FitModel:
         d = _scales(self.family, self.exponents[-1])
         den_n, den_d = self.denominator.numerator, self.denominator.denominator
         return [(y * d[n].numerator * den_d, d[n].denominator * den_n)
-                for n, y in zip(self.exponents, self.numerators, strict=True)]
+                for n, y in zip(self.exponents, self.numerators)]
 
     @functools.cached_property
     def coeffs_exact(self) -> tuple[Fraction, ...]:
         """c_n as normalised ``Fraction``s, built on first read."""
         return tuple(Fraction(a, b) for a, b in self._ratios())
+
+    def __eq__(self, other):
+        if not isinstance(other, FitModel):
+            return NotImplemented
+        return (self.family, self.k, self.exponents, self.coeffs_exact) == (
+            other.family, other.k, other.exponents, other.coeffs_exact)
+
+    def __hash__(self):
+        return hash((self.family, self.k, self.exponents, self.coeffs_exact))
 
     @property
     def n_params(self) -> int:

@@ -198,8 +198,10 @@ def load_model(source: str | Path | dict) -> FitModel:
         for name in ("coeffs", "coeffs_exact"):
             if not isinstance(source[name], list):
                 raise TypeError(f"{name} is a {type(source[name]).__name__}, not a list")
+        if (count := len(source["coeffs_exact"])) != len(exponents):
+            raise ValueError(f"{count} coeffs_exact for {len(exponents)} exponents")
         ratios = [Fraction(c) / coeff_scale(fam, n)
-                  for n, c in zip(exponents, source["coeffs_exact"], strict=True)]
+                  for n, c in zip(exponents, source["coeffs_exact"])]
         den = math.lcm(*(r.denominator for r in ratios))
         return FitModel(fam, k, exponents, tuple(map(float, source["coeffs"])), (),
                         [r.numerator * (den // r.denominator) for r in ratios], den)

@@ -674,6 +674,20 @@ def test_greedy_pruning_takes_the_exact_best_removal(fam, k):
         s = downgrade(s, ell)
 
 
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=IDS)
+def test_a_pruned_fit_equals_the_projection_onto_its_exponents(fam):
+    """Greedy downgrades give the rows of the reduced set, so a fit is the
+    projection onto the exponents it kept; the fit's numerators are scaled
+    otherwise, and its ``removed`` is history, not part of the model."""
+    for k in range(13):
+        mom = exact_moments(fam, [Fraction((-1) ** i * (i * i + 1), 3 ** (i % 4) * (7 + i))
+                                  for i in range(k + 1)])
+        for removals in range(min(k, 3) + 1):
+            model = fit(fam, k, mom, removals)
+            projected = project(BiorthSet(fam, k, model.exponents), mom)
+            assert model == projected and hash(model) == hash(projected), (k, removals)
+
+
 def test_select_removal_needs_two_elements():
     s = build(FamilySpec.laguerre(), 1)
     s = downgrade(s, 0)
@@ -701,7 +715,7 @@ def test_sets_and_models_refuse_malformed_exponents(k, exponents):
 
 
 def test_model_needs_one_coefficient_per_exponent():
-    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is shorter than argument 1"):
+    with pytest.raises(ValueError, match="2 numerators for 3 exponents"):
         FitModel(FamilySpec.laguerre(), 2, (0, 1, 2), numerators=(1, 2), denominator=1)
 
 
@@ -766,6 +780,24 @@ def test_a_model_is_made_from_its_numerators_alone(coeffs, numerators):
     with pytest.raises(ValueError, match="needs its numerators|are not the floats"):
         FitModel(FamilySpec.laguerre(), len(exponents) - 1, exponents, coeffs,
                  numerators=numerators, denominator=1)
+
+
+def test_models_whose_exact_coefficients_differ_are_unequal():
+    """A model is its exact value: equal floats do not make equal models,
+    and a model compares with no other type."""
+    fam = FamilySpec.laguerre()
+    near = FitModel(fam, 0, (0,), numerators=(10 ** 20 + 1,), denominator=10 ** 20)
+    one = FitModel(fam, 0, (0,), numerators=(1,), denominator=1)
+    assert near.coeffs == one.coeffs == (1.0,)
+    assert near != one and near.coeffs_exact != one.coeffs_exact
+    assert one == FitModel(fam, 0, (0,), numerators=(3,), denominator=Fraction(3))
+    assert one.__eq__(1.0) is NotImplemented and one != 1.0
+
+
+def test_quadrature_moments_are_the_values_of_their_floats():
+    """A vector built from floats alone kept ``mu_exact`` None."""
+    mom = regress.moments_quadrature(lambda x: x * x - 1 / 3, FamilySpec.chebyshev().space, 6)
+    assert mom.mu_exact == tuple(map(Fraction, mom.mu)) == mom.exact_values()
 
 
 def test_sets_and_models_refuse_an_order_past_the_bound():

@@ -6,6 +6,7 @@ import importlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 import biopoly
 from biopoly import biorth, cli, demos
 from biopoly.cli import EXIT_BAD_INPUT, EXIT_DOMAIN, _csv_text, load_model, main
-from biopoly.exact import horner_many
-from biopoly.regress import UNIFORM_GRID_RTOL
+from biopoly.exact import horner_many, inner_monomial
+from biopoly.families import FamilySpec
+from biopoly.regress import (UNIFORM_GRID_RTOL, MomentVector, fit, moments_expdecay,
+                             moments_from_samples)
 
 
 def _write_samples(path: Path, xs, ys):
@@ -135,6 +138,53 @@ def test_load_model_accepts_dict(sym_csv, tmp_path):
     assert list(map(str, model.coeffs_exact)) == doc["coeffs_exact"]
 
 
+def _polynomial_moments(fam, k):
+    """Exact moments of a rational polynomial of degree 14 in ``fam``'s space."""
+    p = [Fraction((-1) ** e * (e + 2), 3 + e * e) for e in range(15)]
+    exact = tuple(sum(c * inner_monomial(fam.space, e, i) for e, c in enumerate(p))
+                  for i in range(k + 1))
+    return MomentVector(tuple(map(float, exact)), fam.space, "polynomial", exact)
+
+
+@pytest.mark.parametrize("fam, moments", [
+    (FamilySpec.laguerre(), lambda fam, k: moments_expdecay(fam.space, k)),
+    (FamilySpec.legendre_shifted(Fraction(7, 3)), lambda fam, k: moments_expdecay(fam.space, k)),
+    (FamilySpec.legendre_sym(), _polynomial_moments),
+    (FamilySpec.chebyshev(), _polynomial_moments),
+], ids=["laguerre", "legendre0b(b=7/3)", "legendre", "chebyshev"])
+def test_a_reloaded_model_equals_its_fit(fam, moments):
+    """A pruned fit reloaded from its document compared unequal to itself:
+    its numerators came back over another denominator, and ``removed``,
+    which the document does not keep, read () against the greedy order."""
+    for k in range(13):
+        mom = moments(fam, k)
+        for removals in range(min(k, 3) + 1):
+            model = fit(fam, k, mom, removals)
+            loaded = load_model(cli._model_to_json(model, {}))
+            assert loaded == model and hash(loaded) == hash(model), (k, removals)
+
+
+@pytest.mark.parametrize("family, b, lo, hi", [("legendre", None, -1.0, 1.0),
+                                               ("legendre0b", "2", 0.0, 2.0)],
+                         ids=["legendre", "legendre0b"])
+@pytest.mark.parametrize("removals", [0, 2])
+def test_the_model_fit_wrote_equals_the_fit_in_process(tmp_path, family, b, lo, hi, removals):
+    """The ``model.json`` of ``biopoly fit`` reloads as a model equal to,
+    and hashing like, the same fit made in process."""
+    xs = np.linspace(lo, hi, 201)
+    path = tmp_path / "samples.csv"
+    _write_samples(path, xs, np.cos(3.0 * xs) + 0.5 * xs)
+    out = tmp_path / "out"
+    argv = ["fit", "--family", family, "--k", "12", "--removals", str(removals),
+            "--input", str(path), "--out", str(out)]
+    assert main(argv + ([] if b is None else ["--b", b])) == 0
+    fam = cli._family_from_args(family, b)
+    model = fit(fam, 12, moments_from_samples(cli._read_samples(path), fam.space, 12),
+                removals)
+    loaded = load_model(out / "model.json")
+    assert loaded == model and hash(loaded) == hash(model)
+
+
 LEGENDRE_K2 = {"family": "legendre", "params": {}, "k": 2, "exponents": [0, 1, 2],
                "coeffs": ["1", "-0.5", "0.25"], "coeffs_exact": ["1", "-1/2", "1/4"]}
 
@@ -145,7 +195,7 @@ LEGENDRE_K2 = {"family": "legendre", "params": {}, "k": 2, "exponents": [0, 1, 2
     ({"exponents": [1, 0, 2]}, "strictly increasing tuple within 0..2"),
     # two coefficients for three exponents silently dropped the x^2 term
     ({"coeffs": ["1", "-0.5"]}, r"model coefficients \(1.0, -0.5\) are not the floats"),
-    ({"coeffs_exact": ["1", "-1/2"]}, r"zip\(\) argument 2 is shorter than argument 1"),
+    ({"coeffs_exact": ["1", "-1/2"]}, "2 coeffs_exact for 3 exponents"),
     # a missing key raised KeyError
     ({"coeffs": None}, "no key 'coeffs'"),
     # a document without exact coefficients loaded as a float-only model

@@ -127,9 +127,8 @@ def test_moment_vector_floats_stand_for_their_exact_values(space, mu, exact, con
             "moment mu_", "match mu in length", "could not convert string")), exc
         return
     assert all(type(m) is float and math.isfinite(m) for m in mv.mu)
-    if mv.mu_exact is not None:
-        assert all(type(m) is Fraction for m in mv.mu_exact)
-        assert mv.mu == tuple(m.numerator / m.denominator for m in mv.mu_exact)
+    assert all(type(m) is Fraction for m in mv.mu_exact)
+    assert mv.mu == tuple(m.numerator / m.denominator for m in mv.mu_exact)
 
 
 @settings(max_examples=150, deadline=None)
