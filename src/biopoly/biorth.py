@@ -88,8 +88,9 @@ fraction-free step of ``downgrade``:
 exact because y' = K' nu.  So ``fit`` projects once and prunes greedily
 in integers: each round takes ``cheapest_removal`` (on y and K alone, as
 ``select_removal`` does) on the set pruned so far, then ``downgrade`` and
-this step on (y, den), which equals re-projecting.  It forms one model,
-at the end.
+this step on (y, den), which equals re-projecting.  It reads the first
+(y, den) from ``project``'s ``FitModel`` and forms the one it returns at
+the end.
 
 For parity-support families t_j[n] vanishes unless j - n is even, so G is
 zero between exponents of opposite parity.  For Chebyshev sets all stored

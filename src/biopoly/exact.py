@@ -28,7 +28,8 @@ quadrature moments, as exact moments and coefficients rounded to double
 once (:class:`FloatRangeError` past the double range), and in
 ``horner_many``, compensated Horner summation; its docstring tells its
 accuracy and how it blocks, chunks and threads the points, none of which
-moves a result bit.
+moves a result bit.  Its Horner sums run in one row order, each chunk of
+terms down the accumulator rows from the first.
 """
 
 from __future__ import annotations
@@ -231,6 +232,9 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     a time, and only operations that do not depend on each other change
     order, so the bits are the same.  A block's 6r + 3 work rows are never
     more than a full block's nine, and nothing is allocated per term.
+    Every chunk runs down the acc rows from the first: a one-term chunk
+    swaps its two acc rows after the term, and a longer chunk starts from
+    a copy of the last row of the chunk before it.
     With no coefficients the result is the empty sum, +0.0.
 
     From two blocks on, the blocks are shared out dynamically among
@@ -345,39 +349,26 @@ def _horner_block(top: float, rest: list[np.ndarray], cols: np.ndarray,
     sub(x, xh, xl)                           # xl = x - xh
     A[0].fill(top)
     comp.fill(0.0)                           # the correction sums in place
-    # chunks run down the acc rows and back up in turn, so each starts on
-    # the row where the one before ended, with no copy.  A full chunk's
-    # error terms take these operands: rows when it has one term, which run
-    # on numpy's faster one-dimensional path, else (r, m) blocks.
-    ways = []
-    for a, stack in ((A, accs), (A[::-1], accs[::-1])):
-        if r == 1:
-            ways.append((a, (a[0], a[1], P[0], h[0], tmp, u[0], W[0])))
-        else:
-            ways.append((a, (stack[:-1], stack[1:], *rows)))
-    last = A[0]
+    # a one-term chunk, as in full blocks, takes rows as operands, which run
+    # on numpy's faster one-dimensional path, and swaps its two acc rows
+    # after each term; a longer one takes (r, m) blocks
+    acc, s, pp, hh, tt, uu, ww = A[0], A[1], P[0], h[0], tmp, u[0], W[0]
     for j in range(0, k, r):
-        a, ops = ways[j // r % 2]
         if r == 1:
-            # one-term chunks, as in full blocks: no loops, whose setup
-            # would be most of a term's interpreter time, which other
-            # threads wait on under the interpreter lock
-            acc, s, pp, hh, tt, uu, ww = ops
+            # no loops, whose setup would be most of a term's interpreter
+            # time, which other threads wait on under the interpreter lock
             c = rest[j]
             mul(acc, x, pp)                  # 1. p = acc * x, s = p + c
             add(pp, c, s)
-            last = s
         else:
+            if j:                            # start where the last chunk ended
+                A[0][...] = A[r]
             n = min(r, k - j)
             # 1. plain Horner: p_i = acc_i * x, acc_{i+1} = p_i + c_i
             for i in range(n):
-                mul(a[i], x, P[i])
-                add(P[i], rest[j + i], a[i + 1])
-            last = a[n]
-            if n < r:                        # the last chunk, a shorter one
-                stack = (accs[::-1] if j // r % 2 else accs)[:n + 1]
-                ops = (stack[:-1], stack[1:], *rows[:, :n])
-            acc, s, pp, hh, tt, uu, ww = ops
+                mul(A[i], x, P[i])
+                add(P[i], rest[j + i], A[i + 1])
+            acc, s, pp, hh, tt, uu, ww = accs[:n], accs[1:n + 1], *rows[:, :n]
             c = cols[j:j + n]
         # 2. the error terms of every term of the chunk at once
         # TwoProd(acc, x) = p + e1, e1 in uu
@@ -404,8 +395,9 @@ def _horner_block(top: float, rest: list[np.ndarray], cols: np.ndarray,
         if r == 1:
             mul(comp, x, tmp)
             add(tmp, ww, comp)
+            acc, s = s, acc                  # the sum is the next term's acc
         else:
             for i in range(n):
                 mul(comp, x, tmp)
                 add(tmp, W[i], comp)
-    add(last, comp, comp)
+    add(acc if r == 1 else A[n], comp, comp)

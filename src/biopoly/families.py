@@ -21,7 +21,9 @@ convention: the stored rational c means c / pi.
 
 The integer rows come from one three-term recurrence per family
 (``_RECURRENCE``, DLMF 18.9), checked against the classical closed forms in the
-tests.  Memos key on the spec, whose ``b`` is a ``Fraction`` however it is built.
+tests.  The integer rows are memoised by family kind: legendre0b's are in
+u = x/b, so every ``b`` shares them.  Memos above this module key on the
+spec, whose ``b`` is a ``Fraction`` however it is built.
 """
 
 from __future__ import annotations
@@ -137,18 +139,21 @@ _RECURRENCE = {
     FamilyKind.LEGENDRE_SYM: lambda j: (2 * (2 * j + 1), 0, 4 * j, j + 1),
     FamilyKind.CHEBYSHEV: lambda j: (2 if j else 1, 0, 1, 1),
 }
-#: per family, the rows c_{-1} = (), c_0 = (1,), ... formed so far
-_ROWS: dict[FamilySpec, tuple[tuple[int, ...], ...]] = {}
+#: per family kind, the rows c_{-1} = (), c_0 = (1,), ... formed so far
+_ROWS: dict[FamilyKind, tuple[tuple[int, ...], ...]] = {}
 
 
 def _integer_row(fam: FamilySpec, j: int) -> tuple[int, ...]:
     """c_j, the integers of x^0..x^j in p_j, by one exact recurrence step
-    per degree (memoised, no recursion).  S shifts a row up one exponent,
-    times e + 1 for Laguerre's D_e = 1/e!.  Rows grow in a new tuple,
-    published whole, so threads racing on a family form equal rows."""
-    rows = _ROWS.get(fam, ((), (1,)))
+    per degree (no recursion).  S shifts a row up one exponent, times
+    e + 1 for Laguerre's D_e = 1/e!.  The rows depend on the family's kind
+    alone and are memoised by it, so every ``b`` of legendre0b reads the
+    same tuples.  Rows grow in a new tuple, published whole, so threads
+    racing on a kind form equal rows."""
+    kind = fam.kind
+    rows = _ROWS.get(kind, ((), (1,)))
     if len(rows) <= j + 1:
-        step, shift = _RECURRENCE[fam.kind], fam.kind is FamilyKind.LAGUERRE
+        step, shift = _RECURRENCE[kind], kind is FamilyKind.LAGUERRE
         grown = list(rows)
         for i in range(len(rows) - 2, j):
             a, b, g, d = step(i)
@@ -156,7 +161,7 @@ def _integer_row(fam: FamilySpec, j: int) -> tuple[int, ...]:
             up = (0, *(c * (e + 1) for e, c in enumerate(cur))) if shift else (0, *cur)
             grown.append(tuple((a * u + b * c - g * p) // d for u, c, p
                                in zip_longest(up, cur, prev, fillvalue=0)))
-        _ROWS[fam] = rows = tuple(grown)
+        _ROWS[kind] = rows = tuple(grown)
     return rows[j + 1]
 
 

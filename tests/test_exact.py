@@ -392,6 +392,8 @@ def _edge(n, k):
 @_edge(_BLOCK // 3 + 1, 64)     # r = 2
 @_edge(_BLOCK // 2 + 1, 17)     # r = 1 below a full block
 @_edge(2 * _BLOCK + 3, 64)      # r = 1 on full blocks, r = k on the last
+@_edge(201, 0)                  # one coefficient: no term runs, and the
+@_edge(2 * _BLOCK + 3, 0)       # result is the acc row a block started on
 def test_horner_many_bit_identical_to_reference(coeffs, form, n, layout,
                                                 read_only, half_width, seed):
     if form == "fraction":

@@ -92,9 +92,10 @@ def test_laguerre_coeffs_match_recurrence():
     _assert_rows_match_closed_form(FamilySpec.laguerre(), lambda j: 1)
 
 
-def test_rows_form_iteratively():
-    """Row 400 of a family no test has used yet forms under a recursion
-    limit far below its degree: the recurrence is a loop."""
+def test_rows_form_iteratively(monkeypatch):
+    """Row 400, from an empty memo, forms under a recursion limit far below
+    its degree: the recurrence is a loop."""
+    monkeypatch.setattr(families, "_ROWS", {})
     fam = FamilySpec.legendre_shifted(Fraction(401, 3))
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(100)
@@ -106,12 +107,14 @@ def test_rows_form_iteratively():
     assert row[0] == 1
 
 
-def test_rows_formed_by_racing_threads_agree():
-    """Threads reading a fresh family's row 64 for the first time, at once
-    and with a short switch interval, get the rows one thread forms alone;
-    so do their reads of lower rows that another thread may be forming."""
+def test_rows_formed_by_racing_threads_agree(monkeypatch):
+    """Threads reading row 64 from an empty memo, at once and with a short
+    switch interval, get the rows one thread forms alone; so do their reads
+    of lower rows that another thread may be forming."""
     fam = FamilySpec.legendre_shifted(Fraction(64, 7))
-    alone = FamilySpec.legendre_shifted(1)
+    monkeypatch.setattr(families, "_ROWS", {})
+    alone = [_integer_row(fam, j) for j in range(65)]
+    monkeypatch.setattr(families, "_ROWS", {})
     barrier = threading.Barrier(4, timeout=30)
     got = {}
 
@@ -131,7 +134,13 @@ def test_rows_formed_by_racing_threads_agree():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for i in range(4):
-        assert got[i] == [_integer_row(alone, j) for j in (64, 16 * i + 1)], i
+        assert got[i] == [alone[j] for j in (64, 16 * i + 1)], i
+
+
+def test_rows_are_shared_by_every_b():
+    """legendre0b's rows are in u = x/b, so every b reads one memo entry."""
+    assert (_integer_row(FamilySpec.legendre_shifted(2), 20)
+            is _integer_row(FamilySpec.legendre_shifted(Fraction(7, 3)), 20))
 
 
 # ----------------------------------------------------------------------
