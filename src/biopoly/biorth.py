@@ -62,7 +62,7 @@ operations stay in integers:
   dividing out the whole content removes most of that growth.
 * ``project``  - c_n = D_n y_n / den with y = K nu, where nu / nu_den = D mu
   brings the moments to one denominator and den = q nu_den; the ``FitModel``
-  is made from y and den alone and rounds its own floats.  A full set never
+  is made from y and den; its floats are never an input.  A full set never
   reads K: its y is folded forward by one upgrade's rank-one step per order.
   From order j-1 to j, with f = q'/q and w c c^T the upgrade's rescale and
   new term (c the integer row of degree j), and g = nu_den'/nu_den the
@@ -112,6 +112,7 @@ from .exact import PI_FLOAT, ExactPoly, FloatRangeError, SpaceSpec, horner_many
 from .families import FamilySpec, _integer_row, coeff_scale, norm_sq
 
 ORDER_BOUND = 256
+_SCALES: dict[FamilySpec, tuple[Fraction, ...]] = {}    # see _scales
 
 
 class NotActiveError(KeyError):
@@ -256,10 +257,12 @@ class BiorthSet:
         return self.kmat[n][m] * (d[n] * d[m]) / self.q
 
 
-@functools.cache
 def _scales(fam: FamilySpec, k: int) -> tuple[Fraction, ...]:
-    """D_0..D_k: the family's factor of each monomial coefficient."""
-    return tuple(coeff_scale(fam, n) for n in range(k + 1))
+    """D_0..D_k, or more: each monomial coefficient's family factor, one
+    tuple per family, grown and published whole as ``families._ROWS`` is."""
+    if len(d := _SCALES.get(fam, ())) <= k:
+        _SCALES[fam] = d = d + tuple(coeff_scale(fam, n) for n in range(len(d), k + 1))
+    return d
 
 
 def _add_term(kmat: list[list[int]], w: int, c: Sequence[int]) -> None:
@@ -329,10 +332,10 @@ class FitModel:
 
     ``k`` and the ``exponents`` are ints, as in ``BiorthSet``.  A model is
     made from one integer ``numerators`` y_n per exponent over a positive
-    ``denominator`` den, c_n = D_n y_n / den (D_n the family's monomial
-    scale), and rounds its own ``coeffs``, times the family's 1/pi from
-    ``exact.PI_FLOAT`` (``FloatRangeError`` past the float range); another
-    count, or given ``coeffs`` that are not those floats, raise ``ValueError``.
+    ``denominator`` den alone, c_n = D_n y_n / den (D_n the family's
+    monomial scale); another count raises ``ValueError``.  Its ``coeffs``
+    are an output, never an input: the floats of c_n times the family's
+    1/pi from ``exact.PI_FLOAT`` (``FloatRangeError`` past the float range).
     A model is its exact value: it equals and hashes like any model with the
     same family, order, exponents and ``coeffs_exact`` (normalised on first
     read), so ``cli.load_model`` returns one equal to the fit that wrote it;
@@ -343,16 +346,14 @@ class FitModel:
     family: FamilySpec
     k: int
     exponents: tuple[int, ...]
-    coeffs: tuple[float, ...] | None = None
+    coeffs: tuple[float, ...] = field(init=False)
+    numerators: tuple[int, ...] = field(repr=False)
+    denominator: Fraction = field(repr=False)
     removed: tuple[int, ...] = ()
-    numerators: tuple[int, ...] | None = field(default=None, repr=False)
-    denominator: Fraction | None = field(default=None, repr=False)
 
     def __post_init__(self):
         k = index(self.k)
         vars(self).update(k=k, exponents=_check_exponents(self.exponents, k))
-        if self.numerators is None:
-            raise ValueError("a model needs its numerators and denominator")
         if not isinstance(self.denominator, (int, Fraction)) or self.denominator <= 0:
             raise ValueError(f"denominator {self.denominator!r} is not a positive rational")
         vars(self)["numerators"] = tuple(map(index, self.numerators))
@@ -360,14 +361,10 @@ class FitModel:
             raise ValueError(f"{count} numerators for {len(self.exponents)} exponents")
         factor = PI_FLOAT[self.family.poly_scale.pi_power]
         try:    # int / int is correctly rounded: the same float as float(c_n)
-            coeffs = tuple(a / b * factor for a, b in self._ratios())
+            vars(self)["coeffs"] = tuple(a / b * factor for a, b in self._ratios())
         except OverflowError:
             raise FloatRangeError(f"a coefficient of the order-{k} fit "
                                   "overflows the float range") from None
-        if self.coeffs not in (None, coeffs):
-            raise ValueError(f"model coefficients {self.coeffs!r} are not the "
-                             f"floats {coeffs} of its numerators")
-        vars(self)["coeffs"] = coeffs
 
     def _ratios(self) -> list[tuple[int, int]]:
         """c_n = D_n y_n / den as one integer ratio per exponent."""
@@ -477,7 +474,7 @@ def project(s: BiorthSet, moments: MomentVector) -> FitModel:
         q = s.q
     vars(moments)["_carry"] = nums, lcms, last
     den = Fraction(q * lcms[top])
-    return FitModel(s.family, s.k, s.active, numerators=numerators, denominator=den)
+    return FitModel(s.family, s.k, s.active, numerators, den)
 
 
 def cheapest_removal(s: BiorthSet, numerators: Sequence[int]) -> int:
@@ -522,4 +519,4 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
                   for n, yn in zip(s.active, y) if n != ell)
         s, den = pruned, den * a / c
         removed.append(ell)
-    return FitModel(fam, k, s.active, None, tuple(removed), y, den)
+    return FitModel(fam, k, s.active, y, den, tuple(removed))

@@ -181,11 +181,11 @@ def load_model(source: str | Path | dict) -> FitModel:
     """Rebuild the exact FitModel of a model.json (path or parsed dict).
 
     Its numerators are the ``coeffs_exact`` c_n over the family's scales
-    D_n, over their lcm.  The float ``coeffs``, written with 17 significant
-    digits, must be the floats of c_n, so the model evaluates bit for bit
-    like the one saved.  A document that makes no model raises ``ValueError``:
-    ``k`` must lie in 0..``MAX_ORDER``, as ``fit`` writes it, ``coeffs`` and
-    ``coeffs_exact`` must be lists, and ``FitModel`` checks the rest.
+    D_n, over their lcm.  The ``coeffs`` (17 digits) must be the floats the
+    model rounds from c_n, so it evaluates bit for bit like the one saved;
+    only here are floats from outside checked.  A document that makes no
+    model raises ``ValueError``: ``k`` in 0..``MAX_ORDER``, as ``fit`` writes
+    it, ``coeffs`` and ``coeffs_exact`` lists, and ``FitModel`` checks the rest.
     """
     if not isinstance(source, dict):
         source = json.loads(Path(source).read_text(encoding="utf-8"))
@@ -203,8 +203,11 @@ def load_model(source: str | Path | dict) -> FitModel:
         ratios = [Fraction(c) / coeff_scale(fam, n)
                   for n, c in zip(exponents, source["coeffs_exact"])]
         den = math.lcm(*(r.denominator for r in ratios))
-        return FitModel(fam, k, exponents, tuple(map(float, source["coeffs"])), (),
-                        [r.numerator * (den // r.denominator) for r in ratios], den)
+        model = FitModel(fam, k, exponents, [int(r * den) for r in ratios], den)
+        if (coeffs := tuple(map(float, source["coeffs"]))) != model.coeffs:
+            raise ValueError(f"model coefficients {coeffs!r} are not the "
+                             f"floats {model.coeffs} of its numerators")
+        return model
     except KeyError as exc:
         raise ValueError(f"model document has no key {exc}") from None
     except (AttributeError, TypeError, OverflowError, ZeroDivisionError) as exc:

@@ -15,6 +15,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -29,7 +30,7 @@ from biopoly.biorth import (BiorthSet, FitModel, LastElementError,
                             MomentSpaceError, NotActiveError, _integer_row,
                             build, cheapest_removal, downgrade, project,
                             select_removal, upgrade)
-from biopoly.exact import ScaleTag, inner_monomial, inner_poly
+from biopoly.exact import FloatRangeError, ScaleTag, inner_monomial, inner_poly
 from biopoly.families import FamilySpec, norm_sq, rat_coeff
 from biopoly.regress import MomentShortfallError, MomentVector, fit
 
@@ -284,6 +285,29 @@ def test_build_is_memoised_per_family_and_order():
     for _ in range(2):  # a refused order is not cached
         with pytest.raises(ValueError):
             build(fam, -1)
+
+
+def test_scales_keep_one_tuple_per_family(monkeypatch):
+    """A memo keyed by (family, k) held a fresh D_0..D_k for every order:
+    5.46 MB for k = 0..256 on legendre0b(7/3).  One tuple per family, grown
+    on demand, holds the k = 256 scales alone, and a lower order reads the
+    same tuple."""
+    monkeypatch.setattr(biorth, "_SCALES", {})
+    fam = FamilySpec.legendre_shifted(Fraction(7, 3))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for k in range(biorth.ORDER_BOUND + 1):
+            biorth._scales(fam, k)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert held < 256 * 1024
+    d = biorth._scales(fam, biorth.ORDER_BOUND)
+    assert biorth._scales(fam, 3) is d and len(d) == biorth.ORDER_BOUND + 1
+    assert d[:4] == (1, Fraction(3, 7), Fraction(9, 49), Fraction(27, 343))
 
 
 @pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=KERNEL_IDS)
@@ -711,7 +735,7 @@ def test_sets_and_models_refuse_malformed_exponents(k, exponents):
     with pytest.raises(ValueError, match=f"strictly increasing tuple within 0..{k}"):
         BiorthSet(fam, k, exponents)
     with pytest.raises(ValueError, match=f"strictly increasing tuple within 0..{k}"):
-        FitModel(fam, k, exponents, (1.0,) * len(exponents))
+        FitModel(fam, k, exponents, (1,) * len(exponents), 1)
 
 
 def test_model_needs_one_coefficient_per_exponent():
@@ -726,7 +750,7 @@ def test_sets_and_models_refuse_non_integer_exponents():
     with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
         BiorthSet(fam, 2, (0.0, 1.0, 2.0))
     with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
-        FitModel(fam, 2, (0.0, 1.0, 2.0), (1.0, 2.0, 3.0))
+        FitModel(fam, 2, (0.0, 1.0, 2.0), (1, 2, 3), 1)
     assert BiorthSet(fam, 2, [0, 2]).active == (0, 2)
     model = FitModel(fam, 2, [0, 1, 2], numerators=[2, 1, 1], denominator=2)
     assert model.exponents == (0, 1, 2) and set(map(type, model.exponents)) == {int}
@@ -741,25 +765,27 @@ def test_sets_and_models_refuse_a_non_integer_k():
     with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
         BiorthSet(fam, 2.0, (0, 1, 2))
     with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
-        FitModel(fam, 2.0, (0, 1, 2), (1.0, 2.0, 3.0))
+        FitModel(fam, 2.0, (0, 1, 2), (1, 2, 3), 1)
 
 
 def test_model_rounds_its_own_coefficients():
     """A model given coeffs (1.0,) beside numerators (5,) evaluated 1.0
     while its ``coeffs_exact`` read 5; its floats now come from the
-    numerators alone, and given ones must be those floats."""
+    numerators alone, and are no parameter at all."""
     fam = FamilySpec.laguerre()
-    with pytest.raises(ValueError, match=re.escape(
-            "model coefficients (1.0,) are not the floats (5.0,) of its numerators")):
-        FitModel(fam, 0, (0,), coeffs=(1.0,), numerators=(5,), denominator=Fraction(1))
-    model = FitModel(fam, 0, (0,), numerators=(5,), denominator=Fraction(1))
+    assert [f.name for f in dataclasses.fields(FitModel) if f.init] == [
+        "family", "k", "exponents", "numerators", "denominator", "removed"]
+    with pytest.raises(TypeError, match="unexpected keyword argument 'coeffs'"):
+        FitModel(fam, 0, (0,), (5,), Fraction(1), coeffs=(1.0,))
+    model = FitModel(fam, 0, (0,), (5,), Fraction(1))
     assert model.coeffs == (5.0,) and model.coeffs_exact == (5,)
     assert dataclasses.replace(model) == model
+    assert dataclasses.replace(model, removed=(1,)).coeffs == (5.0,)  # rounded again
     cheb = FitModel(FamilySpec.chebyshev(), 1, (1,), numerators=(3,), denominator=2)
     assert cheb.coeffs == (1.5 * (1 / math.pi),)
     with pytest.raises(ValueError, match="denominator 0.5 is not a positive rational"):
         FitModel(fam, 0, (0,), numerators=(5,), denominator=0.5)
-    with pytest.raises(ValueError, match="needs its numerators and denominator"):
+    with pytest.raises(TypeError, match="'numerators' and 'denominator'"):
         FitModel(fam, 0, (0,))
 
 
@@ -774,12 +800,19 @@ def test_model_rounds_its_own_coefficients():
 ], ids=["huge-int", "str", "dict", "floats-only", "huge-int-beside-numerators",
         "str-beside-numerators", "dict-beside-numerators"])
 def test_a_model_is_made_from_its_numerators_alone(coeffs, numerators):
-    """A model has one construction path, from its exact numerators;
-    ``coeffs`` given beside them are compared as given, not converted."""
-    exponents = tuple(range(len(numerators or coeffs)))
-    with pytest.raises(ValueError, match="needs its numerators|are not the floats"):
-        FitModel(FamilySpec.laguerre(), len(exponents) - 1, exponents, coeffs,
-                 numerators=numerators, denominator=1)
+    """A model has one construction path, from its exact numerators:
+    ``coeffs`` is no parameter, with or without numerators, and what was
+    once given there is no integer numerator either."""
+    fam, exponents = FamilySpec.laguerre(), tuple(range(len(numerators or coeffs)))
+    k = len(exponents) - 1
+    with pytest.raises(TypeError, match="unexpected keyword argument 'coeffs'"):
+        FitModel(fam, k, exponents, numerators, 1, coeffs=coeffs)
+    with pytest.raises((TypeError, FloatRangeError),
+                       match="cannot be interpreted as an integer|overflows the float"):
+        FitModel(fam, k, exponents, coeffs, 1)
+    if numerators is not None:
+        assert FitModel(fam, k, exponents, numerators, 1).coeffs == tuple(
+            map(float, numerators))
 
 
 def test_models_whose_exact_coefficients_differ_are_unequal():
