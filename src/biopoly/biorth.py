@@ -62,35 +62,37 @@ operations stay in integers:
   dividing out the whole content removes most of that growth.
 * ``project``  - c_n = D_n y_n / den with y = K nu, where nu / nu_den = D mu
   brings the moments to one denominator and den = q nu_den; the ``FitModel``
-  is made from y and den; its floats are never an input.  A full set never
-  reads K: its y is folded forward by one upgrade's rank-one step per order.
-  From order j-1 to j, with f = q'/q and w c c^T the upgrade's rescale and
-  new term (c the integer row of degree j), and g = nu_den'/nu_den the
-  growth of the prefix lcm of the denominators of D mu,
+  is made from y and den; its floats are never an input.  One path serves
+  every set: the full set of order top, the set's largest active exponent,
+  folds y forward by one upgrade's rank-one step per order, reading no K,
+  and the step below then removes each exponent under top that the set
+  lacks, in increasing order.  From order j-1 to j, with f = q'/q and
+  w c c^T the upgrade's rescale and new term (c the integer row of degree
+  j), and g = nu_den'/nu_den the growth of the prefix lcm of the
+  denominators of D mu,
 
       y_n' = f g y_n + w c_n z  (n < j),   y_j' = w c_j z,
 
-  with z = c . nu' one dot product.  The fold starts from the last
-  full-set projection of the same moments at an order no higher, or from
-  the empty set of order -1 when there is none; the integers are those of
-  K nu.  Each moment vector carries what that needs in one private entry,
-  ``_carry``, of its ``vars``: its D mu over one denominator with the
-  prefix lcms, and its last full-set projection with its q.  The entry is
-  read only after the vector's space is checked, and a space names its
-  family.  A pruned set takes one integer dot product per row of its K.
+  with z = c . nu' one dot product.  The fold starts from the vector's last
+  fold at an order no higher, or from the empty set of order -1; the
+  integers are those of K nu.  Each moment vector carries what that needs
+  in one private entry, ``_carry``, of its ``vars``: its D mu over one
+  denominator with the prefix lcms, and its last fold with its q, read
+  only after the vector's space is checked (a space names its family).
 
 Removing l changes every remaining coefficient by the same exact identity,
 c_n <- c_n - (G[l][n] / G[l][l]) c_l, which on the numerators is the
-fraction-free step of ``downgrade``:
+fraction-free step of ``downgrade``, taken by one helper, ``_remove``:
 
     y_n' = (K[l][l] y_n - K[l][n] y_l) / c,        den' = den K[l][l] / c,
 
-exact because y' = K' nu.  So ``fit`` projects once and prunes greedily
-in integers: each round takes ``cheapest_removal`` (on y and K alone, as
-``select_removal`` does) on the set pruned so far, then ``downgrade`` and
-this step on (y, den), which equals re-projecting.  It reads the first
-(y, den) from ``project``'s ``FitModel`` and forms the one it returns at
-the end.
+exact because y' = K' nu.  It is the paper's posterior removal, and the
+one way a pruned set's numerators are formed.  G on active exponents A
+inverts the monomial Gram matrix on A at any order, so ``project`` reads
+moments up to the top exponent only.  ``fit`` projects the full set once,
+then each round takes ``cheapest_removal`` (on y and K alone, as
+``select_removal`` does) on the set pruned so far, and ``_remove``.  It
+forms one ``FitModel`` from ``project``'s (y, den) and one at the end.
 
 For parity-support families t_j[n] vanishes unless j - n is even, so G is
 zero between exponents of opposite parity.  For Chebyshev sets all stored
@@ -440,6 +442,19 @@ def _carry(s: BiorthSet, nums: tuple[int, ...], lcms: tuple[int, ...],
     return tuple(y), q_prev
 
 
+def _remove(s: BiorthSet, y: Sequence[int], den: Fraction, ell: int
+            ) -> tuple[BiorthSet, tuple[int, ...], Fraction]:
+    """``downgrade(s, ell)``, and the numerators y over den of a projection
+    onto ``s`` moved to it by the step of the module docstring."""
+    pruned = downgrade(s, ell)
+    row_l = s.kmat[ell]
+    a = row_l[ell]
+    c = (s.q * a / pruned.q).numerator
+    y_l = y[s.active.index(ell)]
+    return pruned, tuple((a * yn - row_l[n] * y_l) // c
+                         for n, yn in zip(s.active, y) if n != ell), den * a / c
+
+
 def project(s: BiorthSet, moments: MomentVector) -> FitModel:
     """Least-squares coefficients <f, beta_n> for all active n.
 
@@ -448,33 +463,26 @@ def project(s: BiorthSet, moments: MomentVector) -> FitModel:
     D mu over one common denominator give the model's integer numerators
     over one shared denominator.  So the huge cancellations inside
     high-order beta rows cost no precision: order ~36 fits come out clean
-    where solved normal equations lose everything.  A full set reads
-    neither K nor q, but folds its numerators forward from the vector's
-    own carry (``_carry``); a pruned set takes one integer dot product per
-    row of its K; the integers are the same either way.  Moments taken in
-    another space than the family's raise ``MomentSpaceError``.
+    where solved normal equations lose everything.  The full set of order
+    top, the largest active exponent (``s`` itself when full), folds its
+    numerators forward from the vector's own carry (``_carry``), and
+    ``_remove`` then takes out each exponent below top that ``s`` lacks.
+    Moments on another space than the family's raise ``MomentSpaceError``.
     """
     top = s.active[-1]
     _require_moments(moments, top)
     if moments.space != s.family.space:
-        raise MomentSpaceError(
-            f"{s.family.describe()} needs moments on its own space, "
-            f"got moments on {moments.space}")
+        raise MomentSpaceError(f"{s.family.describe()} needs moments on its own "
+                               f"space, got moments on {moments.space}")
     nums, lcms, last = vars(moments).get("_carry") or (
         *_scaled_moments(s.family, moments), None)
-    if len(s.active) == s.k + 1:
-        numerators, q = _carry(s, nums, lcms, last)
-        last = s.k, q, numerators
-    else:
-        # entries past the largest active exponent are zero, so rows stop
-        # at top; nu / L_top == D mu, c_n = D_n (K_n . nu) / (q L_top)
-        r = lcms[-1] // lcms[top]
-        nu = nums[:top + 1] if r == 1 else [x // r for x in nums[:top + 1]]
-        numerators = tuple(sum(map(mul, s.kmat[n], nu)) for n in s.active)
-        q = s.q
-    vars(moments)["_carry"] = nums, lcms, last
+    t = s if len(s.active) == s.k + 1 else build(s.family, top)
+    y, q = _carry(t, nums, lcms, last)
+    vars(moments)["_carry"] = nums, lcms, (top, q, y)
     den = Fraction(q * lcms[top])
-    return FitModel(s.family, s.k, s.active, numerators, den)
+    for ell in sorted(set(range(top)).difference(s.active)):
+        t, y, den = _remove(t, y, den, ell)
+    return FitModel(s.family, s.k, s.active, y, den)
 
 
 def cheapest_removal(s: BiorthSet, numerators: Sequence[int]) -> int:
@@ -500,8 +508,8 @@ def select_removal(s: BiorthSet, moments: MomentVector) -> int:
 def fit(fam: FamilySpec, k: int, moments: MomentVector,
         removals: int = 0) -> FitModel:
     """Project onto order k, then greedily remove ``removals`` exponents,
-    each the cheapest on the set pruned so far, by the integer step of
-    the module docstring; ``removed`` lists them in that order."""
+    each the cheapest on the set pruned so far, by ``_remove``, as
+    ``project`` removes a pruned set's; ``removed`` lists them in order."""
     _require_moments(moments, k)
     s = build(fam, k)           # an order off 0..ORDER_BOUND is refused here
     if not 0 <= removals <= k:
@@ -509,14 +517,6 @@ def fit(fam: FamilySpec, k: int, moments: MomentVector,
     model = project(s, moments)
     y, den, removed = model.numerators, model.denominator, []
     for _ in range(removals):
-        ell = cheapest_removal(s, y)
-        pruned = downgrade(s, ell)
-        row_l = s.kmat[ell]
-        a = row_l[ell]
-        c = (s.q * a / pruned.q).numerator   # the content downgrade divided out
-        y_l = y[s.active.index(ell)]
-        y = tuple((a * yn - row_l[n] * y_l) // c
-                  for n, yn in zip(s.active, y) if n != ell)
-        s, den = pruned, den * a / c
-        removed.append(ell)
+        removed.append(cheapest_removal(s, y))
+        s, y, den = _remove(s, y, den, removed[-1])
     return FitModel(fam, k, s.active, y, den, tuple(removed))

@@ -25,8 +25,8 @@ from scipy.integrate import quad
 
 import biopoly
 from biopoly import MomentSpaceError, biorth, regress
-from biopoly.biorth import (_scales, build, downgrade, project, select_removal,
-                            upgrade)
+from biopoly.biorth import (BiorthSet, _scales, build, downgrade, project,
+                            select_removal, upgrade)
 from biopoly.exact import PI_FLOAT, SpaceSpec, Weight, inner_monomial
 from biopoly.families import FamilySpec
 from biopoly.regress import (DEFAULT_PANELS, UNIFORM_GRID_RTOL,
@@ -757,11 +757,15 @@ def test_equal_fits_compare_and_hash_equal(removals):
 
 def _assert_is_product(model, s, mv):
     """``model`` is the K . nu projection of ``mv`` onto ``s``, integer
-    for integer, with the float bits of its ``Fraction``s."""
-    y, nu_den = _kv_numerators(s, mv)
+    for integer, with K of the order of the top exponent (``s`` itself
+    when that is its order: G on the active exponents does not depend on
+    the order, and K of a higher one is a scalar multiple), and with the
+    float bits of the ``Fraction``s of ``s`` itself."""
+    at_top = BiorthSet(s.family, s.active[-1], s.active)
+    y, nu_den = _kv_numerators(at_top, mv)
     assert model.numerators == y
     assert type(model.denominator) is Fraction
-    assert model.denominator == s.q * nu_den
+    assert model.denominator == at_top.q * nu_den
     factor = PI_FLOAT[s.family.poly_scale.pi_power]
     assert [c.hex() for c in model.coeffs] == [(float(c) * factor).hex()
                                                for c in _fraction_project(s, mv)]
@@ -773,7 +777,8 @@ def test_carried_projection_is_the_product(data):
     """Upgrade scans on two moment vectors of one family, interleaved in
     runs, with builds at random orders, downgrades and float-only vectors
     in between: every projection is the K . nu product, whether ``project``
-    carried the previous order's numerators or not."""
+    carried the previous order's numerators or not, and a pruned set's is
+    also that product from its vector cut short at its top exponent."""
     fam = data.draw(st.sampled_from(ORACLE_FAMILIES))
     kmax = data.draw(st.integers(1, 48))
     vectors = [data.draw(_oracle_moments(fam, kmax)) for _ in range(2)]
@@ -789,6 +794,10 @@ def test_carried_projection_is_the_product(data):
             s = downgrade(s, data.draw(st.sampled_from(s.active)))
         mv = vectors[data.draw(st.integers(0, 1))]
         _assert_is_product(project(s, mv), s, mv)
+        top = s.active[-1]      # no more moments than the top exponent needs
+        short = MomentVector(mv.mu[:top + 1], mv.space, "truncated",
+                             mv.mu_exact[:top + 1])
+        _assert_is_product(project(s, short), s, short)
 
 
 @pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=lambda f: f.describe())

@@ -3,11 +3,13 @@
 Every input the constructors of ``SpaceSpec``, ``FamilySpec``,
 ``MomentVector``, ``BiorthSet`` and ``FitModel``, and ``cli.load_model``,
 are given ends in one of two ways: a value that keeps its invariants, or
-an error of a type its docstring names; every ``biopoly fit`` run through
-``cli.main`` ends in exit 0 with both files written, or exit 2 or 3 with
-a message and no output directory.  Orders are capped, so no input
-allocates anything large, and the invariants are checked here from the
-value's own fields, not through the package's helpers.  The ``@example``s
+an error of a type its docstring names, and so does every ``project``,
+``select_removal`` and ``fit`` of a moment vector on a set made here;
+every ``biopoly fit`` run through ``cli.main`` ends in exit 0 with both
+files written, or exit 2 or 3 with a message and no output directory.
+Orders are capped, so no input allocates anything large, and the
+invariants are checked here from the value's own fields, not through the
+package's helpers.  The ``@example``s
 are constructions that once gave a value that broke an invariant (a float
 that did not stand for its exact value, a family on another's space, an
 order past ``MAX_ORDER``, a model without exact coefficients) or raised an
@@ -25,7 +27,8 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biopoly.biorth import BiorthSet, FitModel, MomentVector
+from biopoly.biorth import (BiorthSet, FitModel, LastElementError, MomentShortfallError,
+                            MomentSpaceError, MomentVector, fit, project, select_removal)
 from biopoly.cli import MAX_ORDER, load_model, main
 from biopoly.exact import FloatRangeError, SpaceSpec, Weight
 from biopoly.families import FamilyKind, FamilySpec
@@ -132,12 +135,45 @@ def test_moment_vector_floats_stand_for_their_exact_values(space, mu, exact, con
     assert mv.mu == tuple(m.numerator / m.denominator for m in mv.mu_exact)
 
 
-@settings(max_examples=150, deadline=None)
-@given(fam=st.sampled_from(FAMILIES), k=ORDERS, active=EXPONENTS)
-def test_biorth_set_is_a_set_or_a_typed_error(fam, k, active):
-    s = _outcome(lambda: BiorthSet(fam, k, active), TypeError, ValueError)
-    if s is not None:
-        _check_ints_and_exponents(s.k, s.active)
+def _is_moment(m) -> bool:
+    """Whether a vector takes ``m`` as an exact moment beside its float."""
+    return _outcome(lambda: MomentVector((_as_float(m),), SpaceSpec.bounded(0, 1),
+                                         "fuzz", (m,)),
+                    TypeError, ValueError, FloatRangeError) is not None
+
+
+# half the sets are valid, so the moment vectors below reach most of them
+SETS = st.one_of(st.tuples(ORDERS, EXPONENTS), st.tuples(
+    st.integers(0, 6), st.lists(st.integers(0, 6), unique=True, min_size=1).map(sorted)
+).map(lambda ka: (max(ka[0], ka[1][-1]), ka[1])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fam=st.sampled_from(FAMILIES), k_active=SETS, data=st.data())
+def test_biorth_set_is_a_set_or_a_typed_error(fam, k_active, data):
+    """A set keeps its invariants, and a drawn moment vector of order
+    -1..k+2 on any family's space, projected onto it, asked for its
+    cheapest removal, or fitted at its order down to its size, ends in a
+    model on its exponents (a removal among them) or in a typed error."""
+    s = _outcome(lambda: BiorthSet(fam, *k_active), TypeError, ValueError)
+    if s is None:
+        return
+    _check_ints_and_exponents(s.k, s.active)
+    space = data.draw(st.one_of(st.just(fam.space),      # its own, half the time
+                                st.sampled_from([f.space for f in FAMILIES])))
+    size = data.draw(st.integers(0, s.k + 3))
+    mu = data.draw(st.lists(NUMBERS.filter(_is_moment), min_size=size, max_size=size))
+    mv = MomentVector(tuple(map(_as_float, mu)), space, "fuzz", tuple(mu))
+    typed = MomentShortfallError, MomentSpaceError, LastElementError, FloatRangeError
+    projected, fitted = (_outcome(lambda: project(s, mv), *typed),
+                         _outcome(lambda: fit(fam, s.k, mv, s.k + 1 - len(s.active)), *typed))
+    for model in (m for m in (projected, fitted) if m is not None):
+        _check_ints_and_exponents(model.k, model.exponents)
+        assert model.k == s.k and len(model.exponents) == len(s.active)
+        assert all(type(c) is float and math.isfinite(c) for c in model.coeffs)
+    assert projected is None or projected.exponents == s.active
+    removal = _outcome(lambda: select_removal(s, mv), *typed)
+    assert removal is None or removal in s.active
 
 
 @settings(max_examples=300, deadline=None)
