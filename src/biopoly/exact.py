@@ -237,23 +237,24 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     a copy of the last row of the chunk before it.
     With no coefficients the result is the empty sum, +0.0.
 
-    From two blocks on, the blocks are shared out dynamically among
-    one thread per CPU this process may run on (fewer if there are fewer
-    blocks), the calling thread included: each takes the next block start
-    as it finishes one, so a stalled CPU holds back one block, not a fixed
-    share of the points.  The helpers run on a
-    ``concurrent.futures.ThreadPoolExecutor`` made for this call and shut
-    down before it returns; no pool outlives a call.  Once the interpreter
-    has begun to exit, when no pool can be made or given work, the
-    calling thread takes every block.  The ufuncs release
-    the interpreter lock, so the blocks run in parallel.  There is no
-    setting for the thread count.  Every point sees the same float
-    operations on the same operands whatever the block size, chunk length
-    or thread count, so the result bits depend on none of them.  Each
+    From two full blocks on, the full blocks are shared out dynamically among
+    one thread per CPU this process may run on (fewer if there are fewer), the
+    calling thread included: each takes the next block start as it finishes
+    one, so a stalled CPU holds back one block, not a fixed share of the
+    points.  Then, while the helpers finish theirs, the calling thread runs the
+    short last block in a ``_horner_blocks`` call of its own, so each call
+    allocates its work rows once.  The helpers run on a
+    ``concurrent.futures.ThreadPoolExecutor`` made for this call and shut down
+    before it returns; no pool outlives a call.  Once the interpreter has begun
+    to exit, when no pool can be made or given work, the calling thread takes
+    every block.  The ufuncs release the interpreter lock, so the blocks run in
+    parallel.  There is no setting for the thread count.  Every point sees the
+    same float operations on the same operands whatever the block size, chunk
+    length or thread count, so the result bits depend on none of them.  Each
     thread runs under the caller's numpy error state (``np.errstate``), and
     once all have finished, an exception raised in the caller, or else the
-    first helper's in submission order, is raised here.  The result is a new float64
-    array of ``xs``'s shape; ``xs`` is not written.
+    first helper's in submission order, is raised here.  The result is a new
+    float64 array of ``xs``'s shape; ``xs`` is not written.
     """
     import numpy as np
     xs = np.asarray(xs, dtype=float)
@@ -268,19 +269,22 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     rest = [np.array(float(c)) for c in reversed(coeffs[:-1])]
     flat = xs.reshape(-1)
     out = np.empty(xs.shape)
+    full = flat.size - flat.size % _BLOCK    # points in full blocks
     # next() on a range iterator is one C call, atomic under the
     # interpreter lock, so the threads can share it without a lock
-    task = (top, rest, flat, out.reshape(-1), iter(range(0, flat.size, _BLOCK)))
-    helpers = min(_WORKERS, flat.size // _BLOCK) - 1
-    if helpers < 1:
+    task = (top, rest, flat, out.reshape(-1), iter(range(0, full, _BLOCK)))
+    short = range(full, flat.size, _BLOCK)   # the short block's start, if any
+    helpers = min(_WORKERS, full // _BLOCK) - 1
+    if helpers > 0:
+        _horner_shared(task, helpers, short)
+    else:                                    # an empty call builds nothing
         _horner_blocks(*task)
-    else:
-        _horner_shared(task, helpers)
+        _horner_blocks(*task[:4], short)
     return out if out.ndim else out[()]
 
 
-def _horner_shared(task: tuple, helpers: int) -> None:
-    """Run ``_horner_blocks(*task)`` on this thread and ``helpers`` more."""
+def _horner_shared(task: tuple, helpers: int, short: range) -> None:
+    """Share ``task`` with ``helpers`` threads, then run ``short`` here."""
     import numpy as np
     state, call = np.geterr(), np.geterrcall()
 
@@ -303,26 +307,22 @@ def _horner_shared(task: tuple, helpers: int) -> None:
             # blocks no helper takes are this thread's
             pass
         _horner_blocks(*task)
+        _horner_blocks(*task[:4], short)     # while the helpers finish
     for future in futures:
         future.result()          # a helper's exception is raised here
 
 
 def _horner_blocks(top: float, rest: list[np.ndarray], flat: np.ndarray,
                    out_flat: np.ndarray, starts) -> None:
-    """Evaluate the blocks of ``flat`` whose starts this call takes from
-    ``starts`` into ``out_flat``, with a work array of its own."""
+    """Evaluate the blocks at ``starts``, all one length, in one work array."""
     import numpy as np
-    k = len(rest)
-    cols = np.fromiter(rest, float, k).reshape(k, 1)  # as a column
     work = None
     for lo in starts:
         x = flat[lo:lo + _BLOCK]
-        r = max(1, min(k, _BLOCK // x.size))  # terms per chunk
-        if work is None or work.size != (6 * r + 3) * x.size:
-            # the first block, or the last and shorter one: the old array
-            # goes first (its views die with _horner_block's frame), so no
-            # two are held at once
-            work = None
+        if work is None:
+            k = len(rest)
+            cols = np.fromiter(rest, float, k).reshape(k, 1)  # as a column
+            r = max(1, min(k, _BLOCK // x.size))  # terms per chunk
             work = np.empty((6 * r + 3) * x.size)
         _horner_block(top, rest, cols, r, x, out_flat[lo:lo + x.size], work)
 

@@ -524,9 +524,12 @@ def test_horner_many_bit_identical_at_any_thread_count(monkeypatch, workers, n,
 
 
 def test_horner_many_runs_blocks_on_more_than_one_thread(monkeypatch):
+    """Two threads share the full blocks; the short last block runs on the
+    calling thread, so no helper receives it."""
     monkeypatch.setattr(exact, "_WORKERS", 2)
     taken = []                   # (block start, thread) per block run
-    # each worker waits here with its first block until the other holds one
+    # each worker waits here with its first full block until the other
+    # holds one; the calling thread's call for the short block does not wait
     both = threading.Barrier(2, timeout=30)
     real = exact._horner_blocks
 
@@ -534,7 +537,7 @@ def test_horner_many_runs_blocks_on_more_than_one_thread(monkeypatch):
         def recorded():
             for i, lo in enumerate(starts):
                 taken.append((lo, threading.get_ident()))
-                if i == 0:
+                if i == 0 and lo + _BLOCK <= flat.size:
                     both.wait()
                 yield lo
         real(top, rest, flat, out_flat, recorded())
@@ -544,6 +547,7 @@ def test_horner_many_runs_blocks_on_more_than_one_thread(monkeypatch):
     _assert_same_bits(THREAD_COEFFS, _points(0, n, 2.0))
     assert sorted(lo for lo, _ in taken) == list(range(0, n, _BLOCK))
     assert len({ident for _, ident in taken}) == 2
+    assert dict(taken)[5 * _BLOCK] == threading.get_ident()
 
 
 class _NoThread:
