@@ -401,8 +401,7 @@ class FitModel:
         return dense
 
     def __call__(self, xs) -> np.ndarray:
-        import numpy as np
-        return horner_many(self.dense_coeffs(), np.asarray(xs, dtype=float))
+        return horner_many(self.dense_coeffs(), xs)
 
 
 def _require_moments(moments: MomentVector, top: int) -> None:

@@ -5,9 +5,9 @@ The inner products and polynomials here are built on ``fractions.Fraction``
 so that the algebraic identities the rest of the package relies on
 (biorthogonality, recursion consistency, Gram updates) hold exactly, not
 merely to rounding.  ``horner_many`` is the one float routine, and the
-one here that needs numpy: it and its block helpers import numpy when
-they run, so this module, and ``families`` and ``biorth`` above it, load
-without numpy.
+one here that needs numpy: it and ``_horner_blocks``, the one routine it
+runs its blocks through, import numpy when they run, so this module, and
+``families`` and ``biorth`` above it, load without numpy.
 
 The one irrational constant the library ever meets is pi, introduced by the
 Chebyshev weight 1/sqrt(1-x^2).  It is never materialised inside rational
@@ -34,7 +34,6 @@ terms down the accumulator rows from the first.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 import os
@@ -244,17 +243,18 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     points.  Then, while the helpers finish theirs, the calling thread runs the
     short last block in a ``_horner_blocks`` call of its own, so each call
     allocates its work rows once.  The helpers run on a
-    ``concurrent.futures.ThreadPoolExecutor`` made for this call and shut down
-    before it returns; no pool outlives a call.  Once the interpreter has begun
-    to exit, when no pool can be made or given work, the calling thread takes
-    every block.  The ufuncs release the interpreter lock, so the blocks run in
-    parallel.  There is no setting for the thread count.  Every point sees the
-    same float operations on the same operands whatever the block size, chunk
-    length or thread count, so the result bits depend on none of them.  Each
-    thread runs under the caller's numpy error state (``np.errstate``), and
-    once all have finished, an exception raised in the caller, or else the
-    first helper's in submission order, is raised here.  The result is a new
-    float64 array of ``xs``'s shape; ``xs`` is not written.
+    ``concurrent.futures.ThreadPoolExecutor`` made for this call only when
+    there is a helper, and shut down in a ``finally``, so no pool outlives a
+    call, even one that raises.  Once the interpreter has begun to exit, when
+    no pool can be made or given work, the calling thread takes every block.
+    The ufuncs release the interpreter lock, so the blocks run in parallel.
+    There is no setting for the thread count.  Every point sees the same float
+    operations on the same operands whatever the block size, chunk length or
+    thread count, so the result bits depend on none of them.  Each thread runs
+    under the caller's numpy error state (``np.errstate``), and once all have
+    finished, an exception raised in the caller, or else the first helper's in
+    submission order, is raised here.  The result is a new float64 array of
+    ``xs``'s shape; ``xs`` is not written.
     """
     import numpy as np
     xs = np.asarray(xs, dtype=float)
@@ -273,32 +273,19 @@ def horner_many(coeffs: Sequence[float], xs: np.ndarray) -> np.ndarray:
     # next() on a range iterator is one C call, atomic under the
     # interpreter lock, so the threads can share it without a lock
     task = (top, rest, flat, out.reshape(-1), iter(range(0, full, _BLOCK)))
-    short = range(full, flat.size, _BLOCK)   # the short block's start, if any
     helpers = min(_WORKERS, full // _BLOCK) - 1
+    pool, futures = None, []
     if helpers > 0:
-        _horner_shared(task, helpers, short)
-    else:                                    # an empty call builds nothing
-        _horner_blocks(*task)
-        _horner_blocks(*task[:4], short)
-    return out if out.ndim else out[()]
+        state, call = np.geterr(), np.geterrcall()
 
-
-def _horner_shared(task: tuple, helpers: int, short: range) -> None:
-    """Share ``task`` with ``helpers`` threads, then run ``short`` here."""
-    import numpy as np
-    state, call = np.geterr(), np.geterrcall()
-
-    def helper():
-        with np.errstate(call=call, **state):
-            _horner_blocks(*task)
-
-    futures = []
-    with contextlib.ExitStack() as stack:    # leaving it joins every helper
+        def helper():
+            with np.errstate(call=call, **state):
+                _horner_blocks(*task)
         try:
             # imported here: its ~6 ms would otherwise start every
             # ``biopoly`` process
             from concurrent.futures import ThreadPoolExecutor
-            pool = stack.enter_context(ThreadPoolExecutor(helpers))
+            pool = ThreadPoolExecutor(helpers)
             for _ in range(helpers):
                 futures.append(pool.submit(helper))
         except RuntimeError:
@@ -306,98 +293,100 @@ def _horner_shared(task: tuple, helpers: int, short: range) -> None:
             # register its own exit hook and a pool takes no new work; the
             # blocks no helper takes are this thread's
             pass
+    try:
+        # an empty call builds nothing; the short block, if any, runs here
+        # while the helpers finish theirs
         _horner_blocks(*task)
-        _horner_blocks(*task[:4], short)     # while the helpers finish
+        _horner_blocks(*task[:4], range(full, flat.size, _BLOCK))
+    finally:
+        if pool is not None:
+            pool.shutdown()                  # joins every helper
     for future in futures:
         future.result()          # a helper's exception is raised here
+    return out if out.ndim else out[()]
 
 
 def _horner_blocks(top: float, rest: list[np.ndarray], flat: np.ndarray,
                    out_flat: np.ndarray, starts) -> None:
-    """Evaluate the blocks at ``starts``, all one length, in one work array."""
+    """Evaluate the blocks of ``flat`` at ``starts``, all one length m, into
+    ``out_flat``, r terms a chunk, in the 6r + 3 work rows of m floats made
+    at the first block."""
     import numpy as np
+    mul, sub, add = np.multiply, np.subtract, np.add
+    k = len(rest)
     work = None
     for lo in starts:
         x = flat[lo:lo + _BLOCK]
+        comp = out_flat[lo:lo + x.size]      # the correction sums in place
         if work is None:
-            k = len(rest)
+            m = x.size
             cols = np.fromiter(rest, float, k).reshape(k, 1)  # as a column
-            r = max(1, min(k, _BLOCK // x.size))  # terms per chunk
-            work = np.empty((6 * r + 3) * x.size)
-        _horner_block(top, rest, cols, r, x, out_flat[lo:lo + x.size], work)
-
-
-def _horner_block(top: float, rest: list[np.ndarray], cols: np.ndarray,
-                  r: int, x: np.ndarray, comp: np.ndarray,
-                  work: np.ndarray) -> None:
-    """Evaluate one block of points ``x`` into ``comp``, r terms a chunk, in
-    the 6r + 3 rows of ``work``."""
-    import numpy as np
-    split = np.array(_SPLITTER)
-    mul, sub, add = np.multiply, np.subtract, np.add
-    k, m = len(rest), x.size
-    xh, xl = work[:2 * m].reshape(2, m)
-    accs = work[2 * m:(r + 3) * m].reshape(r + 1, m)
-    rows = work[(r + 3) * m:].reshape(5, r, m)
-    p, h, t, u, w = rows
-    # the rows used one term at a time, as lists, so a term takes no view;
-    # the correction's products all go through one row of t
-    A, P, W, tmp = list(accs), list(p), list(w), t[0]
-    mul(x, split, h[0])
-    sub(h[0], x, tmp)
-    sub(h[0], tmp, xh)                       # xh = high half of x
-    sub(x, xh, xl)                           # xl = x - xh
-    A[0].fill(top)
-    comp.fill(0.0)                           # the correction sums in place
-    # a one-term chunk, as in full blocks, takes rows as operands, which run
-    # on numpy's faster one-dimensional path, and swaps its two acc rows
-    # after each term; a longer one takes (r, m) blocks
-    acc, s, pp, hh, tt, uu, ww = A[0], A[1], P[0], h[0], tmp, u[0], W[0]
-    for j in range(0, k, r):
-        if r == 1:
-            # no loops, whose setup would be most of a term's interpreter
-            # time, which other threads wait on under the interpreter lock
-            c = rest[j]
-            mul(acc, x, pp)                  # 1. p = acc * x, s = p + c
-            add(pp, c, s)
-        else:
-            if j:                            # start where the last chunk ended
-                A[0][...] = A[r]
-            n = min(r, k - j)
-            # 1. plain Horner: p_i = acc_i * x, acc_{i+1} = p_i + c_i
-            for i in range(n):
-                mul(A[i], x, P[i])
-                add(P[i], rest[j + i], A[i + 1])
-            acc, s, pp, hh, tt, uu, ww = accs[:n], accs[1:n + 1], *rows[:, :n]
-            c = cols[j:j + n]
-        # 2. the error terms of every term of the chunk at once
-        # TwoProd(acc, x) = p + e1, e1 in uu
-        mul(acc, split, hh)
-        sub(hh, acc, tt)
-        sub(hh, tt, uu)                      # uu = high half of acc
-        sub(acc, uu, hh)                     # hh = acc - uu
-        mul(uu, xh, tt)
-        sub(tt, pp, ww)
-        mul(uu, xl, tt)
-        add(ww, tt, uu)
-        mul(hh, xh, tt)
-        add(uu, tt, ww)
-        mul(hh, xl, tt)
-        add(ww, tt, uu)
-        # TwoSum(p, c) = s + e2, e2 in tt
-        sub(s, pp, tt)
-        sub(s, tt, hh)
-        sub(pp, hh, ww)
-        sub(c, tt, hh)
-        add(ww, hh, tt)
-        add(uu, tt, ww)                      # ww = e1 + e2
-        # 3. the correction: comp = comp * x + (e1 + e2)
-        if r == 1:
-            mul(comp, x, tmp)
-            add(tmp, ww, comp)
-            acc, s = s, acc                  # the sum is the next term's acc
-        else:
-            for i in range(n):
+            r = max(1, min(k, _BLOCK // m))  # terms per chunk
+            work = np.empty((6 * r + 3) * m)
+            split = np.array(_SPLITTER)
+            xh, xl = work[:2 * m].reshape(2, m)
+            accs = work[2 * m:(r + 3) * m].reshape(r + 1, m)
+            rows = work[(r + 3) * m:].reshape(5, r, m)
+            p, h, t, u, w = rows
+            # the rows used one term at a time, as lists, so a term takes no
+            # view; the correction's products all go through one row of t
+            A, P, W, tmp = list(accs), list(p), list(w), t[0]
+        mul(x, split, h[0])
+        sub(h[0], x, tmp)
+        sub(h[0], tmp, xh)                   # xh = high half of x
+        sub(x, xh, xl)                       # xl = x - xh
+        A[0].fill(top)
+        comp.fill(0.0)
+        # a one-term chunk, as in full blocks, takes rows as operands, which
+        # run on numpy's faster one-dimensional path, and swaps its two acc
+        # rows after each term; a longer one takes (r, m) blocks
+        acc, s, pp, hh, tt, uu, ww = A[0], A[1], P[0], h[0], tmp, u[0], W[0]
+        for j in range(0, k, r):
+            if r == 1:
+                # no loops, whose setup would be most of a term's interpreter
+                # time, which other threads wait on under the interpreter lock
+                c = rest[j]
+                mul(acc, x, pp)              # 1. p = acc * x, s = p + c
+                add(pp, c, s)
+            else:
+                if j:                        # start where the last chunk ended
+                    A[0][...] = A[r]
+                n = min(r, k - j)
+                # 1. plain Horner: p_i = acc_i * x, acc_{i+1} = p_i + c_i
+                for i in range(n):
+                    mul(A[i], x, P[i])
+                    add(P[i], rest[j + i], A[i + 1])
+                acc, s, pp, hh, tt, uu, ww = (accs[:n], accs[1:n + 1],
+                                              *rows[:, :n])
+                c = cols[j:j + n]
+            # 2. the error terms of every term of the chunk at once
+            # TwoProd(acc, x) = p + e1, e1 in uu
+            mul(acc, split, hh)
+            sub(hh, acc, tt)
+            sub(hh, tt, uu)                  # uu = high half of acc
+            sub(acc, uu, hh)                 # hh = acc - uu
+            mul(uu, xh, tt)
+            sub(tt, pp, ww)
+            mul(uu, xl, tt)
+            add(ww, tt, uu)
+            mul(hh, xh, tt)
+            add(uu, tt, ww)
+            mul(hh, xl, tt)
+            add(ww, tt, uu)
+            # TwoSum(p, c) = s + e2, e2 in tt
+            sub(s, pp, tt)
+            sub(s, tt, hh)
+            sub(pp, hh, ww)
+            sub(c, tt, hh)
+            add(ww, hh, tt)
+            add(uu, tt, ww)                  # ww = e1 + e2
+            # 3. the correction: comp = comp * x + (e1 + e2)
+            if r == 1:
                 mul(comp, x, tmp)
-                add(tmp, W[i], comp)
-    add(acc if r == 1 else A[n], comp, comp)
+                add(tmp, ww, comp)
+                acc, s = s, acc              # the sum is the next term's acc
+            else:
+                for i in range(n):
+                    mul(comp, x, tmp)
+                    add(tmp, W[i], comp)
+        add(acc if r == 1 else A[n], comp, comp)

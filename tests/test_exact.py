@@ -646,6 +646,31 @@ def test_horner_many_joins_every_helper_when_the_caller_raises(monkeypatch):
     _assert_all_joined(before)
 
 
+def test_horner_many_raises_the_callers_error_over_the_helpers(monkeypatch):
+    """When the caller and every helper raise, the caller's exception wins,
+    and only after every helper has finished."""
+    monkeypatch.setattr(exact, "_WORKERS", 4)
+    caller = threading.get_ident()
+
+    class CallerFailed(Exception):
+        pass
+
+    class HelperFailed(Exception):
+        pass
+
+    def spy(*task):
+        if threading.get_ident() == caller:
+            time.sleep(0.2)      # the helpers have raised by now
+            raise CallerFailed
+        raise HelperFailed
+
+    monkeypatch.setattr(exact, "_horner_blocks", spy)
+    before = set(threading.enumerate())
+    with pytest.raises(CallerFailed):
+        horner_many(THREAD_COEFFS, _points(2, 6 * _BLOCK, 2.0))
+    _assert_all_joined(before)
+
+
 def test_horner_many_calls_the_callers_error_callback(helpers_only):
     seen = []
     with np.errstate(all="call", call=lambda kind, flag: seen.append(kind)):
