@@ -21,9 +21,9 @@ and G is also their Gram matrix: G[n][m] is both the coefficient of x^m
 in beta_n and <beta_n, beta_m>.  (G is the inverse of the monomial Gram
 matrix of V_k.)
 
-Integer kernel: t_j[n] = D_n c_j[n] with c_j the integer row of the family's
-recurrence (``families._integer_row``), and D_n = ``families.coeff_scale`` a
-scale that depends only on the family and the exponent.  G is therefore
+Integer kernel: t_j[n] = D_n c_j[n], with c_j the family's integer row
+(``families._integer_row``) and D_n = ``families.coeff_scales(family, k)[n]``
+the scale of x^n, which depends on the family alone.  G is therefore
 
     G = D K D / q,        K = sum_j (q d_j) c_j c_j^T,
 
@@ -111,10 +111,9 @@ from operator import index, lt, mul
 from typing import Sequence
 
 from .exact import PI_FLOAT, ExactPoly, FloatRangeError, SpaceSpec, horner_many
-from .families import FamilySpec, _integer_row, coeff_scale, norm_sq
+from .families import FamilySpec, _integer_row, coeff_scales, norm_sq
 
 ORDER_BOUND = 256
-_SCALES: dict[FamilySpec, tuple[Fraction, ...]] = {}    # see _scales
 
 
 class NotActiveError(KeyError):
@@ -204,7 +203,7 @@ class BiorthSet:
     is non-empty and strictly increasing within 0..k (``k`` and the
     exponents are ints: a non-integer raises ``TypeError``).  ``kmat`` is
     the symmetric (k+1) x (k+1) integer matrix K and ``q`` the positive
-    rational with G = D K D / q, where D_n = ``_scales(family, k)[n]``, one
+    rational with G = D K D / q (D_n = ``coeff_scales(family, k)[n]``), one
     pair ``_kq`` formed on the first read of either.  Row n of G holds the
     monomial coefficients of beta_n, which are also its Gram entries
     <beta_n, beta_m>; the rows and columns of removed exponents are zero.
@@ -246,7 +245,7 @@ class BiorthSet:
     def beta(self, n: int) -> ExactPoly:
         if n not in self.active:
             raise NotActiveError(n)
-        d = _scales(self.family, self.k)
+        d = coeff_scales(self.family, self.k)
         return ExactPoly(tuple(x * (d[n] * dm) / self.q
                                for x, dm in zip(self.kmat[n], d)),
                          self.family.poly_scale)
@@ -255,16 +254,8 @@ class BiorthSet:
         """Exact <beta_n, beta_m> (rational part; /pi implied for Chebyshev)."""
         if n not in self.active or m not in self.active:
             raise NotActiveError((n, m))
-        d = _scales(self.family, self.k)
+        d = coeff_scales(self.family, self.k)
         return self.kmat[n][m] * (d[n] * d[m]) / self.q
-
-
-def _scales(fam: FamilySpec, k: int) -> tuple[Fraction, ...]:
-    """D_0..D_k, or more: each monomial coefficient's family factor, one
-    tuple per family, grown and published whole as ``families._ROWS`` is."""
-    if len(d := _SCALES.get(fam, ())) <= k:
-        _SCALES[fam] = d = d + tuple(coeff_scale(fam, n) for n in range(len(d), k + 1))
-    return d
 
 
 def _add_term(kmat: list[list[int]], w: int, c: Sequence[int]) -> None:
@@ -370,7 +361,7 @@ class FitModel:
 
     def _ratios(self) -> list[tuple[int, int]]:
         """c_n = D_n y_n / den as one integer ratio per exponent."""
-        d = _scales(self.family, self.exponents[-1])
+        d = coeff_scales(self.family, self.exponents[-1])
         den_n, den_d = self.denominator.numerator, self.denominator.denominator
         return [(y * d[n].numerator * den_d, d[n].denominator * den_n)
                 for n, y in zip(self.exponents, self.numerators)]
@@ -415,7 +406,7 @@ def _scaled_moments(fam: FamilySpec, moments: MomentVector
                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """D mu for the whole vector: integer numerators over the lcm L of
     all its denominators, and the prefix lcms L_0..L_n (L_n = L)."""
-    nu = list(map(mul, moments.exact_values(), _scales(fam, moments.order)))
+    nu = list(map(mul, moments.exact_values(), coeff_scales(fam, moments.order)))
     lcms = tuple(accumulate((x.denominator for x in nu), math.lcm))
     return tuple(x.numerator * (lcms[-1] // x.denominator) for x in nu), lcms
 

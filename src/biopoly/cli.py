@@ -41,7 +41,7 @@ from pathlib import Path
 
 from .biorth import FitModel, _check_exponents, build, fit
 from .exact import ExactPoly, ScaleTag
-from .families import FamilyKind, FamilySpec, coeff_scale
+from .families import FamilyKind, FamilySpec, coeff_scales
 
 __all__ = ["main", "load_model", "format_beta_row"]
 
@@ -180,12 +180,13 @@ def _model_to_json(model: FitModel, figures: dict) -> dict:
 def load_model(source: str | Path | dict) -> FitModel:
     """Rebuild the exact FitModel of a model.json (path or parsed dict).
 
-    Its numerators are the ``coeffs_exact`` c_n over the family's scales
-    D_n, over their lcm.  The ``coeffs`` (17 digits) must be the floats the
-    model rounds from c_n, so it evaluates bit for bit like the one saved;
-    only here are floats from outside checked.  A document that makes no
-    model raises ``ValueError``: ``k`` in 0..``MAX_ORDER``, as ``fit`` writes
-    it, ``coeffs`` and ``coeffs_exact`` lists, and ``FitModel`` checks the rest.
+    Its numerators are the ``coeffs_exact`` c_n over the scales D_n of
+    ``coeff_scales(fam, k)``, over their lcm.  The ``coeffs`` (17 digits)
+    must be the floats the model rounds from c_n, so it evaluates bit for bit
+    like the one saved; only here are floats from outside checked.  A document
+    that makes no model raises ``ValueError``: ``k`` in 0..``MAX_ORDER``, as
+    ``fit`` writes it, ``coeffs`` and ``coeffs_exact`` lists, and ``FitModel``
+    checks the rest.
     """
     if not isinstance(source, dict):
         source = json.loads(Path(source).read_text(encoding="utf-8"))
@@ -200,7 +201,7 @@ def load_model(source: str | Path | dict) -> FitModel:
                 raise TypeError(f"{name} is a {type(source[name]).__name__}, not a list")
         if (count := len(source["coeffs_exact"])) != len(exponents):
             raise ValueError(f"{count} coeffs_exact for {len(exponents)} exponents")
-        ratios = [Fraction(c) / coeff_scale(fam, n)
+        ratios = [Fraction(c) / coeff_scales(fam, k)[n]
                   for n, c in zip(exponents, source["coeffs_exact"])]
         den = math.lcm(*(r.denominator for r in ratios))
         model = FitModel(fam, k, exponents, [int(r * den) for r in ratios], den)

@@ -11,7 +11,7 @@ Four families are supported, two per structural type:
 
 Each coefficient a_e^j of x^e is stored split as ``c * D_e * s_j``: ``c``
 an integer (``int_coeff``), ``D_e`` an exact rational scale of the exponent
-alone (``coeff_scale``: b^-e, 1/e! or 1) and ``s_j = sqrt(norm_sq_j)`` a
+alone (b^-e, 1/e! or 1, ``coeff_scales``) and ``s_j = sqrt(norm_sq_j)`` a
 per-degree normalisation shared by the whole row; ``rat_coeff`` is the
 rational part c D_e.  Only ``norm_sq_j`` (rational) is ever stored; an
 isolated square root never appears, and every quantity the package derives
@@ -21,9 +21,9 @@ convention: the stored rational c means c / pi.
 
 The integer rows come from one three-term recurrence per family
 (``_RECURRENCE``, DLMF 18.9), checked against the classical closed forms in the
-tests.  The integer rows are memoised by family kind: legendre0b's are in
-u = x/b, so every ``b`` shares them.  Memos above this module key on the
-spec, whose ``b`` is a ``Fraction`` however it is built.
+tests, and memoised by family kind: legendre0b's are in u = x/b, so every
+``b`` shares them.  The scales D_e are memoised here beside them, by spec,
+as is ``biorth.build``, the one memo above; a spec's ``b`` is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -141,6 +141,7 @@ _RECURRENCE = {
 }
 #: per family kind, the rows c_{-1} = (), c_0 = (1,), ... formed so far
 _ROWS: dict[FamilyKind, tuple[tuple[int, ...], ...]] = {}
+_SCALES: dict[FamilySpec, tuple[Fraction, ...]] = {}    # see coeff_scales
 
 
 def _integer_row(fam: FamilySpec, j: int) -> tuple[int, ...]:
@@ -173,19 +174,25 @@ def int_coeff(fam: FamilySpec, j: int, e: int) -> int:
     return _integer_row(fam, j)[e] if 0 <= e <= j else 0
 
 
-def coeff_scale(fam: FamilySpec, e: int) -> Fraction:
-    """D_e: the family's factor of every coefficient of x^e."""
-    if fam.kind is FamilyKind.LEGENDRE_SHIFTED:
-        return 1 / fam.b ** e
-    if fam.kind is FamilyKind.LAGUERRE:
-        return Fraction(1, math.factorial(e))
-    return Fraction(1)
+def coeff_scales(fam: FamilySpec, k: int) -> tuple[Fraction, ...]:
+    """D_0..D_k, or more: D_e is the family's factor of every coefficient
+    of x^e (b^-e, 1/e! or 1).  One tuple per family spec, grown and
+    published whole as ``_ROWS`` is; callers index or zip it."""
+    if len(d := _SCALES.get(fam, ())) <= k:
+        if fam.kind is FamilyKind.LEGENDRE_SHIFTED:
+            new = [1 / fam.b ** e for e in range(len(d), k + 1)]
+        elif fam.kind is FamilyKind.LAGUERRE:
+            new = [Fraction(1, math.factorial(e)) for e in range(len(d), k + 1)]
+        else:
+            new = [Fraction(1)] * (k + 1 - len(d))
+        _SCALES[fam] = d = d + tuple(new)
+    return d
 
 
 def rat_coeff(fam: FamilySpec, j: int, exponent: int) -> Fraction:
     """Rational part of the coefficient of x^exponent in p_j."""
     c = int_coeff(fam, j, exponent)
-    return c * coeff_scale(fam, exponent) if c else Fraction(0)
+    return c * coeff_scales(fam, exponent)[exponent] if c else Fraction(0)
 
 
 def verify_orthonormal(fam: FamilySpec, kmax: int) -> list[tuple[int, int, Fraction]]:

@@ -15,7 +15,6 @@ import math
 import re
 import sys
 import threading
-import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -285,29 +284,6 @@ def test_build_is_memoised_per_family_and_order():
     for _ in range(2):  # a refused order is not cached
         with pytest.raises(ValueError):
             build(fam, -1)
-
-
-def test_scales_keep_one_tuple_per_family(monkeypatch):
-    """A memo keyed by (family, k) held a fresh D_0..D_k for every order:
-    5.46 MB for k = 0..256 on legendre0b(7/3).  One tuple per family, grown
-    on demand, holds the k = 256 scales alone, and a lower order reads the
-    same tuple."""
-    monkeypatch.setattr(biorth, "_SCALES", {})
-    fam = FamilySpec.legendre_shifted(Fraction(7, 3))
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        for k in range(biorth.ORDER_BOUND + 1):
-            biorth._scales(fam, k)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        if started:
-            tracemalloc.stop()
-    assert held < 256 * 1024
-    d = biorth._scales(fam, biorth.ORDER_BOUND)
-    assert biorth._scales(fam, 3) is d and len(d) == biorth.ORDER_BOUND + 1
-    assert d[:4] == (1, Fraction(3, 7), Fraction(9, 49), Fraction(27, 343))
 
 
 @pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=KERNEL_IDS)

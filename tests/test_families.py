@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,11 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biopoly import families
-from biopoly.biorth import build
+from biopoly.biorth import ORDER_BOUND, build
 from biopoly.cli import MAX_ORDER
 from biopoly.exact import SpaceSpec, Weight
-from biopoly.families import (FamilyKind, FamilySpec, _integer_row, int_coeff,
-                              norm_sq, rat_coeff, verify_orthonormal)
+from biopoly.families import (FamilyKind, FamilySpec, _integer_row, coeff_scales,
+                              int_coeff, norm_sq, rat_coeff, verify_orthonormal)
 
 ALL_FAMILIES = [
     FamilySpec.legendre_shifted(1),
@@ -143,6 +144,53 @@ def test_rows_are_shared_by_every_b():
             is _integer_row(FamilySpec.legendre_shifted(Fraction(7, 3)), 20))
 
 
+#: each kind's scales, with a b whose powers are not integral and a str b
+SCALE_FAMILIES = [*(FamilySpec.legendre_shifted(b) for b in (1, Fraction(7, 3), "1/2", 10)),
+                  FamilySpec.laguerre(), FamilySpec.legendre_sym(), FamilySpec.chebyshev()]
+
+
+@pytest.mark.parametrize("fam", SCALE_FAMILIES, ids=lambda f: f.describe())
+def test_coeff_scales_are_the_closed_forms(fam):
+    """D_e is b^-e for legendre0b, 1/e! for laguerre and 1 otherwise, an
+    exact ``Fraction`` for e = 0..ORDER_BOUND; every lower order reads the
+    same tuple, and a coefficient's rational part is its integer times D_e."""
+    d = coeff_scales(fam, ORDER_BOUND)
+    for e in range(ORDER_BOUND + 1):
+        if fam.kind is FamilyKind.LEGENDRE_SHIFTED:
+            want = Fraction(fam.b.denominator ** e, fam.b.numerator ** e)
+        elif fam.kind is FamilyKind.LAGUERRE:
+            want = Fraction(1, math.factorial(e))
+        else:
+            want = Fraction(1)
+        assert type(d[e]) is Fraction and d[e] == want, e
+        assert coeff_scales(fam, e) is d, e
+        for j in (e, ORDER_BOUND):
+            assert rat_coeff(fam, j, e) == int_coeff(fam, j, e) * coeff_scales(fam, e)[e]
+
+
+def test_scales_keep_one_tuple_per_family(monkeypatch):
+    """A memo keyed by (family, k) held a fresh D_0..D_k for every order:
+    5.46 MB for k = 0..256 on legendre0b(7/3).  One tuple per family, grown
+    on demand, holds the k = 256 scales alone, and a lower order reads the
+    same tuple."""
+    monkeypatch.setattr(families, "_SCALES", {})
+    fam = FamilySpec.legendre_shifted(Fraction(7, 3))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for k in range(ORDER_BOUND + 1):
+            coeff_scales(fam, k)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert held < 256 * 1024
+    d = coeff_scales(fam, ORDER_BOUND)
+    assert coeff_scales(fam, 3) is d and len(d) == ORDER_BOUND + 1
+    assert d[:4] == (1, Fraction(3, 7), Fraction(9, 49), Fraction(27, 343))
+
+
 # ----------------------------------------------------------------------
 # structural classification
 # ----------------------------------------------------------------------
@@ -234,7 +282,7 @@ print(fit(fam, 3, moments_expdecay(fam.space, 3)).coeffs_exact)
 
 
 def test_direct_family_first_does_not_change_a_later_fit():
-    """An int-b family built first once filled ``build`` and ``_scales``
+    """An int-b family built first once filled ``build`` and ``coeff_scales``
     with floats, and the fit after it raised "'float' object has no
     attribute 'denominator'"; it must print what a fresh process prints."""
     src = Path(families.__file__).resolve().parents[1]

@@ -25,10 +25,10 @@ from scipy.integrate import quad
 
 import biopoly
 from biopoly import MomentSpaceError, biorth, regress
-from biopoly.biorth import (BiorthSet, _scales, build, downgrade, project,
-                            select_removal, upgrade)
+from biopoly.biorth import (BiorthSet, build, downgrade, project, select_removal,
+                            upgrade)
 from biopoly.exact import PI_FLOAT, SpaceSpec, Weight, inner_monomial
-from biopoly.families import FamilySpec
+from biopoly.families import FamilySpec, coeff_scales
 from biopoly.regress import (DEFAULT_PANELS, UNIFORM_GRID_RTOL,
                              EvenPanelParityError, FitModel,
                              MomentShortfallError, MomentVector,
@@ -636,7 +636,7 @@ def _kv_numerators(s, mv):
     integer product that ``project`` takes when it carries nothing."""
     mu = mv.exact_values()
     need = max(s.active) + 1
-    d = _scales(s.family, s.k)
+    d = coeff_scales(s.family, s.k)
     nu = [m * dm for m, dm in zip(mu[:need], d)]
     nu_den = math.lcm(*(x.denominator for x in nu))
     nu_num = [x.numerator * (nu_den // x.denominator) for x in nu]
@@ -648,7 +648,7 @@ def _fraction_project(s, mv):
     c_n = (K_n . nu_num) D_n / (q nu_den), as ``project`` built them before
     it kept integer numerators."""
     y, nu_den = _kv_numerators(s, mv)
-    d = _scales(s.family, s.k)
+    d = coeff_scales(s.family, s.k)
     qn, qd = s.q.numerator, s.q.denominator
     return tuple(Fraction(yn * d[n].numerator * qd, d[n].denominator * qn * nu_den)
                  for n, yn in zip(s.active, y))
@@ -1187,7 +1187,7 @@ def test_half_line_rule_is_built_once(monkeypatch):
 # wiggle's quadrature moment mu_36 and the fit's l2_error, as float.hex
 _THREAD_PROBE = """
 import numpy as np
-from biopoly.families import FamilySpec
+from biopoly.families import FamilySpec, coeff_scales
 from biopoly.regress import fit, l2_error, moments_quadrature
 from biopoly.targets import damped_wiggle
 rng = np.random.default_rng(0)
