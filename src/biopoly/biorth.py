@@ -40,10 +40,9 @@ operations stay in integers:
 
 * ``upgrade``  - raise any set from order k to k+1 with k+1 active, in
   O(k): the new set is (family, k+1, active + (k+1,)), and nothing else.
-  Its K, if it is ever read, is the predecessor's rescaled by f = q'/q plus
-  the one integer rank-one term of degree k+1, with the same removals
-  applied; an order scan that projects each upgrade (the projection below
-  needs only k and the family) forms no K at all.
+  Its K, if read, is ``build``'s of order k+1 with one ``downgrade`` per
+  exponent the set lacks, as for any set; an order scan that projects each
+  upgrade (the projection below reads no K) forms no K at all.
 * ``build``    - the full set of order k, nothing else.  Sets are
   immutable, so it is memoised per (family, k) and callers share one, K
   included once it is read.
@@ -63,13 +62,13 @@ operations stay in integers:
 * ``project``  - c_n = D_n y_n / den with y = K nu, where nu / nu_den = D mu
   brings the moments to one denominator and den = q nu_den; the ``FitModel``
   is made from y and den; its floats are never an input.  One path serves
-  every set: the full set of order top, the set's largest active exponent,
-  folds y forward by one upgrade's rank-one step per order, reading no K,
-  and the step below then removes each exponent under top that the set
-  lacks, in increasing order.  From order j-1 to j, with f = q'/q and
-  w c c^T the upgrade's rescale and new term (c the integer row of degree
-  j), and g = nu_den'/nu_den the growth of the prefix lcm of the
-  denominators of D mu,
+  every set: the y of the full set of order top, the set's largest active
+  exponent, folds forward by one upgrade's rank-one step per order, reading
+  no set and no K, and the step below removes each exponent under top that
+  the set lacks from ``build``'s set of order top, in increasing order.
+  From order j-1 to j, with f = q'/q and w c c^T the upgrade's rescale and
+  new term (c the integer row of degree j), and g = nu_den'/nu_den the
+  growth of the prefix lcm of the denominators of D mu,
 
       y_n' = f g y_n + w c_n z  (n < j),   y_j' = w c_j z,
 
@@ -414,12 +413,12 @@ def _scaled_moments(fam: FamilySpec, moments: MomentVector
 def _carry(s: BiorthSet, nums: tuple[int, ...], lcms: tuple[int, ...],
            last: tuple[int, int, tuple[int, ...]] | None
            ) -> tuple[tuple[int, ...], int]:
-    """The numerators of the full set ``s`` and its q, folded forward by
-    one ``upgrade``'s rank-one step per order from ``last``, the projection
-    of the same moments onto a full set of order at most s.k, or from the
-    empty set of order -1 when there is none."""
-    k_prev, q_prev, y = last if last and last[0] <= s.k else (-1, 1, ())
-    for j in range(k_prev + 1, s.k + 1):
+    """Numerators and q of the full set of order top = ``s.active[-1]``,
+    folded by one ``upgrade``'s rank-one step per order from ``last`` (a
+    fold of the same moments to order top or lower) or from order -1."""
+    top = s.active[-1]
+    k_prev, q_prev, y = last if last and last[0] <= top else (-1, 1, ())
+    for j in range(k_prev + 1, top + 1):
         # K' = f (K (+) 0) + w c c^T and nu' = g (nu (+) 0) + nu'_j e_j give
         # y'_n = f g y_n + w c_n z with z = c . nu' (y is empty at j = 0)
         d = norm_sq(s.family, j)
@@ -454,9 +453,9 @@ def project(s: BiorthSet, moments: MomentVector) -> FitModel:
     over one shared denominator.  So the huge cancellations inside
     high-order beta rows cost no precision: order ~36 fits come out clean
     where solved normal equations lose everything.  The full set of order
-    top, the largest active exponent (``s`` itself when full), folds its
-    numerators forward from the vector's own carry (``_carry``), and
-    ``_remove`` then takes out each exponent below top that ``s`` lacks.
+    top, the largest active exponent, folds its numerators forward from the
+    vector's own carry (``_carry``), and ``_remove`` then takes out each
+    exponent below top that ``s`` lacks from ``build``'s set of order top.
     Moments on another space than the family's raise ``MomentSpaceError``.
     """
     top = s.active[-1]
@@ -466,12 +465,13 @@ def project(s: BiorthSet, moments: MomentVector) -> FitModel:
                                f"space, got moments on {moments.space}")
     nums, lcms, last = vars(moments).get("_carry") or (
         *_scaled_moments(s.family, moments), None)
-    t = s if len(s.active) == s.k + 1 else build(s.family, top)
-    y, q = _carry(t, nums, lcms, last)
+    y, q = _carry(s, nums, lcms, last)
     vars(moments)["_carry"] = nums, lcms, (top, q, y)
     den = Fraction(q * lcms[top])
-    for ell in sorted(set(range(top)).difference(s.active)):
-        t, y, den = _remove(t, y, den, ell)
+    if missing := sorted(set(range(top)).difference(s.active)):
+        t = build(s.family, top)
+        for ell in missing:
+            t, y, den = _remove(t, y, den, ell)
     return FitModel(s.family, s.k, s.active, y, den)
 
 

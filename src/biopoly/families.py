@@ -103,8 +103,8 @@ class FamilySpec:
 
     @property
     def poly_scale(self) -> ScaleTag:
-        """Scale tag carried by polynomials assembled from squared rows."""
-        return ScaleTag.INV_PI if self.kind is FamilyKind.CHEBYSHEV else ScaleTag.ONE
+        """Scale tag of squared-row polynomials: the inverse of the weight's pi power."""
+        return ScaleTag(-self.space.pi_power)
 
     @property
     def name(self) -> str:

@@ -908,6 +908,43 @@ def test_each_vector_keeps_its_own_carry(monkeypatch, fam):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("k", [0, 5, 17])
+@pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=KERNEL_IDS)
+def test_a_full_set_made_by_hand_projects_as_builds(fam, k):
+    """A full set made by hand is ``build``'s set by value, and the fold
+    reads no K: projected onto either, two equal vectors give equal models
+    with the same numerators and denominator, and keep the same carry, both
+    fresh and when each already holds the fold of order k // 2."""
+    hand = BiorthSet(fam, k, range(k + 1))
+    assert hand == build(fam, k) and hand is not build(fam, k)
+    mu = [Fraction((-1) ** i * (i + 2), 3 * i + 1) for i in range(k + 2)]
+    for lower in (False, True):
+        by_hand, built = exact_moments(fam, mu), exact_moments(fam, mu)
+        if lower:
+            project(build(fam, k // 2), by_hand)
+            project(build(fam, k // 2), built)
+        a, b = project(hand, by_hand), project(build(fam, k), built)
+        assert a == b
+        assert a.numerators == b.numerators and a.denominator == b.denominator
+        assert vars(by_hand)["_carry"] == vars(built)["_carry"]
+    assert "_kq" not in vars(hand)
+
+
+@pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=KERNEL_IDS)
+def test_only_a_set_lacking_an_exponent_below_its_top_asks_build(monkeypatch, fam):
+    """The fold reads only the family's rows, so projecting a full set (by
+    hand or by upgrade), or one whose removals all lie above its top, asks
+    ``build`` for nothing; a set lacking an exponent below its top asks
+    once, for the full set of order top that ``_remove`` then prunes."""
+    sets = [BiorthSet(fam, 9, range(10)), upgrade(build(fam, 8)),
+            downgrade(build(fam, 9), 9), downgrade(build(fam, 9), 3)]
+    asked = []
+    monkeypatch.setattr(biorth, "build", lambda f, k: asked.append(k) or build(f, k))
+    for s in sets:
+        project(s, _two_vectors(fam)[1])
+    assert asked == [9]
+
+
 def test_threads_sharing_a_vector_project_as_fresh():
     """Threads that project one shared vector along one upgrade scan, in
     different orders, each get the projection of a new, equal vector:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from biopoly import families
 from biopoly.biorth import ORDER_BOUND, build
 from biopoly.cli import MAX_ORDER
-from biopoly.exact import SpaceSpec, Weight
+from biopoly.exact import ScaleTag, SpaceSpec, Weight
 from biopoly.families import (FamilyKind, FamilySpec, _integer_row, coeff_scales,
                               int_coeff, norm_sq, rat_coeff, verify_orthonormal)
 
@@ -290,6 +290,15 @@ def test_direct_family_first_does_not_change_a_later_fit():
                           cwd=src, capture_output=True, text=True, check=True).stdout
            for first in (True, False)]
     assert out[0] == out[1] and "Fraction(" in out[0]
+
+
+@pytest.mark.parametrize("fam", SCALE_FAMILIES, ids=lambda f: f.describe())
+def test_poly_scale_is_the_inverse_of_the_weights_pi_power(fam):
+    """A row's norm carries the 1/pi that its weight's integrals carry as
+    pi, so the two cancel in every inner product: the tag is 1/pi for
+    Chebyshev and 1 for the other kinds."""
+    assert fam.poly_scale.pi_power == -fam.space.pi_power
+    assert (fam.poly_scale is ScaleTag.INV_PI) == (fam.kind is FamilyKind.CHEBYSHEV)
 
 
 def test_family_spaces():
